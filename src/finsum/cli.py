@@ -23,6 +23,7 @@ import time
 
 import numpy as np
 
+from . import __version__
 from . import expr as ex
 from .errors import (CapabilityError, DomainError, EvaluationError,
                      FinsumError, ParseError, PreconditionError,
@@ -35,8 +36,6 @@ from .laplace import sum_via_integral
 from .series import (Diagnostics, SeriesSpec, SumResult, Variant, direct_sum,
                      effective_term)
 from .telescope import telescoping_sum
-
-VERSION = "0.1.0"
 
 #: every evaluation route the ``eval`` subcommand knows, reporting order.
 METHODS = ("oracle", "laplace", "fourier", "telescope", "euler-maclaurin",
@@ -227,12 +226,12 @@ def run(text: str, n: int, method: str = "all", alpha: complex = 1 + 0j,
 
     meta = {
         "expr": text,
-        "n": n,
+        "n": spec.n_terms,
         "alpha": _cplx(spec.alpha),
         "variant": spec.variant.value,
         "beta": _cplx(spec.beta),
         "tol": tol,
-        "version": VERSION,
+        "version": __version__,
     }
     return {"meta": meta, "results": records}
 

@@ -18,7 +18,7 @@ from . import jets
 from .errors import (CapabilityError, DomainError, EvaluationError,
                      PreconditionError)
 from .quadrature import integrate_finite, integrate_semi_infinite
-from .series import Diagnostics, SumResult
+from .series import Diagnostics, SumResult, check_count
 from .special import bernoulli
 
 _EPS = 2.220446049250313e-16
@@ -44,10 +44,8 @@ class EMJob:
     def __post_init__(self):
         if not self.b > self.a:
             raise PreconditionError(f"need b > a, got [{self.a}, {self.b}]")
-        if not isinstance(self.m, int) or self.m < 1:
-            raise PreconditionError(f"subinterval count must be a positive integer, got {self.m!r}")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise PreconditionError(f"correction order must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "m", check_count(self.m, "subinterval count"))
+        object.__setattr__(self, "n", check_count(self.n, "correction order"))
 
     @property
     def h(self) -> float:
@@ -100,8 +98,7 @@ def em_tail(f: Callable, m: float, n: int = 3, quad_tol: float = 1e-13):
     and bound is the magnitude of the first omitted correction term.  Needs f
     and its derivatives to vanish at infinity.
     """
-    if not isinstance(n, int) or n < 1:
-        raise PreconditionError(f"correction order must be a positive integer, got {n!r}")
+    n = check_count(n, "correction order")
     try:
         quad = integrate_semi_infinite(lambda u: f(u + m), tol=quad_tol)
     except EvaluationError as e:

@@ -26,10 +26,10 @@ import numpy as np
 
 from . import backend, jets
 from . import expr as ex
-from .errors import CapabilityError, PreconditionError
+from .errors import CapabilityError
 from .kernels import GAUSS, linear_terms, _Unrecognized
 from .quadrature import integrate_real_line
-from .series import Diagnostics, SumResult
+from .series import Diagnostics, SumResult, check_count
 from .stable import TWO_PI, reduce_angle
 
 
@@ -41,8 +41,7 @@ class DirichletForm(str, Enum):
 def dirichlet_factor(alpha: float, n_terms: int,
                      form: DirichletForm = DirichletForm.EXACT) -> complex:
     """The lattice factor Sigma_{k=1}^{N} exp(i alpha k) (or its phase-free cousin)."""
-    if not isinstance(n_terms, int) or n_terms < 1:
-        raise PreconditionError(f"n_terms must be a positive integer, got {n_terms!r}")
+    n_terms = check_count(n_terms)
     form = DirichletForm(form)
     d, m = reduce_angle(float(alpha))
     if form is DirichletForm.EXACT:
@@ -155,8 +154,7 @@ def sum_via_fourier(pair, n_terms: int, tol: float = 1e-9) -> SumResult:
     """
     if not isinstance(pair, FourierPair):
         pair = recognize_fourier(pair)
-    if not isinstance(n_terms, int) or n_terms < 1:
-        raise PreconditionError(f"n_terms must be a positive integer, got {n_terms!r}")
+    n_terms = check_count(n_terms)
 
     def integrand(al):
         al = np.asarray(al, dtype=float)

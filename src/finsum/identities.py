@@ -20,7 +20,7 @@ import numpy as np
 
 from . import jets
 from .errors import ConditioningWarning, DomainError
-from .series import SeriesSpec, direct_sum
+from .series import SeriesSpec, check_count, direct_sum
 from .stable import TWO_PI, scaled_angle
 from .telescope import zeta_power_sum
 
@@ -44,12 +44,6 @@ def _check_positive(value, name: str) -> float:
     if not value > 0:
         raise DomainError(f"{name} must be positive, got {value}")
     return value
-
-
-def _check_n(n) -> int:
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -77,7 +71,7 @@ class VerificationReport:
 
 def _sine_closed(params, n):
     theta = _check_theta(params["theta"])
-    n = _check_n(n)
+    n = check_count(n, "n")
     half = 0.5 * theta
     mid = scaled_angle(theta, n + 0.5)
     return complex(0.5 / math.tan(half) - math.cos(mid) / (2.0 * math.sin(half)))
@@ -85,14 +79,14 @@ def _sine_closed(params, n):
 
 def _cosine_closed(params, n):
     theta = _check_theta(params["theta"])
-    n = _check_n(n)
+    n = check_count(n, "n")
     mid = scaled_angle(theta, n + 0.5)
     return complex(-0.5 + math.sin(mid) / (2.0 * math.sin(0.5 * theta)))
 
 
 def _k_cosine_closed(params, n):
     theta = _check_theta(params["theta"])
-    n = _check_n(n)
+    n = check_count(n, "n")
     s = math.sin(0.5 * theta)
     mid = scaled_angle(theta, n + 0.5)
     half_n = scaled_angle(theta, 0.5 * n)
@@ -102,7 +96,7 @@ def _k_cosine_closed(params, n):
 def _exp_cosine_closed(params, n):
     theta = _check_theta(params["theta"])
     beta = _check_positive(params["beta"], "beta")
-    n = _check_n(n)
+    n = check_count(n, "n")
     plus = jets.exp_power_sum(complex(-beta, theta), n)
     minus = jets.exp_power_sum(complex(-beta, -theta), n)
     return 0.5 * (plus + minus)
@@ -112,13 +106,13 @@ def _power_closed(params, n):
     s = float(params["s"])
     if not s > 1:
         raise DomainError(f"s must exceed 1, got {s}")
-    return zeta_power_sum(s, _check_n(n)).value
+    return zeta_power_sum(s, n).value
 
 
 def _geometric_closed(params, n):
     a = _check_positive(params["a"], "a")
     alpha = _check_positive(params["alpha"], "alpha")
-    return complex(jets.exp_power_sum(-a * alpha, _check_n(n)))
+    return complex(jets.exp_power_sum(-a * alpha, check_count(n, "n")))
 
 
 # -- reference sums ---------------------------------------------------------

@@ -25,7 +25,8 @@ from . import backend, jets
 from .errors import CapabilityError, PoleError, PreconditionError
 from .kernels import Kernel
 from .quadrature import integrate_semi_infinite
-from .series import Diagnostics, SeriesSpec, SumResult, Variant
+from .series import (Diagnostics, SeriesSpec, SumResult, Variant,
+                     check_count, check_lattice)
 from .special import riemann_zeta
 from .stable import TWO_PI
 
@@ -36,7 +37,11 @@ _MAX_DERIV = 4
 
 @dataclass(frozen=True)
 class VariantKernel:
-    """The summation factor Phi: variant shape plus its parameters."""
+    """The summation factor Phi: variant shape plus its parameters.
+
+    ``phi``, ``phi_derivative`` and the route read only these four fields,
+    so a SeriesSpec serves wherever a VariantKernel does.
+    """
 
     variant: Variant
     alpha: complex
@@ -44,26 +49,12 @@ class VariantKernel:
     n_terms: int
 
     def __post_init__(self):
-        object.__setattr__(self, "variant", Variant(self.variant))
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
-        if not isinstance(self.n_terms, int) or self.n_terms < 1:
-            raise PreconditionError(f"n_terms must be a positive integer, got {self.n_terms!r}")
-        if self.alpha.real <= 0.0:
-            raise PreconditionError(f"Re(alpha) must be positive, got {self.alpha}")
-        if self.variant.is_alternating and self.n_terms % 2 != 0:
-            raise PreconditionError(
-                f"variant {self.variant.value!r} requires even n_terms, got {self.n_terms}")
-        if self.variant.is_exp_factor and self.beta.real <= 0.0:
-            raise PreconditionError(
-                f"variant {self.variant.value!r} requires Re(beta) > 0, got {self.beta}")
-
-    @classmethod
-    def from_spec(cls, spec: SeriesSpec) -> "VariantKernel":
-        return cls(spec.variant, spec.alpha, spec.beta, spec.n_terms)
+        lattice = check_lattice(self.variant, self.n_terms, self.alpha, self.beta)
+        for name, value in zip(("variant", "n_terms", "alpha", "beta"), lattice):
+            object.__setattr__(self, name, value)
 
 
-def _check_pole(vk: VariantKernel, w: complex) -> None:
+def _check_pole(vk: VariantKernel | SeriesSpec, w: complex) -> None:
     """Reject w within _POLE_EPS of a zero of the kernel denominator.
 
     Non-alternating kernels: exp(w) = 1 at w = 2*pi*i*m; the m = 0 point is
@@ -86,7 +77,7 @@ def _check_pole(vk: VariantKernel, w: complex) -> None:
             f"(denominator exponent {pole_w})", pole=pole_t)
 
 
-def _phi_any(vk: VariantKernel, t):
+def _phi_any(vk: VariantKernel | SeriesSpec, t):
     """Phi at a complex point or a jet; shared by phi and phi_derivative."""
     w = vk.alpha * t
     if vk.variant.is_exp_factor:
@@ -102,12 +93,12 @@ def _phi_any(vk: VariantKernel, t):
     return s
 
 
-def phi(vk: VariantKernel, t) -> complex:
+def phi(vk: VariantKernel | SeriesSpec, t) -> complex:
     """The summation factor at complex t (removable point at t=0 included)."""
     return complex(_phi_any(vk, complex(t)))
 
 
-def phi_derivative(vk: VariantKernel, t, order: int) -> complex:
+def phi_derivative(vk: VariantKernel | SeriesSpec, t, order: int) -> complex:
     """d^order/dt^order of the summation factor, by jet arithmetic."""
     if not 1 <= order <= _MAX_DERIV:
         raise PreconditionError(f"derivative order {order} outside 1..{_MAX_DERIV}")
@@ -115,7 +106,7 @@ def phi_derivative(vk: VariantKernel, t, order: int) -> complex:
     return _phi_any(vk, jet).derivative(order)
 
 
-def _growth_limit(vk: VariantKernel) -> float:
+def _growth_limit(vk: VariantKernel | SeriesSpec) -> float:
     limit = vk.alpha.real
     if vk.variant.is_shifted:
         limit += vk.beta.real
@@ -129,15 +120,14 @@ def sum_via_integral(spec: SeriesSpec, kernel: Kernel, tol: float = 1e-10) -> Su
     through the summation factor, not the kernel.  Spike terms are closed
     form; smooth terms are integrated against the factor on [0, inf).
     """
-    vk = VariantKernel.from_spec(spec)
     value = 0j
     delta_scale = 0.0
     for d in kernel.deltas:
         if d.deriv_order == 0:
-            contrib = d.weight * phi(vk, d.location)
+            contrib = d.weight * phi(spec, d.location)
         else:
             contrib = d.weight * (-1.0) ** d.deriv_order \
-                * phi_derivative(vk, d.location, d.deriv_order)
+                * phi_derivative(spec, d.location, d.deriv_order)
         value += contrib
         delta_scale += abs(contrib)
     error = 2.0 * _EPS * delta_scale
@@ -145,17 +135,17 @@ def sum_via_integral(spec: SeriesSpec, kernel: Kernel, tol: float = 1e-10) -> Su
     converged = True
 
     if kernel.smooth:
-        limit = _growth_limit(vk)
+        limit = _growth_limit(spec)
         for s in kernel.smooth:
             if s.growth_bound >= limit:
                 raise PreconditionError(
                     f"density {s.label!r} grows like exp({s.growth_bound}*t) "
                     f"but the summation factor only decays like exp(-{limit}*t)")
-        code = vk.variant.code
+        code = spec.variant.code
 
         def integrand(t):
             t = np.asarray(t, dtype=float)
-            factor = backend.phi_grid(t, vk.n_terms, code, vk.alpha, vk.beta)
+            factor = backend.phi_grid(t, spec.n_terms, code, spec.alpha, spec.beta)
             total = kernel.smooth[0].fn(t) * factor
             for s in kernel.smooth[1:]:
                 total = total + s.fn(t) * factor
@@ -188,18 +178,9 @@ def type_b_sum(kernel: Kernel, x: float, n_terms: int,
         raise CapabilityError(
             "spike kernels produce a point-mass comb, not a function; "
             "use delta_type_b")
-    variant = Variant(variant)
-    beta = complex(beta)
     if x <= 0:
         raise PreconditionError(f"x must be positive, got {x}")
-    if not isinstance(n_terms, int) or n_terms < 1:
-        raise PreconditionError(f"n_terms must be a positive integer, got {n_terms!r}")
-    if variant.is_alternating and n_terms % 2 != 0:
-        raise PreconditionError(
-            f"variant {variant.value!r} requires even n_terms, got {n_terms}")
-    if variant.is_exp_factor and beta.real <= 0.0:
-        raise PreconditionError(
-            f"variant {variant.value!r} requires Re(beta) > 0, got {beta}")
+    variant, n_terms, _, beta = check_lattice(variant, n_terms, beta=beta)
 
     ks = np.arange(1, n_terms + 1, dtype=float)
     u = x / ks
@@ -246,8 +227,7 @@ def delta_type_b(a: float, n_terms: int):
     """
     if not a > 0:
         raise PreconditionError(f"a must be positive, got {a}")
-    if not isinstance(n_terms, int) or n_terms < 1:
-        raise PreconditionError(f"n_terms must be a positive integer, got {n_terms!r}")
+    n_terms = check_count(n_terms)
     comb = DeltaComb(tuple((1.0, n * a) for n in range(1, n_terms + 1)))
 
     def closed_form(alpha) -> complex:
@@ -276,12 +256,8 @@ def zeta_expansion_sum(a: float, alpha: float, n_terms: int,
     """
     if a == 0:
         raise PreconditionError("a must be nonzero")
-    if alpha <= 0:
-        raise PreconditionError(f"alpha must be positive, got {alpha}")
-    if not isinstance(n_terms, int) or n_terms < 1:
-        raise PreconditionError(f"n_terms must be a positive integer, got {n_terms!r}")
-    if not isinstance(max_terms, int) or max_terms < 1:
-        raise PreconditionError(f"max_terms must be a positive integer, got {max_terms!r}")
+    _, n_terms, _, _ = check_lattice(Variant.STANDARD, n_terms, alpha)
+    max_terms = check_count(max_terms, "max_terms")
 
     ia = 1j * a
     edge = alpha * n_terms

@@ -50,6 +50,39 @@ class Variant(str, Enum):
                 "exp-factor", "exp-factor-alternating").index(self.value)
 
 
+def check_count(n, name: str = "n_terms") -> int:
+    """n as a Python int, or PreconditionError unless it is an integer >= 1.
+
+    Python and NumPy integers pass; bool, float, str and the rest do not.
+    Every term count, subinterval count and correction order in the package
+    is checked here.
+    """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise PreconditionError(f"{name} must be a positive integer, got {n!r}")
+    return int(n)
+
+
+def check_lattice(variant, n_terms, alpha=1.0, beta=0j) -> tuple[Variant, int, complex, complex]:
+    """(variant, n_terms, alpha, beta) normalized, or PreconditionError.
+
+    The conditions a variant puts on its lattice: N >= 1, Re(alpha) > 0,
+    even N for the alternating variants and Re(beta) > 0 for the
+    exp-factor ones.  They are stated here and nowhere else.
+    """
+    variant = Variant(variant)
+    n_terms = check_count(n_terms)
+    alpha, beta = complex(alpha), complex(beta)
+    if alpha.real <= 0.0:
+        raise PreconditionError(f"Re(alpha) must be positive, got {alpha}")
+    if variant.is_alternating and n_terms % 2 != 0:
+        raise PreconditionError(
+            f"variant {variant.value!r} requires an even number of terms, got {n_terms}")
+    if variant.is_exp_factor and beta.real <= 0.0:
+        raise PreconditionError(
+            f"variant {variant.value!r} requires Re(beta) > 0, got {beta}")
+    return variant, n_terms, alpha, beta
+
+
 @dataclass(frozen=True)
 class SeriesSpec:
     """A finite series sum_{k=1}^{n} weight_k * g(argument_k).
@@ -65,21 +98,9 @@ class SeriesSpec:
     beta: complex = 0j
 
     def __post_init__(self):
-        if not isinstance(self.n_terms, (int, np.integer)) or isinstance(self.n_terms, bool):
-            raise PreconditionError(f"n_terms must be an integer, got {self.n_terms!r}")
-        if self.n_terms < 1:
-            raise PreconditionError(f"n_terms must be >= 1, got {self.n_terms}")
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
-        object.__setattr__(self, "variant", Variant(self.variant))
-        if self.alpha.real <= 0.0:
-            raise PreconditionError(f"Re(alpha) must be positive, got {self.alpha}")
-        if self.variant.is_alternating and self.n_terms % 2 != 0:
-            raise PreconditionError(
-                f"variant {self.variant.value!r} requires an even number of terms, got {self.n_terms}")
-        if self.variant.is_exp_factor and self.beta.real <= 0.0:
-            raise PreconditionError(
-                f"variant {self.variant.value!r} requires Re(beta) > 0, got {self.beta}")
+        lattice = check_lattice(self.variant, self.n_terms, self.alpha, self.beta)
+        for name, value in zip(("variant", "n_terms", "alpha", "beta"), lattice):
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -198,11 +219,8 @@ def direct_sum(spec: SeriesSpec) -> SumResult:
         if not np.all(finite):
             k_bad = int(np.argmin(finite)) + 1
             raise EvaluationError("series term is not finite", at=f"k={k_bad}")
-        value = backend.neumaier_sum(terms)
-        abs_sum = float(np.sum(np.abs(terms)))
     else:
-        acc_r = comp_r = acc_i = comp_i = 0.0
-        abs_sum = 0.0
+        terms = []
         for k in range(1, n + 1):
             try:
                 term = complex(spec.g(term_argument(spec, k))) * complex(term_weight(spec, k))
@@ -210,16 +228,10 @@ def direct_sum(spec: SeriesSpec) -> SumResult:
                 raise EvaluationError(f"series term failed to evaluate: {exc}", at=f"k={k}") from exc
             if not (math.isfinite(term.real) and math.isfinite(term.imag)):
                 raise EvaluationError("series term is not finite", at=f"k={k}")
-            abs_sum += abs(term)
-            v = term.real
-            tmp = acc_r + v
-            comp_r += (acc_r - tmp) + v if abs(acc_r) >= abs(v) else (v - tmp) + acc_r
-            acc_r = tmp
-            v = term.imag
-            tmp = acc_i + v
-            comp_i += (acc_i - tmp) + v if abs(acc_i) >= abs(v) else (v - tmp) + acc_i
-            acc_i = tmp
-        value = complex(acc_r + comp_r, acc_i + comp_i)
+            terms.append(term)
+        terms = np.array(terms, dtype=np.complex128)
+    value = backend.neumaier_sum(terms)
+    abs_sum = float(np.sum(np.abs(terms)))
     diag = Diagnostics(nodes=n, runtime_ns=time.perf_counter_ns() - t0)
     return SumResult(value=value, method="oracle", error_estimate=2.0 * _EPS * abs_sum,
                      diagnostics=diag)
@@ -230,8 +242,7 @@ def antidifference_sum(u: Callable, n: int) -> SumResult:
 
     Telescopes to u(n+1) - u(1); both endpoint values must be finite.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise PreconditionError(f"n must be a positive integer, got {n!r}")
+    n = check_count(n, "n")
     t0 = time.perf_counter_ns()
     hi, lo = complex(u(n + 1)), complex(u(1))
     for name, v in (("u(n+1)", hi), ("u(1)", lo)):

@@ -20,7 +20,7 @@ import math
 
 from .errors import CapabilityError, DomainError, EvaluationError
 from .eulermaclaurin import em_tail
-from .series import Diagnostics, SumResult
+from .series import Diagnostics, SumResult, check_count
 from .special import hurwitz_zeta, riemann_zeta
 
 _START_DEPTH = 8
@@ -30,10 +30,8 @@ _EM_ORDER = 3
 def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
                     max_terms: int = 1 << 17) -> SumResult:
     """Sigma_{k=1}^{N} g(k) via the collapsing differences g(k) - g(N+k)."""
-    if not isinstance(n_terms, int) or n_terms < 1:
-        raise DomainError(f"n_terms must be a positive integer, got {n_terms!r}")
-    if not isinstance(max_terms, int) or max_terms < 1:
-        raise DomainError(f"max_terms must be a positive integer, got {max_terms!r}")
+    n_terms = check_count(n_terms)
+    max_terms = check_count(max_terms, "max_terms")
 
     def d(t):
         return g(t) - g(t + n_terms)
@@ -146,8 +144,7 @@ def zeta_power_sum(s: float, n_terms: int) -> SumResult:
     """Sigma_{k=1}^{N} k^(-s) as zeta(s) - zeta(s, N) + N^(-s), for s > 1."""
     if not s > 1:
         raise DomainError(f"need s > 1, got {s}")
-    if not isinstance(n_terms, int) or n_terms < 1:
-        raise DomainError(f"n_terms must be a positive integer, got {n_terms!r}")
+    n_terms = check_count(n_terms)
     value = riemann_zeta(s) - hurwitz_zeta(s, float(n_terms)) + float(n_terms) ** (-s)
     diag = Diagnostics(notes={"route": "hurwitz"})
     return SumResult(value=complex(value), method="zeta-power",

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from finsum import cli
@@ -125,6 +126,14 @@ class TestDeterminism:
                 if "diagnostics" in rec:
                     rec["diagnostics"]["runtime_ns"] = 0
         assert da == db
+
+    def test_numpy_integer_n_matches_int(self):
+        strip = lambda s: re.sub(r'"runtime_ns": \d+', '"runtime_ns": 0', s)
+        a = cli.report_json(cli.run("1/(k^2+1)", 10, method="all"))
+        b = cli.report_json(cli.run("1/(k^2+1)", np.int64(10), method="all"))
+        assert strip(a) == strip(b)
+        assert all("error" not in rec for rec in json.loads(b)["results"]
+                   if rec["method"] != "closed-form")
 
 
 class TestExitCodes:

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from finsum.errors import DomainError
+from finsum.errors import DomainError, PreconditionError
 from finsum.special import hurwitz_zeta, riemann_zeta
 from finsum.telescope import telescoping_sum, zeta_power_sum
 
@@ -87,9 +87,9 @@ class TestNonCollapsingSummands:
             assert abs(got.value - want) <= max(got.error_estimate, 1e-12)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(PreconditionError):
             telescoping_sum(lambda x: 1.0 / x, 0)
-        with pytest.raises(DomainError):
+        with pytest.raises(PreconditionError):
             telescoping_sum(lambda x: 1.0 / x, 5, max_terms=0)
 
 
@@ -115,5 +115,5 @@ class TestZetaShortcut:
             zeta_power_sum(1.0, 5)
         with pytest.raises(DomainError):
             zeta_power_sum(0.5, 5)
-        with pytest.raises(DomainError):
+        with pytest.raises(PreconditionError):
             zeta_power_sum(2.0, 0)

@@ -1,0 +1,58 @@
+"""One count rule for every entry point that takes a term count.
+
+Each entry below calls a public routine with the count under test and
+returns something comparable.  Every one must refuse the same malformed
+counts with PreconditionError, and must treat a NumPy integer exactly like
+the Python int of the same value.
+"""
+
+import numpy as np
+import pytest
+
+from finsum.errors import PreconditionError
+from finsum.eulermaclaurin import EMJob, em_sum, em_tail
+from finsum.fourier import dirichlet_factor, sum_via_fourier
+from finsum.identities import eval_identity
+from finsum.kernels import recognize_pair
+from finsum.laplace import (VariantKernel, delta_type_b, phi, type_b_sum,
+                            zeta_expansion_sum)
+from finsum.series import SeriesSpec, Variant, antidifference_sum, direct_sum
+from finsum.telescope import telescoping_sum, zeta_power_sum
+
+N = 4
+_LORENTZ = recognize_pair("1/(k^2+1)").kernel
+
+
+def _delta_type_b(n):
+    comb, closed_form = delta_type_b(0.5, n)
+    return comb.atoms, closed_form(1.2)
+
+
+ENTRIES = {
+    "SeriesSpec": lambda n: direct_sum(SeriesSpec(g=lambda x: 1.0 / (x * x + 1.0),
+                                                  n_terms=n)).value,
+    "VariantKernel": lambda n: phi(VariantKernel(Variant.STANDARD, 1.3, 0j, n), 0.7),
+    "type_b_sum": lambda n: type_b_sum(_LORENTZ, 2.0, n),
+    "delta_type_b": _delta_type_b,
+    "zeta_expansion_sum": lambda n: zeta_expansion_sum(0.3, 0.5, n).value,
+    "dirichlet_factor": lambda n: dirichlet_factor(1.0, n),
+    "sum_via_fourier": lambda n: sum_via_fourier("1/(k^2+1)", n).value,
+    "telescoping_sum": lambda n: telescoping_sum(lambda x: x ** -2.0, n).value,
+    "zeta_power_sum": lambda n: zeta_power_sum(2.0, n).value,
+    "eval_identity": lambda n: eval_identity("sine", {"theta": 1.0}, n),
+    "antidifference_sum": lambda n: antidifference_sum(lambda k: k * k, n).value,
+    "EMJob": lambda n: em_sum(EMJob(lambda x: x ** -2.0, 1.0, 5.0, n)).value,
+    "em_tail": lambda n: em_tail(lambda x: x ** -2.0, 4.0, n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+@pytest.mark.parametrize("bad", [0, -2, 2.0, "3", True], ids=repr)
+def test_malformed_count_is_a_precondition_error(name, bad):
+    with pytest.raises(PreconditionError, match="positive integer"):
+        ENTRIES[name](bad)
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_numpy_integer_count_matches_int(name):
+    assert ENTRIES[name](np.int64(N)) == ENTRIES[name](N)
