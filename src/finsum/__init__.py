@@ -10,7 +10,6 @@ compensated direct oracle and a verified catalog of closed forms.
 """
 
 from .backend import active as active_backend
-from .backend import set_backend
 from .errors import (CapabilityError, ConditioningWarning, DomainError,
                      EvaluationError, FinsumError, ParseError, PoleError,
                      PreconditionError, RecognitionError)
@@ -41,7 +40,7 @@ __all__ = [
     "dirichlet_factor", "direct_sum", "effective_term", "em_sum", "em_tail",
     "eval_identity", "hurwitz_zeta", "identity_names", "laplace_of_kernel",
     "parse_expression", "phi", "phi_derivative", "recognize_fourier",
-    "recognize_pair", "riemann_zeta", "set_backend", "sum_via_fourier",
+    "recognize_pair", "riemann_zeta", "sum_via_fourier",
     "sum_via_integral", "telescoping_sum", "type_b_sum", "verify_all",
     "verify_identity", "zeta_expansion_sum", "zeta_power_sum",
 ]

@@ -191,15 +191,11 @@ def run(text: str, n: int, method: str = "all", alpha: complex = 1 + 0j,
     the request contribute an error entry instead of aborting the run.
     """
     node = ex.parse_expression(text)
-    try:
-        var = variant if isinstance(variant, Variant) else Variant(variant)
-    except ValueError:
-        raise DomainError(f"unknown variant {variant!r}") from None
     if method != "all" and method not in METHODS:
         raise DomainError(
             f"unknown method {method!r}; have all, {', '.join(METHODS)}")
     spec = SeriesSpec(g=ex.as_function(node), n_terms=n, alpha=complex(alpha),
-                      variant=var, beta=complex(beta))
+                      variant=variant, beta=complex(beta))
 
     started = time.perf_counter_ns()
     oracle = direct_sum(spec)
@@ -307,7 +303,11 @@ def _setting(args, config: dict, key: str, cast, fallback, attr: str | None = No
     if flag is not None:
         return flag
     if key in config:
-        return cast(config[key])
+        try:
+            return cast(config[key])
+        except ValueError:
+            raise DomainError(f"config entry {key} = {config[key]!r} is not a valid "
+                              f"{key}") from None
     return fallback
 
 

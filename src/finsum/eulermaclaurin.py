@@ -99,6 +99,13 @@ def em_tail(f: Callable, m: float, n: int = 3, quad_tol: float = 1e-13):
     and its derivatives to vanish at infinity.
     """
     n = check_count(n, "correction order")
+    # derivatives first: an f that jets cannot differentiate is refused
+    # before any quadrature is spent on it
+    job = EMJob(f, m, m + 1.0, 1, n)  # reuse the derivative plumbing
+    corrections = [float(bernoulli(2 * k)) * _derivative_at(job, m, 2 * k - 1)
+                   / math.factorial(2 * k) for k in range(1, n)]
+    b2n = float(bernoulli(2 * n))
+    bound = abs(b2n * _derivative_at(job, m, 2 * n - 1) / math.factorial(2 * n))
     try:
         quad = integrate_semi_infinite(lambda u: f(u + m), tol=quad_tol)
     except EvaluationError as e:
@@ -107,11 +114,7 @@ def em_tail(f: Callable, m: float, n: int = 3, quad_tol: float = 1e-13):
     if not quad.converged:
         raise DomainError(f"tail integral of f from {m} did not converge; "
                           "is the tail integrable?")
-    job = EMJob(f, m, m + 1.0, 1, n)  # reuse the derivative plumbing
     value = quad.value - 0.5 * complex(f(m))
-    for k in range(1, n):
-        b2k = float(bernoulli(2 * k))
-        value -= b2k * _derivative_at(job, m, 2 * k - 1) / math.factorial(2 * k)
-    b2n = float(bernoulli(2 * n))
-    bound = abs(b2n * _derivative_at(job, m, 2 * n - 1) / math.factorial(2 * n))
+    for c in corrections:
+        value -= c
     return value, bound

@@ -214,7 +214,11 @@ def eval_identity(name: str, params: dict, n: int) -> complex:
     missing = set(ident.param_names) - set(params)
     if missing:
         raise DomainError(f"identity {name!r} needs parameters {sorted(missing)}")
-    return ident.closed_form(params, n)
+    try:
+        values = {key: float(params[key]) for key in ident.param_names}
+    except (TypeError, ValueError):
+        raise DomainError(f"identity {name!r} needs real parameters, got {params!r}") from None
+    return ident.closed_form(values, n)
 
 
 _REL_PASS = 1e-11

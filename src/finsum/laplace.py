@@ -195,7 +195,7 @@ def type_b_sum(kernel: Kernel, x: float, n_terms: int,
     if variant.is_exp_factor:
         weights = weights * np.exp(-beta * ks)
     terms = weights * g_vals / ks
-    return complex(backend.neumaier_sum(np.ascontiguousarray(terms, dtype=complex)))
+    return backend.neumaier_sum(terms)
 
 
 @dataclass(frozen=True)

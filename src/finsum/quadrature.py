@@ -8,10 +8,12 @@ One engine, three frontends:
 
 Intervals are bisected worst-first (by the QUADPACK-style error estimate of
 a 7/15 Gauss-Kronrod pair) until the summed estimate drops below ``tol`` or
-the node budget runs out.  Endpoints are never sampled: every Kronrod node
-is interior, which is what lets the half-line transform skip t = 0.
-Integrands are complex-valued; they are evaluated on arrays of abscissas
-(scalar-only callables are detected and wrapped).
+the node budget runs out.  Each round bisects a batch of the worst panels
+and evaluates all their children in one integrand call.  Endpoints are
+never sampled: every Kronrod node is interior, which is what lets the
+half-line transform skip t = 0.  Integrands are complex-valued; they are
+evaluated on 1-D arrays of abscissas (each frontend detects scalar-only
+callables once and wraps them).
 """
 
 from __future__ import annotations
@@ -45,8 +47,14 @@ _WG = np.array([
     0.417959183673469, 0.381830050505119, 0.279705391489277,
     0.129484966168870,
 ])
+# both rules as the columns of one matrix, so one product gives both sums
+_W_KG = np.zeros((15, 2), dtype=np.complex128)
+_W_KG[:, 0] = _WGK
+_W_KG[1::2, 1] = _WG
 
 _MIN_WIDTH_FRACTION = 1e-15
+# most panels bisected in one round; bounds the memory of one batched call
+_ROUND_CAP = 256
 # no error estimate can certify below roundoff on the accumulated value, so
 # the absolute tolerance is floored at this multiple of |integral|
 _REL_FLOOR = 50.0 * 2.220446049250313e-16
@@ -68,37 +76,44 @@ def _vectorize(f: Callable, probes: np.ndarray) -> Callable:
         out = None
     if isinstance(out, np.ndarray) and out.shape == probes.shape:
         return f
-    return lambda xs: np.array([complex(f(float(x))) for x in xs])
+    return lambda xs: np.array([complex(f(x)) for x in xs.tolist()])
 
 
-def _gk_panel(f: Callable, a: float, b: float):
-    """Kronrod value, error estimate and node values on one panel."""
-    half = 0.5 * (b - a)
+def _gk_panels(f: Callable, a: np.ndarray, b: np.ndarray):
+    """Kronrod values and error estimates on the panels [a[i], b[i]].
+
+    All 15 * len(a) nodes go to f in one flat array.
+    """
+    width = b - a
+    half = 0.5 * width
     mid = 0.5 * (a + b)
     # keep every node strictly interior even on few-ulp panels, where
     # mid + half*x can round onto a (possibly singular) panel boundary
-    xs = np.clip(mid + half * _XGK, np.nextafter(a, b), np.nextafter(b, a))
+    xs = np.minimum(np.maximum(mid[:, None] + half[:, None] * _XGK,
+                               np.nextafter(a, b)[:, None]), np.nextafter(b, a)[:, None])
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        ys = np.asarray(f(xs), dtype=np.complex128)
-    if not np.all(np.isfinite(ys.real) & np.isfinite(ys.imag)):
-        bad = int(np.argmin(np.isfinite(ys.real) & np.isfinite(ys.imag)))
-        raise EvaluationError("integrand is not finite", at=f"t={xs[bad]!r}")
-    resk = half * np.dot(_WGK, ys)
-    resg = half * np.dot(_WG, ys[1::2])
-    mean = resk / (b - a)
-    resasc = half * float(np.dot(_WGK, np.abs(ys - mean)))
-    raw = abs(resk - resg)
-    if resasc != 0.0 and raw != 0.0:
-        err = resasc * min(1.0, (200.0 * raw / resasc) ** 1.5)
-    else:
-        err = raw
-    return complex(resk), float(err)
+        ys = np.asarray(f(xs.ravel()), dtype=np.complex128).reshape(xs.shape)
+        finite = np.isfinite(ys)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise EvaluationError("integrand is not finite", at=f"t={xs.flat[bad]!r}")
+        sums = half[:, None] * (ys @ _W_KG)
+        resk = sums[:, 0]
+        raw = np.abs(resk - sums[:, 1])
+        resasc = half * (np.abs(ys - (resk / width)[:, None]) @ _WGK)
+        scaled = resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5)
+    # raw == 0 gives scaled == 0 == raw already; resasc == 0 would give nan
+    return resk, np.where(resasc != 0.0, scaled, raw)
 
 
 def _adaptive(f: Callable, cuts: list[float], tol: float, budget: int) -> QuadratureResult:
-    """Worst-first bisection over the panels delimited by ``cuts``."""
-    f = _vectorize(f, np.array([cuts[0] + 0.382 * (cuts[-1] - cuts[0]),
-                                cuts[0] + 0.618 * (cuts[-1] - cuts[0])]))
+    """Worst-first bisection over the panels delimited by ``cuts``.
+
+    ``f`` maps a 1-D array of abscissas to an array of values.  Each round
+    bisects the worst panels, as many as it takes for their summed error to
+    cover the excess over the target (at most ``_ROUND_CAP``), and
+    evaluates all their children in one call.
+    """
     min_width = _MIN_WIDTH_FRACTION * (cuts[-1] - cuts[0])
     heap: list = []   # (-err, tiebreak, a, b, value, err)
     done: list = []   # (a, b, value, err) panels at minimum width, accepted as-is
@@ -107,35 +122,51 @@ def _adaptive(f: Callable, cuts: list[float], tol: float, budget: int) -> Quadra
     err_total = 0.0
     done_err = 0.0    # error frozen into accepted panels; a floor on err_total
     value_run = 0j    # running integral, for the roundoff floor on tol
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        val, err = _gk_panel(f, a, b)
-        nodes += 15
-        heapq.heappush(heap, (-err, counter, a, b, val, err))
-        counter += 1
-        err_total += err
-        value_run += val
+    stuck = False
 
-    while heap and err_total > max(tol, _REL_FLOOR * abs(value_run)) \
-            and nodes + 30 <= budget:
-        _, _, a, b, val, err = heapq.heappop(heap)
-        if (b - a) <= min_width:
-            done.append((a, b, val, err))
-            done_err += err
-            if done_err > tol:    # the floor alone exceeds tol: unreachable
+    def push(lo: list, hi: list):
+        """Evaluate the panels [lo[i], hi[i]] and add them to the heap."""
+        nonlocal counter, nodes, err_total, value_run
+        vals, errs = _gk_panels(f, np.array(lo), np.array(hi))
+        vals, errs = vals.tolist(), errs.tolist()
+        nodes += 15 * len(lo)
+        for a, b, val, err in zip(lo, hi, vals, errs):
+            heapq.heappush(heap, (-err, counter, a, b, val, err))
+            counter += 1
+        err_total += math.fsum(errs)
+        value_run += sum(vals)
+
+    push(cuts[:-1], cuts[1:])
+    while not stuck and heap:
+        target = max(tol, _REL_FLOOR * abs(value_run))
+        if err_total <= target:
+            # the running total carries rounding from the early, large
+            # errors; confirm on the exact sum before stopping
+            err_total = math.fsum([p[5] for p in heap] + [p[3] for p in done])
+            if err_total <= target:
                 break
-            if not heap:          # nothing left that can still be refined
-                break
-            continue
-        mid = 0.5 * (a + b)
-        v1, e1 = _gk_panel(f, a, mid)
-        v2, e2 = _gk_panel(f, mid, b)
-        nodes += 30
-        heapq.heappush(heap, (-e1, counter, a, mid, v1, e1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, b, v2, e2))
-        counter += 1
-        err_total += e1 + e2 - err
-        value_run += v1 + v2 - val
+        if nodes + 30 > budget:
+            break
+        cap = min(_ROUND_CAP, (budget - nodes) // 30)
+        split = []
+        shed = 0.0
+        while heap and len(split) < cap and shed < err_total - target:
+            _, _, a, b, val, err = heapq.heappop(heap)
+            if (b - a) <= min_width:
+                done.append((a, b, val, err))
+                done_err += err
+                stuck = done_err > tol   # the floor alone exceeds tol: unreachable
+                if stuck:
+                    break
+                continue
+            split.append((a, b, val, err))
+            shed += err
+        if not split:
+            break
+        mid = [0.5 * (p[0] + p[1]) for p in split]
+        err_total -= shed
+        value_run -= sum(p[2] for p in split)
+        push([p[0] for p in split] + mid, mid + [p[1] for p in split])
 
     vals = [p[4] for p in heap] + [p[2] for p in done]
     errs = [p[5] for p in heap] + [p[3] for p in done]
@@ -154,8 +185,8 @@ def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-10,
     """Adaptive integral of f over [a, b] to absolute tolerance tol."""
     if not (b > a):
         raise EvaluationError(f"integration interval is empty: [{a}, {b}]")
-    mid = 0.5 * (a + b)
-    return _adaptive(f, [a, mid, b], tol, budget)
+    f = _vectorize(f, np.array([a + 0.382 * (b - a), a + 0.618 * (b - a)]))
+    return _adaptive(f, [a, 0.5 * (a + b), b], tol, budget)
 
 
 def integrate_semi_infinite(f: Callable, tol: float = 1e-10,

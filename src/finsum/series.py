@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from . import backend, jets
-from .errors import CapabilityError, EvaluationError, PreconditionError
+from .errors import (CapabilityError, DomainError, EvaluationError,
+                     PreconditionError)
 
 _EPS = 2.220446049250313e-16
 
@@ -45,7 +46,7 @@ class Variant(str, Enum):
 
     @property
     def code(self) -> int:
-        """Integer code used by the grid backends."""
+        """Integer code used by the grid primitives in :mod:`finsum.backend`."""
         return ("standard", "alternating", "shifted", "shifted-alternating",
                 "exp-factor", "exp-factor-alternating").index(self.value)
 
@@ -67,9 +68,13 @@ def check_lattice(variant, n_terms, alpha=1.0, beta=0j) -> tuple[Variant, int, c
 
     The conditions a variant puts on its lattice: N >= 1, Re(alpha) > 0,
     even N for the alternating variants and Re(beta) > 0 for the
-    exp-factor ones.  They are stated here and nowhere else.
+    exp-factor ones.  They are stated here and nowhere else.  A variant
+    that is not one of the six raises DomainError.
     """
-    variant = Variant(variant)
+    try:
+        variant = Variant(variant)
+    except ValueError:
+        raise DomainError(f"unknown variant {variant!r}") from None
     n_terms = check_count(n_terms)
     alpha, beta = complex(alpha), complex(beta)
     if alpha.real <= 0.0:

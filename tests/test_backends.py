@@ -1,133 +1,71 @@
-"""Compiled core vs pure fallback: bit-level parity on the grid primitives.
+"""The numpy grid primitives: the compensated sum against math.fsum, the
+kernel at its removable point, and one end-to-end run through them."""
 
-The two implementations must be interchangeable; every test here runs the
-same inputs through both and compares to near machine precision.  When the
-extension is not built the parity tests skip and the fallback carries the
-whole suite.
-"""
-
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
 import pytest
 
+import finsum
 from finsum import backend
 
-HAVE_COMPILED = "compiled" in backend.available()
-
-needs_compiled = pytest.mark.skipif(not HAVE_COMPILED,
-                                    reason="extension not built")
+_EPS = 2.220446049250313e-16
 
 
-@pytest.fixture
-def restore_backend():
-    before = backend.active()
-    yield
-    backend.set_backend({"pure-numpy": "pure"}.get(before, "auto"))
+def _fsum(x):
+    x = np.asarray(x, dtype=np.complex128)
+    return complex(math.fsum(x.real.tolist()), math.fsum(x.imag.tolist()))
 
 
-def _both(fn_name, *args):
-    from finsum import _purecore
-    pure = getattr(_purecore, fn_name)(*args)
-    from finsum import _fastcore
-    fast = getattr(_fastcore, fn_name)(*args)
-    return pure, fast
+def _ill_conditioned(rng, n):
+    """Terms spanning 16 decades with heavy cancellation between them."""
+    mags = 10.0 ** rng.integers(-8, 8, n)
+    return (rng.standard_normal(n) * mags + 1j * rng.standard_normal(n) * mags[::-1])
 
 
-@needs_compiled
-class TestParity:
-    @pytest.mark.parametrize("variant", [0, 1, 2, 3, 4, 5])
-    def test_phi_grid(self, variant):
-        rng = np.random.default_rng(7 + variant)
-        t = np.sort(rng.uniform(0.0, 12.0, 64))
-        beta = 0.8 + 0.1j if variant >= 2 else 0.0 + 0j
-        n = 9 if variant not in (1, 3, 5) else 10
-        pure, fast = _both("phi_grid", t, n, variant, 1.1 + 0j, beta)
-        np.testing.assert_allclose(fast, pure, rtol=5e-15, atol=5e-15)
+class TestNeumaierSum:
+    @pytest.mark.parametrize("n", [0, 1, 7, backend._LANES])
+    def test_equals_fsum_up_to_lane_width(self, n):
+        x = _ill_conditioned(np.random.default_rng(13 + n), n)
+        assert backend.neumaier_sum(x) == _fsum(x)
 
-    def test_phi_grid_includes_origin(self):
-        t = np.array([0.0, 1e-12, 0.5])
-        pure, fast = _both("phi_grid", t, 7, 0, 1.0 + 0j, 0j)
-        np.testing.assert_allclose(fast, pure, rtol=5e-15, atol=5e-15)
-        assert fast[0] == pytest.approx(7.0, rel=1e-14)
+    @pytest.mark.parametrize("n", [backend._LANES + 1, 2 * backend._LANES,
+                                   3 * backend._LANES - 5, 100_000])
+    def test_within_accumulation_bound_beyond_lane_width(self, n):
+        for seed in range(5):
+            x = _ill_conditioned(np.random.default_rng(seed), n)
+            got, ref = backend.neumaier_sum(x), _fsum(x)
+            bound = 2.0 * _EPS * float(np.sum(np.abs(x)))
+            assert abs(got.real - ref.real) <= bound
+            assert abs(got.imag - ref.imag) <= bound
 
-    def test_dirichlet_grid(self):
-        rng = np.random.default_rng(11)
-        al = rng.uniform(-50.0, 50.0, 128)
-        pure, fast = _both("dirichlet_grid", al, 17)
-        np.testing.assert_allclose(fast, pure, rtol=1e-13, atol=1e-12)
-
-    def test_neumaier_sum(self):
-        rng = np.random.default_rng(13)
-        x = (rng.standard_normal(1000) * 10.0 ** rng.integers(-8, 8, 1000)
-             + 1j * rng.standard_normal(1000)).astype(np.complex128)
-        pure, fast = _both("neumaier_sum", x)
-        assert fast == pytest.approx(pure, rel=1e-15, abs=1e-18)
-
-    @pytest.mark.parametrize("s,a,m", [(2.0, 1.0, 50), (1.5, 0.5, 33),
-                                       (3.7, 2.25, 64)])
-    def test_hurwitz_head(self, s, a, m):
-        pure, fast = _both("hurwitz_head", s, a, m)
-        assert fast == pytest.approx(pure, rel=5e-15)
-
-    def test_compensation_beats_naive_accumulation(self):
-        """The compiled path must keep Neumaier's carry, not just np.sum."""
-        x = np.array([1e16, 1.0, -1e16, 1.0], dtype=np.complex128)
-        from finsum import _fastcore
-        assert _fastcore.neumaier_sum(x) == 2.0 + 0j
+    @pytest.mark.parametrize("reps", [1, backend._LANES])
+    def test_compensation_beats_naive_accumulation(self, reps):
+        """[1e16, 1, -1e16, 1] sums to 2 only with the carry kept, short
+        and tiled past the lane width."""
+        x = np.tile(np.array([1e16, 1.0, -1e16, 1.0], dtype=np.complex128), reps)
+        assert backend.neumaier_sum(x) == 2.0 * reps
+        assert backend.neumaier_sum(1j * x) == 2j * reps
 
 
-class TestSelection:
-    def test_available_always_has_pure(self):
-        assert "pure" in backend.available()
+def test_phi_grid_includes_origin():
+    """t = 0 is the removable point: Phi(0) = N, by the power-sum series."""
+    out = backend.phi_grid(np.array([0.0, 1e-12, 0.5]), 7, 0, 1.0 + 0j, 0j)
+    assert out[0] == pytest.approx(7.0, rel=1e-14)
+    assert out[1] == pytest.approx(7.0, rel=1e-10)
+    assert out[2] == pytest.approx(sum(math.exp(-0.5 * k) for k in range(1, 8)),
+                                   rel=1e-14)
 
-    def test_switch_and_restore(self, restore_backend):
-        name = backend.set_backend("pure")
-        assert name == backend.active()
-        assert "pure" in name
-        auto = backend.set_backend("auto")
-        assert auto == backend.active()
 
-    @needs_compiled
-    def test_results_identical_through_the_facade(self, restore_backend):
-        t = np.linspace(0.0, 5.0, 33)
-        backend.set_backend("compiled")
-        a = backend.phi_grid(t, 8, 0, 1.0 + 0j, 0j)
-        backend.set_backend("pure")
-        b = backend.phi_grid(t, 8, 0, 1.0 + 0j, 0j)
-        np.testing.assert_allclose(a, b, rtol=5e-15, atol=5e-15)
-
-    def test_unknown_name_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            backend.set_backend("gpu")
-
-    def test_environment_variable_selects_pure(self):
-        env = dict(os.environ, FINSUM_BACKEND="pure")
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import finsum; print(finsum.active_backend())"],
-            capture_output=True, text=True, env=env, check=True)
-        assert "pure" in out.stdout
-
-    @needs_compiled
-    def test_environment_variable_selects_compiled(self):
-        env = dict(os.environ, FINSUM_BACKEND="compiled")
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import finsum; print(finsum.active_backend())"],
-            capture_output=True, text=True, env=env, check=True)
-        assert "compiled" in out.stdout
+def test_active_backend_is_pure():
+    assert finsum.active_backend() == "pure"
 
 
 class TestEndToEndOnPure:
-    """A spot check that the whole stack works on the fallback, not just the
-    primitive level."""
+    """A spot check that the whole stack works, not just the primitives."""
 
-    def test_cli_run_on_pure_backend(self, restore_backend):
+    def test_cli_run_on_pure_backend(self):
         from finsum import cli
-        backend.set_backend("pure")
         report = cli.run("1/k", 5, method="laplace")
         lap = [r for r in report["results"] if r["method"] == "laplace"][0]
         assert lap["abs_err_vs_oracle"] <= 1e-10

@@ -200,6 +200,17 @@ class TestConfigFile:
                       env_extra={"FINSUM_CONFIG": str(cfg)})
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("text", ["expr = 1/k\nn = ten\n",
+                                      "expr = 1/k\nn = 3\ntol = tiny\n"],
+                             ids=["n", "tol"])
+    def test_config_value_its_cast_rejects_gives_two(self, tmp_path, text):
+        cfg = tmp_path / "finsum.cfg"
+        cfg.write_text(text)
+        res = run_cli("eval", env_extra={"FINSUM_CONFIG": str(cfg)})
+        assert res.returncode == 2
+        assert res.stderr.startswith("finsum: config entry")
+        assert "Traceback" not in res.stderr
+
 
 class TestBench:
     def test_standard_suite_csv(self):

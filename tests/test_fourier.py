@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from finsum import cli
 from finsum.errors import CapabilityError, PreconditionError
 from finsum.fourier import (DirichletForm, dirichlet_factor, recognize_fourier,
                             sum_via_fourier)
@@ -91,6 +92,14 @@ class TestPairTable:
 
 
 class TestTransformSums:
+    def test_stops_on_the_exact_error_total(self):
+        """The quadrature's running error total drifts by rounding on the
+        early, large panel errors; at tol 1e-12 that drift alone used to end
+        the loop a few panels short and flag this sum non-converged."""
+        report = cli.run("1.6914*exp(-0.5428*k^2)", 48, method="fourier",
+                         alpha=0.7299, tol=1e-12)
+        assert report["results"][1]["flags"] == []
+
     @pytest.mark.parametrize("n", [1, 2, 5, 10])
     def test_gaussian(self, n):
         got = sum_via_fourier("exp(-k^2)", n, tol=1e-10)

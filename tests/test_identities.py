@@ -104,6 +104,13 @@ class TestDomains:
         with pytest.raises(DomainError, match="beta"):
             eval_identity("exp-cosine", {"theta": 1.0}, 3)
 
+    @pytest.mark.parametrize("name,params", [("sine", {"theta": "x"}),
+                                             ("power", {"s": None}),
+                                             ("exp-cosine", {"theta": 1.0, "beta": 1j})])
+    def test_non_numeric_parameters_are_a_domain_error(self, name, params):
+        with pytest.raises(DomainError, match="real parameters"):
+            eval_identity(name, params, 3)
+
 
 class TestConditioningMargin:
     """Inside 0.1 of the interval ends the sin(theta/2) division loses

@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from finsum import telescope
 from finsum.errors import DomainError, PreconditionError
 from finsum.special import hurwitz_zeta, riemann_zeta
 from finsum.telescope import telescoping_sum, zeta_power_sum
@@ -91,6 +92,31 @@ class TestNonCollapsingSummands:
             telescoping_sum(lambda x: 1.0 / x, 0)
         with pytest.raises(PreconditionError):
             telescoping_sum(lambda x: 1.0 / x, 5, max_terms=0)
+
+
+def test_scalar_only_summand_spends_no_tail_quadrature(monkeypatch):
+    """Without jets every Euler-Maclaurin tail is refused after the one call
+    that fails to differentiate, before any tail integral is evaluated."""
+    calls = [0]
+
+    def g(x):
+        calls[0] += 1
+        return 1.0 / (complex(x) ** 2 + 2.0)      # rejects jets
+
+    per_tail = []
+    em_tail = telescope.em_tail
+
+    def counted_em_tail(*args, **kwargs):
+        before = calls[0]
+        try:
+            return em_tail(*args, **kwargs)
+        finally:
+            per_tail.append(calls[0] - before)
+
+    monkeypatch.setattr(telescope, "em_tail", counted_em_tail)
+    res = telescoping_sum(g, 50, max_terms=1 << 10)
+    assert res.diagnostics.notes["strategy"] == "extrapolation"
+    assert per_tail and set(per_tail) == {1}
 
 
 class TestZetaShortcut:

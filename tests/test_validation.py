@@ -9,7 +9,8 @@ the Python int of the same value.
 import numpy as np
 import pytest
 
-from finsum.errors import PreconditionError
+from finsum import cli
+from finsum.errors import DomainError, PreconditionError
 from finsum.eulermaclaurin import EMJob, em_sum, em_tail
 from finsum.fourier import dirichlet_factor, sum_via_fourier
 from finsum.identities import eval_identity
@@ -56,3 +57,17 @@ def test_malformed_count_is_a_precondition_error(name, bad):
 @pytest.mark.parametrize("name", sorted(ENTRIES))
 def test_numpy_integer_count_matches_int(name):
     assert ENTRIES[name](np.int64(N)) == ENTRIES[name](N)
+
+
+VARIANT_ENTRIES = {
+    "SeriesSpec": lambda v: SeriesSpec(g=lambda x: 1.0 / x, n_terms=N, variant=v),
+    "VariantKernel": lambda v: VariantKernel(v, 1.3, 0j, N),
+    "type_b_sum": lambda v: type_b_sum(_LORENTZ, 2.0, N, variant=v),
+    "cli.run": lambda v: cli.run("1/k", N, variant=v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VARIANT_ENTRIES))
+def test_unknown_variant_is_a_domain_error(name):
+    with pytest.raises(DomainError, match="unknown variant 'bogus'"):
+        VARIANT_ENTRIES[name]("bogus")
