@@ -53,13 +53,13 @@ def _geom_sum(z: np.ndarray, n: int) -> np.ndarray:
         if np.any(bad):
             idx = int(np.argmax(bad))
             raise PoleError("variant kernel pole on the integration path", pole=complex(zb[idx]))
-        out[big] = _cexpm1(zb * n) * (den + 1.0) / den
+        out[big] = _cexpm1(zb * n) * np.exp(zb) / den
     return out
 
 
 def _alt_sum(z: np.ndarray, n: int) -> np.ndarray:
     """sum_{k=1}^{n} (-1)^(k+1) exp(z k) element-wise."""
-    ez = _cexpm1(z) + 1.0
+    ez = np.exp(z)
     den = 1.0 + ez
     bad = np.abs(den) < _POLE_EPS
     if np.any(bad):

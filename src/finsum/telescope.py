@@ -18,8 +18,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import CapabilityError, DomainError, EvaluationError
 from .eulermaclaurin import em_tail
+from .quadrature import _vectorize
 from .series import Diagnostics, SumResult, check_count
 from .special import hurwitz_zeta, riemann_zeta
 
@@ -36,9 +39,31 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
     def d(t):
         return g(t) - g(t + n_terms)
 
-    vals_re: list[float] = []
-    vals_im: list[float] = []
+    def d_at(t):
+        """d, naming the index k of a scalar difference that fails."""
+        if isinstance(t, np.ndarray):
+            return d(t)
+        try:
+            return d(t)
+        except Exception as exc:
+            raise EvaluationError(f"difference failed to evaluate: {exc}",
+                                  at=f"k={int(t)}") from exc
+
+    with np.errstate(all="ignore"):
+        dv = _vectorize(d_at, np.array([1.0, 2.0]))
+
+    def diffs(lo, hi):
+        """d(k) for k = lo..hi in one call; EvaluationError at the first bad k."""
+        with np.errstate(all="ignore"):
+            out = np.asarray(dv(np.arange(lo, hi + 1, dtype=float)), dtype=np.complex128)
+        finite = np.isfinite(out)
+        if not finite.all():
+            raise EvaluationError("difference is not finite", at=f"k={lo + int(np.argmin(finite))}")
+        return out
+
+    vals = np.empty(0, dtype=np.complex128)  # d(1), ..., d(depth)
     partials = []  # partial sums at each doubling checkpoint
+    peak = 0.0  # running max of |d(k)| over the prefix
     depth = 0
     m = min(_START_DEPTH, max_terms)
     converged = False
@@ -47,21 +72,20 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
     tail_bound = math.inf
 
     while True:
-        for k in range(depth + 1, m + 1):
-            v = complex(d(float(k)))
-            vals_re.append(v.real)
-            vals_im.append(v.imag)
+        block = diffs(depth + 1, m)
+        vals = np.concatenate((vals, block))
+        peak = max(peak, float(np.abs(block).max()))
         depth = m
-        partial = complex(math.fsum(vals_re), math.fsum(vals_im))
+        partial = complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
         partials.append(partial)
 
-        window = [abs(complex(d(float(depth + j)))) for j in range(4)]
+        window = np.abs(diffs(depth, depth + 3)).tolist()
         scale = max(1.0, abs(partial))
         if max(window) <= 1e-15 * scale:
             # differences have died out; is it genuine collapse or a flat g?
             if abs(complex(g(float(n_terms + depth)))) > tol * scale:
                 # g does not decay, so nothing was telescoped into the partials
-                diag = Diagnostics(nodes=len(vals_re), truncation_index=depth,
+                diag = Diagnostics(nodes=vals.size, truncation_index=depth,
                                    converged=False,
                                    notes={"reason": "differences vanish but g does not decay"})
                 return SumResult(value=partial, method="telescope",
@@ -71,7 +95,6 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
             tail_bound = max(window)
             break
 
-        peak = max(math.hypot(r, i) for r, i in zip(vals_re, vals_im))
         if max(window) > 0.25 * peak:
             # the differences are still at full strength (oscillatory or
             # growing g): the tail integral would not exist, so go straight
@@ -98,7 +121,7 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
         m = min(2 * m, max_terms)
 
     value = partials[-1] + tail
-    diag = Diagnostics(nodes=len(vals_re), truncation_index=depth, converged=converged,
+    diag = Diagnostics(nodes=vals.size, truncation_index=depth, converged=converged,
                        notes={"strategy": strategy, "tail_bound": float(tail_bound)})
     return SumResult(value=value, method="telescope",
                      error_estimate=float(tail_bound), diagnostics=diag)

@@ -70,3 +70,50 @@ class TestEndToEndOnPure:
         lap = [r for r in report["results"] if r["method"] == "laplace"][0]
         assert lap["abs_err_vs_oracle"] <= 1e-10
         assert not lap["flags"]
+
+
+def _phi_reference(mp, t, n, variant, alpha, beta):
+    """The variant comb summed term by term in mpmath."""
+    w = mp.mpc(alpha) * t + (mp.mpc(beta) if variant >= 4 else 0)
+    sign = (lambda k: (-1) ** (k + 1)) if variant in (1, 3, 5) else (lambda k: 1)
+    total = mp.fsum(sign(k) * mp.exp(-w * k) for k in range(1, n + 1))
+    if variant in (2, 3):
+        total *= mp.exp(-mp.mpc(beta) * t)
+    return total
+
+
+@pytest.mark.parametrize("variant", range(6))
+@pytest.mark.parametrize("n", [10, 210])
+def test_phi_grid_keeps_relative_accuracy_on_the_tail(variant, n):
+    """Phi(t) to relative 1e-13 for t up to 700/Re(alpha), where it falls
+    to about 1e-304.  Points whose true value is below the normal double
+    range, reached on the shifted variants, carry no relative accuracy and
+    are skipped."""
+    mp = pytest.importorskip("mpmath")
+    alpha, beta = 0.569 + 0.2j, 0.5 + 0.3j
+    ts = np.concatenate([np.geomspace(1e-9, 700.0 / alpha.real, 36),
+                         np.linspace(1.0, 700.0 / alpha.real, 16)])
+    got = backend.phi_grid(ts, n, variant, alpha, beta)
+    checked = 0
+    with mp.workdps(30):
+        for t, value in zip(ts.tolist(), got.tolist()):
+            want = _phi_reference(mp, mp.mpf(t), n, variant, alpha, beta)
+            if abs(want) < 1e-300:
+                continue
+            checked += 1
+            assert float(abs(mp.mpc(value) - want) / abs(want)) <= 1e-13, (t, value)
+    assert checked >= 36
+
+
+def test_pinned_tail_reproducer_converges():
+    """An exp-factor-alternating laplace request that needs Phi's tail to
+    full relative accuracy: with a noisy tail the quadrature splits panels
+    until it exhausts its 10^6-node budget."""
+    from finsum import cli
+    report = cli.run("1.6568/k^3.1948+1.6568/(k^2+7.8613)", 210, method="laplace",
+                     alpha=0.569, variant="exp-factor-alternating", beta=0.5, tol=1e-12)
+    lap = report["results"][1]
+    assert lap["method"] == "laplace"
+    assert not lap["flags"]
+    assert lap["diagnostics"]["nodes"] < 2000
+    assert lap["abs_err_vs_oracle"] <= max(lap["error_estimate"], 1e-12)

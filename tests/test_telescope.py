@@ -8,12 +8,17 @@ flag the cases where the collapse argument does not apply.
 import cmath
 import math
 
+import numpy as np
 import pytest
 
-from finsum import telescope
-from finsum.errors import DomainError, PreconditionError
+from finsum import cli, telescope
+from finsum import expr as ex
+from finsum.errors import DomainError, EvaluationError, PreconditionError
+from finsum.series import SeriesSpec, effective_term
 from finsum.special import hurwitz_zeta, riemann_zeta
 from finsum.telescope import telescoping_sum, zeta_power_sum
+
+_EPS = 2.220446049250313e-16
 
 SUMMANDS = {
     "exp": lambda x: cmath.exp(-x),
@@ -143,3 +148,107 @@ class TestZetaShortcut:
             zeta_power_sum(0.5, 5)
         with pytest.raises(PreconditionError):
             zeta_power_sum(2.0, 0)
+
+
+def _scalar_only(g):
+    """g behind a wrapper that rejects arrays but still takes jets."""
+    def h(x):
+        if isinstance(x, np.ndarray):
+            raise TypeError("scalar closure")
+        return g(x)
+    return h
+
+
+def _effective(text, n, variant="standard"):
+    beta = 0.0 if variant == "standard" else 0.6
+    alpha = 1.0 if variant == "standard" else 1.3
+    spec = SeriesSpec(ex.as_function(ex.parse_expression(text)), n, alpha, variant, beta)
+    return effective_term(spec)
+
+
+def _assert_same_decisions(arr, sca, h, n):
+    """Same nodes, flags and strategy; values within the estimate or the
+    rounding of the prefix sum, 4 eps sum |d_k|."""
+    assert arr.diagnostics.nodes == sca.diagnostics.nodes
+    assert arr.diagnostics.truncation_index == sca.diagnostics.truncation_index
+    assert arr.flags == sca.flags
+    assert arr.diagnostics.notes.get("strategy") == sca.diagnostics.notes.get("strategy")
+    ks = np.arange(1, arr.diagnostics.nodes + 1, dtype=float)
+    rounding = 4 * _EPS * float(np.sum(np.abs(h(ks) - h(ks + n))))
+    assert abs(arr.value - sca.value) <= max(arr.error_estimate, rounding)
+
+
+class TestArrayBlocks:
+    """Array-capable summands are evaluated one doubling block per call and
+    must make exactly the decisions the per-element path makes."""
+
+    @pytest.mark.parametrize("text,n,variant", [
+        *[(t, n, "standard") for t, n in cli._BENCH_SUITE],
+        ("1/(k^2+1)", 10, "shifted"),
+        ("1/(k^2+1)", 10, "exp-factor"),
+    ])
+    def test_matches_the_scalar_path(self, text, n, variant):
+        h = _effective(text, n, variant)
+        arr = telescoping_sum(h, n, max_terms=1 << 12)
+        sca = telescoping_sum(_scalar_only(h), n, max_terms=1 << 12)
+        _assert_same_decisions(arr, sca, h, n)
+
+    @pytest.mark.parametrize("text,n", [
+        ("1.2*sin(0.83*k)", 37), ("k*cos(1.7*k)", 64), ("0.9*k^2", 21),
+        ("1.4*cos(2.3*k)", 90), ("1.6005*log(k)", 50), ("0.7*sqrt(k)", 12),
+    ])
+    def test_non_decaying_families_match_a_scalar_closure(self, text, n):
+        """The wrapper takes neither arrays nor jets, as a user's closure
+        might; these summands never reach an Euler-Maclaurin tail anyway."""
+        h = _effective(text, n)
+        arr = telescoping_sum(h, n, max_terms=1 << 12)
+        sca = telescoping_sum(lambda x: complex(h(float(x))), n, max_terms=1 << 12)
+        _assert_same_decisions(arr, sca, h, n)
+        assert arr.diagnostics.notes["strategy"] == "extrapolation"
+
+    @pytest.mark.parametrize("text", ["sin(1.1*k)", "1.3*k^2"])
+    def test_calls_per_checkpoint_not_per_term(self, text):
+        """At the 2^17 term cap, g is called for the probe and then twice per
+        block and twice per window: O(checkpoints), not O(terms)."""
+        g = _effective(text, 50)
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return g(x)
+
+        res = telescoping_sum(counted, 50, max_terms=1 << 17)
+        assert res.diagnostics.nodes == 1 << 17
+        checkpoints = 17 - 3 + 1          # depths 8, 16, ..., 2^17
+        assert calls[0] <= 2 + 4 * checkpoints
+
+
+class TestUndefinedDifferences:
+    """A difference that fails or comes out non-finite is an EvaluationError
+    naming its index, on the array path and on the scalar path alike."""
+
+    @pytest.mark.parametrize("text,k", [("1/(k-12)", 2), ("1/(k^2-144)", 2),
+                                        ("log(k-11)", 1)])
+    def test_cli_record_is_an_error_entry(self, text, k):
+        report = cli.run(text, 10)
+        records = {r["method"]: r for r in report["results"]}
+        assert records["telescope"]["flags"] == ["error"]
+        assert f"k={k}" in records["telescope"]["error"]
+        for name, rec in records.items():
+            if name in ("oracle", "telescope"):
+                continue
+            alone = cli.run(text, 10, method=name)["results"][1]
+            for r in (rec, alone):
+                r.get("diagnostics", {}).pop("runtime_ns", None)
+            assert rec == alone, name
+
+    @pytest.mark.parametrize("g,k", [
+        pytest.param(lambda x: 1.0 / (x - 12.0), 2, id="array-inf"),
+        pytest.param(lambda x: 1.0 / (complex(x) - 12.0), 2, id="scalar-zero-division"),
+        pytest.param(lambda x: cmath.log(complex(x) - 11.0), 1, id="scalar-log-of-zero"),
+        pytest.param(lambda x: math.nan if x > 30 else 1.0 / x**2, 21, id="scalar-nan"),
+    ])
+    def test_direct_call(self, g, k):
+        with pytest.raises(EvaluationError) as info:
+            telescoping_sum(g, 10)
+        assert info.value.at == f"k={k}"
