@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from . import jets
 from .errors import PoleError
 from .stable import power_sums
 
@@ -29,13 +30,6 @@ def active() -> str:
     return "pure"
 
 
-def _cexpm1(z: np.ndarray) -> np.ndarray:
-    re, im = z.real, z.imag
-    ex = np.expm1(re)
-    s = np.sin(0.5 * im)
-    return (ex * np.cos(im) - 2.0 * s * s) + 1j * ((ex + 1.0) * np.sin(im))
-
-
 def _geom_sum(z: np.ndarray, n: int) -> np.ndarray:
     """sum_{k=1}^{n} exp(z k) element-wise for Re(z) <= 0."""
     out = np.empty(z.shape, dtype=np.complex128)
@@ -48,12 +42,12 @@ def _geom_sum(z: np.ndarray, n: int) -> np.ndarray:
     big = ~small
     if np.any(big):
         zb = z[big]
-        den = _cexpm1(zb)
+        den = jets.expm1(zb)
         bad = np.abs(den) < _POLE_EPS
         if np.any(bad):
             idx = int(np.argmax(bad))
             raise PoleError("variant kernel pole on the integration path", pole=complex(zb[idx]))
-        out[big] = _cexpm1(zb * n) * np.exp(zb) / den
+        out[big] = jets.expm1(zb * n) * np.exp(zb) / den
     return out
 
 
@@ -66,8 +60,8 @@ def _alt_sum(z: np.ndarray, n: int) -> np.ndarray:
         idx = int(np.argmax(bad))
         raise PoleError("alternating kernel pole on the integration path", pole=complex(z[idx]))
     if n % 2 == 0:
-        return -_cexpm1(z * n) * ez / den
-    return (2.0 + _cexpm1(z * n)) * ez / den
+        return -jets.expm1(z * n) * ez / den
+    return (2.0 + jets.expm1(z * n)) * ez / den
 
 
 def phi_grid(t: np.ndarray, n: int, variant: int, alpha: complex, beta: complex) -> np.ndarray:

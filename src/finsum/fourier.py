@@ -1,15 +1,19 @@
 """Finite-sum evaluation through the Fourier transform.
 
 Summing the inverse transform of G over the integer lattice turns the sum
-into (1/2pi) * integral of G(alpha) times the lattice factor
-D(alpha) = Sigma_{k=1}^{N} exp(i alpha k).  The factor is evaluated from the
-geometric closed form after exact argument reduction modulo 2pi (the reduced
-angle gives the same value at every integer k and keeps the evaluation
-conditioned near resonances).
+into (1/2pi) * integral over the real line of G(alpha) times the lattice
+factor D(alpha) = Sigma_{k=1}^{N} exp(i alpha k).  D is 2pi-periodic, so the
+integral folds onto one period: (1/2pi) * integral over [-pi, pi] of
+G_per(alpha) * D(alpha), where G_per(alpha) = Sigma_m G(alpha + 2 pi m) is
+the Poisson-summed transform.  Over a finite period nothing is truncated.
+The factor is evaluated from the geometric closed form after exact argument
+reduction modulo 2pi (the reduced angle gives the same value at every
+integer k and keeps the evaluation conditioned near resonances).
 
 The transform table is deliberately tiny -- Gaussian and Lorentzian families
-under the convention G(alpha) = integral g(x) exp(-i alpha x) dx -- plus
-their finite linear combinations.  The phase-free simplified lattice factor
+under the convention G(alpha) = integral g(x) exp(-i alpha x) dx, each with
+its folded transform in closed form -- plus their finite linear
+combinations.  The phase-free simplified lattice factor
 sin(alpha*N/2)/sin(alpha/2) is kept alongside the exact one for side-by-side
 comparison; it drops the phase exp(i alpha (N+1)/2) and does not reproduce
 the sums, so nothing computes with it by default.
@@ -24,13 +28,14 @@ from typing import Callable
 
 import numpy as np
 
-from . import backend, jets
+from . import backend, jets, quadrature
 from . import expr as ex
 from .errors import CapabilityError
 from .kernels import GAUSS, linear_terms, _Unrecognized
-from .quadrature import integrate_real_line
 from .series import Diagnostics, SumResult, check_count
 from .stable import TWO_PI, reduce_angle
+
+_LOG_EPS = -math.log(np.finfo(float).eps)
 
 
 class DirichletForm(str, Enum):
@@ -57,61 +62,61 @@ def dirichlet_factor(alpha: float, n_terms: int,
 
 @dataclass(frozen=True)
 class FourierPair:
-    """g together with its analytically known forward transform."""
+    """The transform of g and its Poisson sum over one period.
 
-    g: Callable
+    ``periodic`` is Sigma_m transform(alpha + 2 pi m), for alpha in [-pi, pi].
+    """
+
     transform: Callable
-    radius: Callable  # (tol, n_terms) -> suggested truncation radius
+    periodic: Callable
     label: str
 
 
 def _gaussian_pair(weight: complex, a: float) -> FourierPair:
     root = math.sqrt(math.pi / a)
-
-    def g(x):
-        return weight * np.exp(-a * np.asarray(x) ** 2)
+    # relative to the m = 0 term, the first dropped term (|m| = M + 1) is
+    # largest at |alpha| = pi, where it is exp(-pi^2 M (M+1) / a): keep the
+    # smallest M that puts this below eps
+    terms = math.ceil(0.5 * (math.sqrt(1.0 + 4.0 * a * _LOG_EPS / math.pi ** 2) - 1.0))
+    shifts = TWO_PI * np.arange(-terms, terms + 1)
 
     def transform(al):
         return weight * root * np.exp(-np.asarray(al) ** 2 / (4.0 * a))
 
-    def radius(tol, n):
-        # |G| * n below tol/1e3 at the edge
-        target = max(abs(weight) * root * n, 1.0) * 1e3 / tol
-        return 2.0 * math.sqrt(a * math.log(target)) + 1.0
+    def periodic(al):
+        x = np.asarray(al)[..., None] + shifts
+        return weight * root * np.exp(-x * x / (4.0 * a)).sum(axis=-1)
 
-    return FourierPair(g, transform, radius, f"gaussian(a={a})")
+    return FourierPair(transform, periodic, f"gaussian(a={a})")
 
 
 def _lorentzian_pair(weight: complex, a: float) -> FourierPair:
     scale = math.pi / a
-
-    def g(x):
-        return weight / (np.asarray(x) ** 2 + a * a)
+    # Sigma_m exp(-a|alpha + 2 pi m|) in closed form; the same as
+    # cosh(a(pi - |alpha|))/sinh(a pi), which overflows once a pi > 710
+    fold = scale / -math.expm1(-TWO_PI * a)
 
     def transform(al):
         return weight * scale * np.exp(-a * np.abs(np.asarray(al)))
 
-    def radius(tol, n):
-        target = max(abs(weight) * scale * n, 1.0) * 1e3 / tol
-        return math.log(target) / a + 1.0
+    def periodic(al):
+        x = np.abs(np.asarray(al))
+        return weight * fold * (np.exp(-a * x) + np.exp(-a * (TWO_PI - x)))
 
-    return FourierPair(g, transform, radius, f"lorentzian(a={a})")
+    return FourierPair(transform, periodic, f"lorentzian(a={a})")
 
 
 def _combine(pairs: list[FourierPair]) -> FourierPair:
     if len(pairs) == 1:
         return pairs[0]
 
-    def g(x):
-        return sum(p.g(x) for p in pairs)
-
     def transform(al):
         return sum(p.transform(al) for p in pairs)
 
-    def radius(tol, n):
-        return max(p.radius(tol, n) for p in pairs)
+    def periodic(al):
+        return sum(p.periodic(al) for p in pairs)
 
-    return FourierPair(g, transform, radius, " + ".join(p.label for p in pairs))
+    return FourierPair(transform, periodic, " + ".join(p.label for p in pairs))
 
 
 def recognize_fourier(expression) -> FourierPair:
@@ -146,7 +151,7 @@ def recognize_fourier(expression) -> FourierPair:
 
 
 def sum_via_fourier(pair, n_terms: int, tol: float = 1e-9) -> SumResult:
-    """Sigma_{k=1}^{N} g(k) as (1/2pi) integral of G(alpha) * D(alpha).
+    """Sigma_{k=1}^{N} g(k) as (1/2pi) integral over [-pi, pi] of G_per * D.
 
     ``pair`` is a FourierPair, an expression tree or expression text.  For
     real g the imaginary part of the result is pure numerical residue; it is
@@ -157,11 +162,10 @@ def sum_via_fourier(pair, n_terms: int, tol: float = 1e-9) -> SumResult:
     n_terms = check_count(n_terms)
 
     def integrand(al):
-        al = np.asarray(al, dtype=float)
-        return pair.transform(al) * backend.dirichlet_grid(al, n_terms)
+        return pair.periodic(al) * backend.dirichlet_grid(al, n_terms)
 
-    quad = integrate_real_line(integrand, tol=tol,
-                               decay_hint=pair.radius(tol, n_terms))
+    # the midpoint cut at 0 falls on the Lorentzian kink and the peak of D
+    quad = quadrature.integrate_finite(integrand, -math.pi, math.pi, tol)
     value = quad.value / TWO_PI
     residual = abs(value.imag)
     converged = quad.converged and residual < 10.0 * tol

@@ -1,10 +1,9 @@
 """Adaptive Gauss-Kronrod quadrature for the integral representations.
 
-One engine, three frontends:
+One engine, two frontends:
 
 * :func:`integrate_finite`        -- a <= t <= b
 * :func:`integrate_semi_infinite` -- 0 < t < inf via t = u/(1-u)
-* :func:`integrate_real_line`     -- -inf < x < inf via probed truncation
 
 Intervals are bisected worst-first (by the QUADPACK-style error estimate of
 a 7/15 Gauss-Kronrod pair) until the summed estimate drops below ``tol`` or
@@ -207,29 +206,3 @@ def integrate_semi_infinite(f: Callable, tol: float = 1e-10,
 
     return _adaptive(fu, [0.0, 0.5, 0.9, 0.99, 1.0], tol, budget)
 
-
-def integrate_real_line(f: Callable, tol: float = 1e-10, decay_hint: float | None = None,
-                        budget: int = 10 ** 6) -> QuadratureResult:
-    """Adaptive integral of f over (-inf, inf) to absolute tolerance tol.
-
-    The domain is truncated at +-R once |f| probes below tol/1e3 there;
-    ``decay_hint`` seeds R.  The probed magnitude enters the error estimate
-    as a tail bound.
-    """
-    g = _vectorize(f, np.array([-0.5, 0.7]))
-    r = float(decay_hint) if decay_hint else 8.0
-    thresh = tol * 1e-3
-    edge = math.inf
-    for _ in range(40):
-        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            probes = np.abs(np.asarray(g(np.array([-r, -0.83 * r, 0.83 * r, r])), dtype=np.complex128))
-        edge = float(np.max(probes))
-        if edge < thresh or r > 1e6:
-            break
-        r *= 2.0
-    res = _adaptive(g, [-r, -0.5 * r, 0.0, 0.5 * r, r], tol, budget)
-    tail = (0.0 if not math.isfinite(edge) else edge) * 2.0 * r
-    return QuadratureResult(value=res.value,
-                            abs_error_estimate=res.abs_error_estimate + tail,
-                            nodes_used=res.nodes_used,
-                            converged=res.converged and tail <= tol)

@@ -1,7 +1,7 @@
 """Numerically stable scalar primitives shared across the engines.
 
-Everything here works on Python complex scalars.  Array versions live in
-:mod:`finsum.backend`, jet versions in :mod:`finsum.jets`.
+Everything here works on Python complex scalars.  Array and jet versions
+live in :mod:`finsum.jets`, the grid primitives in :mod:`finsum.backend`.
 """
 
 from __future__ import annotations

@@ -91,7 +91,59 @@ class TestPairTable:
             recognize_fourier(text)
 
 
+def _poisson_sum(pair, al, width):
+    """Sigma_{|m| <= width} transform(al + 2 pi m), summed with fsum."""
+    shifts = 2.0 * math.pi * np.arange(-width, width + 1)
+    rows = np.asarray(pair.transform(al[:, None] + shifts), dtype=complex)
+    return np.array([complex(math.fsum(r.real), math.fsum(r.imag)) for r in rows])
+
+
+class TestFoldedTransform:
+    """``periodic`` is the Poisson sum of ``transform`` over one period."""
+
+    GRID = np.linspace(-math.pi, math.pi, 41)
+
+    @pytest.mark.parametrize("a", [0.01, 0.1, 1.0, 50.0, 300.0])
+    def test_lorentzian(self, a):
+        # a = 300 is past the overflow of the cosh/sinh form (a*pi > 710)
+        pair = recognize_fourier(f"1/(k^2+{a * a!r})")
+        width = int(45.0 / (2.0 * math.pi * a)) + 2
+        np.testing.assert_allclose(np.asarray(pair.periodic(self.GRID), dtype=complex),
+                                   _poisson_sum(pair, self.GRID, width), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("a", [1e-3, 0.2, 1.0, 25.0, 100.0])
+    def test_gaussian(self, a):
+        pair = recognize_fourier(f"exp(-{a!r}*k^2)")
+        width = int(math.sqrt(180.0 * a) / (2.0 * math.pi)) + 3
+        np.testing.assert_allclose(np.asarray(pair.periodic(self.GRID), dtype=complex),
+                                   _poisson_sum(pair, self.GRID, width), rtol=1e-13, atol=0)
+
+    def test_combination(self):
+        pair = recognize_fourier("1.5*exp(-0.2*k^2) + 2/(k^2+0.25)")
+        np.testing.assert_allclose(np.asarray(pair.periodic(self.GRID), dtype=complex),
+                                   _poisson_sum(pair, self.GRID, 40), rtol=1e-13, atol=0)
+
+
 class TestTransformSums:
+    def test_narrow_lorentzian_converges(self):
+        """Over one period nothing is truncated: the narrow Lorentzian that
+        exhausted the node budget on the real line converges."""
+        mpmath = pytest.importorskip("mpmath")
+        got = sum_via_fourier("1/(k^2+0.01)", 400, tol=1e-10)
+        with mpmath.workdps(40):
+            want = mpmath.fsum(1 / (mpmath.mpf(k) ** 2 + mpmath.mpf("0.01"))
+                               for k in range(1, 401))
+            dev = float(abs(mpmath.mpc(got.value) - want))
+        assert got.diagnostics.converged
+        assert dev <= got.error_estimate
+        assert got.diagnostics.nodes < 100_000
+
+    def test_lorentzian_node_count(self):
+        got = sum_via_fourier("1/(k^2+4)", 200, tol=1e-10)
+        assert got.diagnostics.converged
+        assert got.diagnostics.nodes < 12_000
+
+
     def test_stops_on_the_exact_error_total(self):
         """The quadrature's running error total drifts by rounding on the
         early, large panel errors; at tol 1e-12 that drift alone used to end

@@ -12,8 +12,7 @@ from finsum.expr import as_function, parse_expression
 from finsum.fourier import sum_via_fourier
 from finsum.kernels import recognize_pair
 from finsum.laplace import sum_via_integral
-from finsum.quadrature import (integrate_finite, integrate_real_line,
-                               integrate_semi_infinite)
+from finsum.quadrature import integrate_finite, integrate_semi_infinite
 from finsum.series import SeriesSpec, Variant
 
 
@@ -61,28 +60,6 @@ class TestSemiInfinite:
             a = float(rng.uniform(0.2, 3.0))
             q = integrate_semi_infinite(lambda t, a=a: np.exp(-a * t))
             assert abs(q.value - 1.0 / a) <= max(q.abs_error_estimate, 1e-13 / a)
-
-
-class TestRealLine:
-    def test_gaussian(self):
-        q = integrate_real_line(lambda x: np.exp(-x * x), decay_hint=8.0)
-        assert complex(q.value) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-
-    def test_lorentzian(self):
-        """Algebraic decay forces a truncated domain; the estimate must own it."""
-        q = integrate_real_line(lambda x: 1.0 / (x * x + 4.0), decay_hint=6000.0)
-        dev = abs(q.value - math.pi / 2)
-        assert dev <= 1e-5
-        assert dev <= q.abs_error_estimate
-
-    def test_shifted_gaussian_moment(self):
-        """Integral of x^2 e^{-x^2} = sqrt(pi)/2."""
-        q = integrate_real_line(lambda x: x * x * np.exp(-x * x), decay_hint=9.0)
-        assert complex(q.value) == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-12)
-
-    def test_nodes_are_counted(self):
-        q = integrate_real_line(lambda x: np.exp(-x * x), decay_hint=8.0)
-        assert q.nodes_used >= 15
 
 
 # -- the one-panel-per-split loop, kept as the reference for the batched rounds
@@ -172,12 +149,6 @@ CASES = {
                                           lambda t: np.exp(-t) * np.cos(5 * t)),
     "semi-complex": lambda: _frontend(integrate_semi_infinite, lambda t: np.exp(-(1 + 2j) * t)),
     "finite-sqrt": lambda: _frontend(integrate_finite, lambda t: np.sqrt(t), a=0.0, b=2.0),
-    "line-gaussian": lambda: _frontend(integrate_real_line, lambda x: np.exp(-x * x),
-                                       decay_hint=8.0),
-    "line-lorentz": lambda: _frontend(integrate_real_line, lambda x: 1.0 / (x * x + 4.0),
-                                      decay_hint=6000.0),
-    "line-moment": lambda: _frontend(integrate_real_line, lambda x: x * x * np.exp(-x * x),
-                                     decay_hint=9.0),
     **{f"laplace-{text}-{v.value}": (lambda text=text, v=v: _laplace(text, v))
        for text in ("1/(k^2+1)", "1/k^2") for v in Variant},
     **{f"fourier-{text}-{n}": (lambda text=text, n=n: _fourier(text, n))
