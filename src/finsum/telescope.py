@@ -7,7 +7,13 @@ pays off when d decays fast while g itself does not (the separate sums may
 even diverge, as with 1/k).  The truncation policy is ours: partial sums at
 doubling depth M with the remaining tail finished by one-sided
 Euler-Maclaurin on d, falling back to Aitken extrapolation of the partials
-when d cannot be differentiated.
+when d cannot be differentiated.  The reported estimate is floored at the
+rounding of g and of the differences on the summed prefix.
+
+g is evaluated once per lattice point.  g(k+N) in one block is g(k) in a
+later one, so each doubling block and each convergence window evaluates g
+only at the points k, k+N it has not seen (one call when g takes arrays)
+and takes the rest from the values carried over from the previous range.
 
 Constants expose the method's precondition: their differences vanish
 identically while the sum is N*c, so the result cannot be certified and is
@@ -28,6 +34,7 @@ from .special import hurwitz_zeta, riemann_zeta
 
 _START_DEPTH = 8
 _EM_ORDER = 3
+_EPS = 2.220446049250313e-16
 
 
 def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
@@ -39,29 +46,70 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
     def d(t):
         return g(t) - g(t + n_terms)
 
-    def d_at(t):
-        """d, naming the index k of a scalar difference that fails."""
-        if isinstance(t, np.ndarray):
-            return d(t)
-        try:
-            return d(t)
-        except Exception as exc:
-            raise EvaluationError(f"difference failed to evaluate: {exc}",
-                                  at=f"k={int(t)}") from exc
-
     with np.errstate(all="ignore"):
-        dv = _vectorize(d_at, np.array([1.0, 2.0]))
+        gv = _vectorize(g, np.array([1.0, 2.0]))
+
+    def g_new(points, lo, hi):
+        """g at the points that k = lo..hi meets for the first time."""
+        try:
+            return np.asarray(gv(points), dtype=np.complex128)
+        except Exception:
+            if gv is not g:
+                # walk the range one difference at a time, so that the error
+                # names the first k whose scalar g(k) or g(k+N) fails
+                for k in range(lo, hi + 1):
+                    try:
+                        diff = d(float(k))
+                    except Exception as exc:
+                        raise EvaluationError(f"difference failed to evaluate: {exc}",
+                                              at=f"k={k}") from exc
+                    complex(diff)
+            raise
+
+    # g on the lattice points base..known+N, where g(k) and g(k+N) have been
+    # evaluated for every k <= known; the points known+1..N (there while
+    # known < N) are not evaluated yet and hold garbage
+    known, base = 0, 1
+    carry = np.empty(0, dtype=np.complex128)
+
+    def pairs(lo, hi):
+        """g(k) and g(k+N) for k = lo..hi.
+
+        Only known+1..min(hi, N) and known+N+1..hi+N are new: every other
+        point was a k or a k+N of an earlier range.  A range starts at most
+        two points before the previous one ended (a window on its block's
+        last k, a block on its window's second), so only g from hi-2 up is
+        carried to the next call: about N values.
+        """
+        nonlocal known, base, carry
+        if hi > known:
+            low = np.arange(known + 1, min(hi, n_terms) + 1, dtype=float)
+            high = np.arange(known + n_terms + 1, hi + n_terms + 1, dtype=float)
+            fresh = g_new(np.concatenate((low, high)), lo, hi)
+            ext = np.empty(hi + n_terms - base + 1, dtype=np.complex128)
+            ext[:carry.size] = carry
+            ext[known + 1 - base:known + 1 - base + low.size] = fresh[:low.size]
+            ext[known + n_terms + 1 - base:] = fresh[low.size:]
+            known, carry = hi, ext
+        out = (carry[lo - base:hi - base + 1],
+               carry[lo + n_terms - base:hi + n_terms - base + 1])
+        start = max(base, hi - 2)
+        carry, base = carry[start - base:].copy(), start
+        return out
 
     def diffs(lo, hi):
-        """d(k) for k = lo..hi in one call; EvaluationError at the first bad k."""
+        """d(k) for k = lo..hi, the sum of |g(k)| + |g(k+N)| and g(lo+N);
+        EvaluationError at the first bad k."""
         with np.errstate(all="ignore"):
-            out = np.asarray(dv(np.arange(lo, hi + 1, dtype=float)), dtype=np.complex128)
+            g_k, g_kn = pairs(lo, hi)
+            out = g_k - g_kn
         finite = np.isfinite(out)
         if not finite.all():
             raise EvaluationError("difference is not finite", at=f"k={lo + int(np.argmin(finite))}")
-        return out
+        return out, float(np.abs(g_k).sum() + np.abs(g_kn).sum()), g_kn[0]
 
     vals = np.empty(0, dtype=np.complex128)  # d(1), ..., d(depth)
+    magnitude = 0.0  # sum of |g(k)| + |g(k+N)| over the prefix
     partials = []  # partial sums at each doubling checkpoint
     peak = 0.0  # running max of |d(k)| over the prefix
     depth = 0
@@ -72,18 +120,20 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
     tail_bound = math.inf
 
     while True:
-        block = diffs(depth + 1, m)
+        block, size, _ = diffs(depth + 1, m)
         vals = np.concatenate((vals, block))
+        magnitude += size
         peak = max(peak, float(np.abs(block).max()))
         depth = m
         partial = complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
         partials.append(partial)
 
-        window = np.abs(diffs(depth, depth + 3)).tolist()
+        d_win, _, g_shifted = diffs(depth, depth + 3)
+        window = np.abs(d_win).tolist()
         scale = max(1.0, abs(partial))
         if max(window) <= 1e-15 * scale:
             # differences have died out; is it genuine collapse or a flat g?
-            if abs(complex(g(float(n_terms + depth)))) > tol * scale:
+            if abs(g_shifted) > tol * scale:  # g(N + depth)
                 # g does not decay, so nothing was telescoped into the partials
                 diag = Diagnostics(nodes=vals.size, truncation_index=depth,
                                    converged=False,
@@ -123,8 +173,11 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
     value = partials[-1] + tail
     diag = Diagnostics(nodes=vals.size, truncation_index=depth, converged=converged,
                        notes={"strategy": strategy, "tail_bound": float(tail_bound)})
+    # no tail bound certifies below the rounding of g and of the differences
+    # on the prefix (Higham, ch. 4)
     return SumResult(value=value, method="telescope",
-                     error_estimate=float(tail_bound), diagnostics=diag)
+                     error_estimate=max(float(tail_bound), 2 * _EPS * magnitude),
+                     diagnostics=diag)
 
 
 def _aitken_tail(partials):

@@ -208,8 +208,8 @@ class TestArrayBlocks:
 
     @pytest.mark.parametrize("text", ["sin(1.1*k)", "1.3*k^2"])
     def test_calls_per_checkpoint_not_per_term(self, text):
-        """At the 2^17 term cap, g is called for the probe and then twice per
-        block and twice per window: O(checkpoints), not O(terms)."""
+        """At the 2^17 term cap, g is called for the probe and then once per
+        block and once per window: O(checkpoints), not O(terms)."""
         g = _effective(text, 50)
         calls = [0]
 
@@ -252,3 +252,91 @@ class TestUndefinedDifferences:
         with pytest.raises(EvaluationError) as info:
             telescoping_sum(g, 10)
         assert info.value.at == f"k={k}"
+
+
+def _fails_at_3000(x):
+    """sin(1.1x), a scalar closure that raises at x = 3000 only."""
+    if x == 3000.0:
+        raise ValueError("undefined at 3000")
+    return cmath.sin(1.1 * complex(x))
+
+
+class TestCarriedValues:
+    """g is evaluated once per lattice point: g(k+N) of one block is g(k) of
+    a later one and is carried there instead of being evaluated again."""
+
+    _CHECKPOINTS = 17 - 3 + 1          # depths 8, 16, ..., 2^17
+
+    def test_array_path_points(self):
+        g = _effective("sin(1.1*k)", 50)
+        sizes = []
+
+        def counted(x):
+            sizes.append(np.size(x))
+            return g(x)
+
+        res = telescoping_sum(counted, 50, max_terms=1 << 17)
+        assert res.diagnostics.nodes == 1 << 17
+        assert sum(sizes) <= (1 << 17) + 50 + 4 * self._CHECKPOINTS + 2
+
+    def test_scalar_path_points(self):
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return cmath.sin(1.1 * complex(x))       # rejects arrays
+
+        res = telescoping_sum(counted, 50, max_terms=1 << 17)
+        assert res.diagnostics.nodes == 1 << 17
+        assert calls[0] <= (1 << 17) + 50 + 4 * self._CHECKPOINTS + 2
+
+    def test_flat_g_is_not_called_again(self):
+        """The does-g-decay check reads g(N + depth) from the carried
+        values, so an array-capable g only ever receives arrays."""
+        args = []
+
+        def flat(x):
+            args.append(x)
+            return 3.0 + 0.0 * x
+
+        res = telescoping_sum(flat, 10)
+        assert "does not decay" in res.diagnostics.notes["reason"]
+        assert all(isinstance(x, np.ndarray) for x in args)
+
+    def test_scalar_failure_names_the_first_k(self):
+        """g(3000) is first needed as g(k+N) at k = 2990."""
+        with pytest.raises(EvaluationError) as info:
+            telescoping_sum(_fails_at_3000, 10)
+        assert info.value.at == "k=2990"
+
+    def test_array_nan_names_the_same_k(self):
+        def g(x):
+            return np.where(x == 3000.0, np.nan, np.sin(1.1 * x))
+
+        with pytest.raises(EvaluationError) as info:
+            telescoping_sum(g, 10)
+        assert info.value.at == "k=2990"
+
+
+class TestRoundoffFloor:
+    """The estimate is floored at 2 eps sum(|g(k)| + |g(k+N)|) over the
+    summed prefix; the tail bound in the notes stays as it was."""
+
+    @pytest.mark.parametrize("c,a,n", [(1.0, 1.0, 8), (1.0125, 1.2872, 11),
+                                       (1.5203, 1.4457, 29), (0.8746, 1.1164, 55)])
+    def test_gaussian_is_covered(self, c, a, n):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            ref = mp.fsum(mp.mpf(c) * mp.exp(-mp.mpf(a) * k * k) for k in range(1, n + 1))
+            ref = complex(ref)
+        got = telescoping_sum(lambda x: c * np.exp(-a * x * x), n)
+        assert got.diagnostics.converged
+        assert got.diagnostics.notes["tail_bound"] < 1e-20
+        assert abs(got.value - ref) <= got.error_estimate <= 1e-15
+
+    def test_floor_is_the_prefix_magnitude(self):
+        n = 8
+        got = telescoping_sum(lambda x: np.exp(-x * x), n)
+        ks = np.arange(1, got.diagnostics.nodes + 1, dtype=float)
+        magnitude = float(np.sum(np.exp(-ks * ks) + np.exp(-(ks + n) ** 2)))
+        assert got.error_estimate == pytest.approx(2 * _EPS * magnitude, rel=1e-12, abs=0)
