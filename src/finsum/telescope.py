@@ -8,12 +8,13 @@ even diverge, as with 1/k).  The truncation policy is ours: partial sums at
 doubling depth M with the remaining tail finished by one-sided
 Euler-Maclaurin on d, falling back to Aitken extrapolation of the partials
 when d cannot be differentiated.  The reported estimate is floored at the
-rounding of g and of the differences on the summed prefix.
+rounding of the values that do not cancel in the evaluated differences.
 
-g is evaluated once per lattice point.  g(k+N) in one block is g(k) in a
-later one, so each doubling block and each convergence window evaluates g
-only at the points k, k+N it has not seen (one call when g takes arrays)
-and takes the rest from the values carried over from the previous range.
+g is evaluated once per lattice point.  Each checkpoint extends the
+differences, through the four-point convergence window past it, with one
+call of g on the points k, k+N not seen before; g(k) for k > N was already
+evaluated as a g(k'+N) and is carried over.  Only the last N or so values of
+g(k+N) are kept, so memory grows with min(N, depth), never with N alone.
 
 Constants expose the method's precondition: their differences vanish
 identically while the sum is N*c, so the result cannot be certified and is
@@ -22,6 +23,7 @@ flagged instead of silently wrong.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -52,64 +54,67 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
     def g_new(points, lo, hi):
         """g at the points that k = lo..hi meets for the first time."""
         try:
-            return np.asarray(gv(points), dtype=np.complex128)
+            return np.asarray(gv(points))
         except Exception:
             if gv is not g:
                 # walk the range one difference at a time, so that the error
-                # names the first k whose scalar g(k) or g(k+N) fails
+                # names the same k as separate calls for the checkpoint's own
+                # differences (up to hi - 3) and for its window would
+                bad = None
                 for k in range(lo, hi + 1):
+                    if k == hi - 2 and bad is not None:
+                        break
                     try:
-                        diff = d(float(k))
+                        diff = complex(d(float(k)))
                     except Exception as exc:
                         raise EvaluationError(f"difference failed to evaluate: {exc}",
                                               at=f"k={k}") from exc
-                    complex(diff)
+                    if bad is None and not cmath.isfinite(diff):
+                        bad = k
+                if bad is not None:
+                    raise EvaluationError("difference is not finite", at=f"k={bad}")
             raise
 
-    # g on the lattice points base..known+N, where g(k) and g(k+N) have been
-    # evaluated for every k <= known; the points known+1..N (there while
-    # known < N) are not evaluated yet and hold garbage
-    known, base = 0, 1
-    carry = np.empty(0, dtype=np.complex128)
+    # after the differences up to k = known: g(k+N) for the last
+    # min(known, N) + 3 values of k, which are every g(k+N) that a later k can
+    # still meet and g(N + depth) of the window; and the sum of |g(k)| over
+    # k <= min(known, N), for the rounding floor
+    known = 0
+    shifted = None
+    low_size = 0.0
 
-    def pairs(lo, hi):
-        """g(k) and g(k+N) for k = lo..hi.
+    def extend(hi):
+        """d(k) for k = known+1..hi; EvaluationError at the first bad k.
 
-        Only known+1..min(hi, N) and known+N+1..hi+N are new: every other
-        point was a k or a k+N of an earlier range.  A range starts at most
-        two points before the previous one ended (a window on its block's
-        last k, a block on its window's second), so only g from hi-2 up is
-        carried to the next call: about N values.
+        Only g(k) for k <= N and g(k+N) are new: g(k) for k > N is a g(k'+N)
+        of this range or of an earlier one.
         """
-        nonlocal known, base, carry
-        if hi > known:
-            low = np.arange(known + 1, min(hi, n_terms) + 1, dtype=float)
-            high = np.arange(known + n_terms + 1, hi + n_terms + 1, dtype=float)
-            fresh = g_new(np.concatenate((low, high)), lo, hi)
-            ext = np.empty(hi + n_terms - base + 1, dtype=np.complex128)
-            ext[:carry.size] = carry
-            ext[known + 1 - base:known + 1 - base + low.size] = fresh[:low.size]
-            ext[known + n_terms + 1 - base:] = fresh[low.size:]
-            known, carry = hi, ext
-        out = (carry[lo - base:hi - base + 1],
-               carry[lo + n_terms - base:hi + n_terms - base + 1])
-        start = max(base, hi - 2)
-        carry, base = carry[start - base:].copy(), start
-        return out
-
-    def diffs(lo, hi):
-        """d(k) for k = lo..hi, the sum of |g(k)| + |g(k+N)| and g(lo+N);
-        EvaluationError at the first bad k."""
+        nonlocal known, shifted, low_size
+        lo = known + 1
+        low = np.arange(lo, min(hi, n_terms) + 1, dtype=float)
+        high = np.arange(known + n_terms + 1, hi + n_terms + 1, dtype=float)
         with np.errstate(all="ignore"):
-            g_k, g_kn = pairs(lo, hi)
-            out = g_k - g_kn
+            fresh = g_new(np.concatenate((low, high)), lo, hi)
+            g_low, g_high = fresh[:low.size], fresh[low.size:]
+            low_size += float(np.abs(g_low).sum())
+            if shifted is None:
+                shifted = fresh[:0]  # differences are taken in g's own dtype
+            # g on max(known, N)+1..hi+N, after up to three older values
+            start = shifted.size - min(known, n_terms)
+            shifted = np.concatenate((shifted, g_high))
+            g_k = np.concatenate((g_low, shifted[start:start + hi - lo + 1 - low.size]))
+            out = np.asarray(g_k - g_high, dtype=np.complex128)
+        keep = min(hi, n_terms) + 3
+        if shifted.size > keep:
+            # a copy, so that the block's values are not kept alive through it
+            shifted = shifted[-keep:].copy()
+        known = hi
         finite = np.isfinite(out)
         if not finite.all():
             raise EvaluationError("difference is not finite", at=f"k={lo + int(np.argmin(finite))}")
-        return out, float(np.abs(g_k).sum() + np.abs(g_kn).sum()), g_kn[0]
+        return out
 
-    vals = np.empty(0, dtype=np.complex128)  # d(1), ..., d(depth)
-    magnitude = 0.0  # sum of |g(k)| + |g(k+N)| over the prefix
+    vals = np.empty(0, dtype=np.complex128)  # d(1), ..., d(depth + 3)
     partials = []  # partial sums at each doubling checkpoint
     peak = 0.0  # running max of |d(k)| over the prefix
     depth = 0
@@ -120,22 +125,21 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
     tail_bound = math.inf
 
     while True:
-        block, size, _ = diffs(depth + 1, m)
-        vals = np.concatenate((vals, block))
-        magnitude += size
-        peak = max(peak, float(np.abs(block).max()))
+        # the checkpoint's differences and the window d(m..m+3) past it
+        vals = np.concatenate((vals, extend(m + 3)))
+        peak = max(peak, float(np.abs(vals[depth:m]).max()))
         depth = m
-        partial = complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
+        partial = complex(math.fsum(vals[:depth].real.tolist()),
+                          math.fsum(vals[:depth].imag.tolist()))
         partials.append(partial)
 
-        d_win, _, g_shifted = diffs(depth, depth + 3)
-        window = np.abs(d_win).tolist()
+        window = np.abs(vals[depth - 1:]).tolist()
         scale = max(1.0, abs(partial))
         if max(window) <= 1e-15 * scale:
             # differences have died out; is it genuine collapse or a flat g?
-            if abs(g_shifted) > tol * scale:  # g(N + depth)
+            if abs(shifted[-4]) > tol * scale:  # g(N + depth)
                 # g does not decay, so nothing was telescoped into the partials
-                diag = Diagnostics(nodes=vals.size, truncation_index=depth,
+                diag = Diagnostics(nodes=depth, truncation_index=depth,
                                    converged=False,
                                    notes={"reason": "differences vanish but g does not decay"})
                 return SumResult(value=partial, method="telescope",
@@ -171,13 +175,16 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
         m = min(2 * m, max_terms)
 
     value = partials[-1] + tail
-    diag = Diagnostics(nodes=vals.size, truncation_index=depth, converged=converged,
+    diag = Diagnostics(nodes=depth, truncation_index=depth, converged=converged,
                        notes={"strategy": strategy, "tail_bound": float(tail_bound)})
-    # no tail bound certifies below the rounding of g and of the differences
-    # on the prefix (Higham, ch. 4)
+    # no tail bound certifies below the rounding of what was evaluated
+    # (Higham, ch. 4): each g(j) that enters both as a g(k) and as a g(k'+N)
+    # is the same double and cancels, so what remains is the rounding of the
+    # first N g(k), of the last N g(k+N) and of each difference
+    rounding = _EPS * (low_size + float(np.abs(vals).sum())
+                       + float(np.abs(shifted[shifted.size - min(known, n_terms):]).sum()))
     return SumResult(value=value, method="telescope",
-                     error_estimate=max(float(tail_bound), 2 * _EPS * magnitude),
-                     diagnostics=diag)
+                     error_estimate=max(float(tail_bound), rounding), diagnostics=diag)
 
 
 def _aitken_tail(partials):

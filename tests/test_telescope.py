@@ -7,6 +7,7 @@ flag the cases where the collapse argument does not apply.
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,7 +210,8 @@ class TestArrayBlocks:
     @pytest.mark.parametrize("text", ["sin(1.1*k)", "1.3*k^2"])
     def test_calls_per_checkpoint_not_per_term(self, text):
         """At the 2^17 term cap, g is called for the probe and then once per
-        block and once per window: O(checkpoints), not O(terms)."""
+        checkpoint, for its block and window together: O(checkpoints), not
+        O(terms)."""
         g = _effective(text, 50)
         calls = [0]
 
@@ -317,10 +319,44 @@ class TestCarriedValues:
             telescoping_sum(g, 10)
         assert info.value.at == "k=2990"
 
+    @pytest.mark.parametrize("nan_at,raise_at,k,why", [
+        (5.0, 10.0, 5, "not finite"),        # the raise is in the window past depth 8
+        (5.0, 7.0, 7, "failed to evaluate"),  # both among the checkpoint's own
+    ])
+    def test_scalar_nan_and_raise_in_one_range(self, nan_at, raise_at, k, why):
+        """A scalar g returning NaN at one point and raising at a later one:
+        the error names the k that separate calls for the checkpoint's own
+        differences and for its window would."""
+        def g(x):
+            if x == raise_at:
+                raise ValueError("undefined")
+            return math.nan if x == nan_at else math.sin(1.1 * x)
+
+        with pytest.raises(EvaluationError) as info:
+            telescoping_sum(g, 100)
+        assert info.value.at == f"k={k}"
+        assert why in str(info.value)
+
+    @pytest.mark.parametrize("g", [lambda x: np.exp(-x * x), lambda x: x ** -2.0],
+                             ids=["gaussian", "inv-square"])
+    def test_huge_n_allocates_with_depth(self, g):
+        """Memory follows min(N, depth): at N = 1e9 the run stops after a few
+        short blocks and never holds anything of size N."""
+        tracemalloc.start()
+        try:
+            res = telescoping_sum(g, 10 ** 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.diagnostics.converged
+        assert res.diagnostics.truncation_index <= 64
+        assert peak < 1 << 20
+
 
 class TestRoundoffFloor:
-    """The estimate is floored at 2 eps sum(|g(k)| + |g(k+N)|) over the
-    summed prefix; the tail bound in the notes stays as it was."""
+    """The estimate is floored at the rounding of what was evaluated:
+    eps (sum |g(k)| over k <= N, + sum |d(k)|, + the last N |g(k+N)|); the
+    tail bound in the notes stays as it was."""
 
     @pytest.mark.parametrize("c,a,n", [(1.0, 1.0, 8), (1.0125, 1.2872, 11),
                                        (1.5203, 1.4457, 29), (0.8746, 1.1164, 55)])
@@ -334,9 +370,15 @@ class TestRoundoffFloor:
         assert got.diagnostics.notes["tail_bound"] < 1e-20
         assert abs(got.value - ref) <= got.error_estimate <= 1e-15
 
-    def test_floor_is_the_prefix_magnitude(self):
-        n = 8
-        got = telescoping_sum(lambda x: np.exp(-x * x), n)
-        ks = np.arange(1, got.diagnostics.nodes + 1, dtype=float)
-        magnitude = float(np.sum(np.exp(-ks * ks) + np.exp(-(ks + n) ** 2)))
-        assert got.error_estimate == pytest.approx(2 * _EPS * magnitude, rel=1e-12, abs=0)
+    def test_floor_counts_only_the_uncancelled_values(self):
+        """The differences are evaluated through the window, k <= depth + 3;
+        every g(j) that is both a g(k) and a g(k'+N) cancels exactly."""
+        n = 2
+        g = lambda x: np.exp(-x * x / 50)  # noqa: E731
+        got = telescoping_sum(g, n)
+        ks = np.arange(1, got.diagnostics.truncation_index + 4, dtype=float)
+        rounding = _EPS * float(np.sum(g(ks[:n])) + np.sum(np.abs(g(ks) - g(ks + n)))
+                                + np.sum(g(ks[-n:] + n)))
+        assert got.diagnostics.notes["tail_bound"] < rounding
+        assert got.error_estimate == pytest.approx(rounding, rel=1e-12, abs=0)
+
