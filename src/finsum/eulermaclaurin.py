@@ -4,8 +4,10 @@ The lattice sum of f over a, a+h, ..., b is the integral plus endpoint
 corrections weighted by even-index Bernoulli numbers; the first omitted
 correction bounds the remainder.  Derivatives are taken by jet arithmetic
 unless the caller supplies them analytically.  ``em_tail`` is the one-sided
-version used to finish infinite tails for the telescoping route and the
-Hurwitz-zeta expansion.
+version used to finish infinite tails for the telescoping route;
+``gregory_tail`` finishes the same tail for an f that jets cannot
+differentiate, with forward differences of four lattice values in place of
+the derivatives (Gregory's formula).
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ from .special import bernoulli
 
 _EPS = 2.220446049250313e-16
 _CURVATURE_SAMPLES = 17
+# gregory_tail: each term must be at most this fraction of the one before it,
+# and the first omitted term is charged this many times over
+_GREGORY_RATIO = 0.25
+_GREGORY_SAFETY = 2.0
 
 
 @dataclass(frozen=True)
@@ -91,12 +97,26 @@ def em_sum(job: EMJob, quad_tol: float = 1e-13) -> SumResult:
                      error_estimate=error, diagnostics=diag)
 
 
+def _tail_integral(f: Callable, m: float, quad_tol: float):
+    """integral_m^inf f, or DomainError when it fails to evaluate or converge."""
+    try:
+        quad = integrate_semi_infinite(lambda u: f(u + m), tol=quad_tol)
+    except EvaluationError as e:
+        raise DomainError(f"tail integral of f from {m} failed to evaluate "
+                          f"({e}); is the tail integrable?") from e
+    if not quad.converged:
+        raise DomainError(f"tail integral of f from {m} did not converge; "
+                          "is the tail integrable?")
+    return quad
+
+
 def em_tail(f: Callable, m: float, n: int = 3, quad_tol: float = 1e-13):
     """(value, bound) with value approximating Sigma_{j>=1} f(m + j).
 
     value = integral_m^inf f - f(m)/2 - Sigma_{k=1}^{n-1} B_2k f^(2k-1)(m)/(2k)!
-    and bound is the magnitude of the first omitted correction term.  Needs f
-    and its derivatives to vanish at infinity.
+    and bound is the magnitude of the first omitted correction term plus the
+    quadrature's error estimate.  Needs f and its derivatives to vanish at
+    infinity.
     """
     n = check_count(n, "correction order")
     # derivatives first: an f that jets cannot differentiate is refused
@@ -106,15 +126,36 @@ def em_tail(f: Callable, m: float, n: int = 3, quad_tol: float = 1e-13):
                    / math.factorial(2 * k) for k in range(1, n)]
     b2n = float(bernoulli(2 * n))
     bound = abs(b2n * _derivative_at(job, m, 2 * n - 1) / math.factorial(2 * n))
-    try:
-        quad = integrate_semi_infinite(lambda u: f(u + m), tol=quad_tol)
-    except EvaluationError as e:
-        raise DomainError(f"tail integral of f from {m} failed to evaluate "
-                          f"({e}); is the tail integrable?") from e
-    if not quad.converged:
-        raise DomainError(f"tail integral of f from {m} did not converge; "
-                          "is the tail integrable?")
+    quad = _tail_integral(f, m, quad_tol)
     value = quad.value - 0.5 * complex(f(m))
     for c in corrections:
         value -= c
-    return value, bound
+    return value, bound + quad.abs_error_estimate
+
+
+def gregory_tail(f: Callable, m: float, lattice, quad_tol: float = 1e-13):
+    """(value, bound) with value approximating Sigma_{j>=1} f(m + j), no derivatives.
+
+    Gregory's formula: Euler-Maclaurin with the derivatives at m replaced by
+    forward differences of lattice = f(m), f(m+1), f(m+2), f(m+3),
+
+        value = integral_m^inf f - f(m)/2 - Delta f(m)/12 + Delta^2 f(m)/24,
+
+    and bound is twice the first omitted term, 19/720 |Delta^3 f(m)|, plus
+    the quadrature's error estimate (Davis & Rabinowitz, Methods of
+    Numerical Integration, on Gregory's rule).  The differences stand in for
+    derivatives only while they shrink, so CapabilityError is raised, before
+    any quadrature, unless each term of f(m)/2, Delta f/12, Delta^2 f/24,
+    19 Delta^3 f/720 is at most a quarter of the one before it.
+    """
+    f0, f1, f2, f3 = (complex(v) for v in lattice)
+    d1 = f1 - f0
+    d2 = f2 - 2.0 * f1 + f0
+    d3 = f3 - 3.0 * f2 + 3.0 * f1 - f0
+    terms = [abs(f0) / 2, abs(d1) / 12, abs(d2) / 24, 19 * abs(d3) / 720]
+    if any(later > _GREGORY_RATIO * earlier for earlier, later in zip(terms, terms[1:])):
+        raise CapabilityError(f"forward differences of f at {m} do not shrink "
+                              "fast enough to stand in for derivatives")
+    quad = _tail_integral(f, m, quad_tol)
+    value = quad.value - 0.5 * f0 - d1 / 12 + d2 / 24
+    return value, _GREGORY_SAFETY * terms[3] + quad.abs_error_estimate

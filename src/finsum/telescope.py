@@ -6,9 +6,17 @@ survive.  That trades a finite sum for an infinite-but-collapsing one, which
 pays off when d decays fast while g itself does not (the separate sums may
 even diverge, as with 1/k).  The truncation policy is ours: partial sums at
 doubling depth M with the remaining tail finished by one-sided
-Euler-Maclaurin on d, falling back to Aitken extrapolation of the partials
-when d cannot be differentiated.  The reported estimate is floored at the
-rounding of the values that do not cancel in the evaluated differences.
+Euler-Maclaurin on d.  When jets cannot differentiate d, Gregory's formula
+takes forward differences of the window d(M..M+3) in place of the
+derivatives, once the checkpoint increments shrink; its estimate counts
+only when the previous checkpoint produced one too, and is no smaller than
+the two estimates' disagreement.  Aitken
+extrapolation of the partials closes what neither serves.  A tail integral
+that failed is not tried again while the checkpoint increments do not
+shrink: it would fail again (log(k), sqrt(k)), and once they do shrink it
+may succeed (a pole the earlier integral crossed).  The reported estimate
+is floored at the rounding of the values that do not cancel in the
+evaluated differences.
 
 g is evaluated once per lattice point.  Each checkpoint extends the
 differences, through the four-point convergence window past it, with one
@@ -29,7 +37,7 @@ import math
 import numpy as np
 
 from .errors import CapabilityError, DomainError, EvaluationError
-from .eulermaclaurin import em_tail
+from .eulermaclaurin import em_tail, gregory_tail
 from .quadrature import _vectorize
 from .series import Diagnostics, SumResult, check_count
 from .special import hurwitz_zeta, riemann_zeta
@@ -123,6 +131,8 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
     strategy = "euler-maclaurin"
     tail = 0j
     tail_bound = math.inf
+    integral_failed = False  # the last tail integral tried failed
+    previous = None  # the previous checkpoint's Gregory estimate of the sum
 
     while True:
         # the checkpoint's differences and the window d(m..m+3) past it
@@ -149,6 +159,7 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
             tail_bound = max(window)
             break
 
+        gregory = None  # this checkpoint's Gregory estimate of the sum
         if max(window) > 0.25 * peak:
             # the differences are still at full strength (oscillatory or
             # growing g): the tail integral would not exist, so go straight
@@ -158,14 +169,41 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
             tail, tail_bound = _aitken_tail(partials)
             tail_bound = max(tail_bound, max(window))
         else:
-            try:
-                tail, tail_bound = em_tail(d, float(depth), _EM_ORDER,
-                                           quad_tol=min(tol, 1e-12))
-                strategy = "euler-maclaurin"
-            except (CapabilityError, DomainError, EvaluationError):
-                # no jet derivatives, or the tail integral misbehaves anyway
-                strategy = "extrapolation"
+            strategy = "extrapolation"
+            # a tail integral that failed is tried again only once the
+            # checkpoint increments shrink; until then it would fail again
+            shrinking = _shrinking(partials)
+            if not integral_failed or shrinking:
+                quad_tol = min(tol, 1e-12)
+                try:
+                    try:
+                        tail, tail_bound = em_tail(d, float(depth), _EM_ORDER,
+                                                   quad_tol=quad_tol)
+                        strategy = "euler-maclaurin"
+                    except CapabilityError:
+                        # no jets: Gregory's formula on the window instead,
+                        # but only once the increments shrink, since a tail
+                        # integral that cannot converge (log, sqrt) costs
+                        # about 1e5 calls of a closure that rejects arrays
+                        if not shrinking:
+                            raise
+                        tail, tail_bound = gregory_tail(d, float(depth),
+                                                        vals[depth - 1:depth + 3],
+                                                        quad_tol=quad_tol)
+                        gregory = partial + tail
+                    integral_failed = False
+                except CapabilityError:
+                    pass  # no jets, and no Gregory tail here either
+                except (DomainError, EvaluationError):
+                    integral_failed = True  # the tail integral misbehaves
+            if gregory is not None and previous is not None:
+                # a Gregory estimate counts only next to the previous
+                # checkpoint's, and no closer than the two agree
+                strategy = "gregory"
+                tail_bound = max(tail_bound, abs(gregory - previous))
+            elif strategy == "extrapolation":
                 tail, tail_bound = _aitken_tail(partials)
+        previous = gregory
 
         if tail_bound < tol:
             converged = True
@@ -185,6 +223,13 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
                        + float(np.abs(shifted[shifted.size - min(known, n_terms):]).sum()))
     return SumResult(value=value, method="telescope",
                      error_estimate=max(float(tail_bound), rounding), diagnostics=diag)
+
+
+def _shrinking(partials):
+    """Whether the last checkpoint increment is below 0.9 of the one before,
+    the ratio at which _aitken_tail stops refusing; False with too few."""
+    return (len(partials) >= 3 and
+            abs(partials[-1] - partials[-2]) < 0.9 * abs(partials[-2] - partials[-3]))
 
 
 def _aitken_tail(partials):

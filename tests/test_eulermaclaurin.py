@@ -6,7 +6,7 @@ import pytest
 
 from finsum import jets
 from finsum.errors import CapabilityError, DomainError, PreconditionError
-from finsum.eulermaclaurin import EMJob, em_sum, em_tail
+from finsum.eulermaclaurin import EMJob, em_sum, em_tail, gregory_tail
 from finsum.special import hurwitz_zeta
 
 
@@ -131,6 +131,34 @@ class TestTailEstimator:
         route must refuse rather than return an uncertified number."""
         with pytest.raises(DomainError, match="integrable"):
             em_tail(lambda x: x ** (-1.5), 16.0, n=3)
+
+
+class TestGregoryTail:
+    """Euler-Maclaurin's tail with forward differences of four lattice values
+    in place of the derivatives, for closures that reject jets."""
+
+    def test_lorentzian_tail_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        m = 64.0
+
+        def f(x):
+            return 1.0 / (complex(x) ** 2 + 1.0)      # rejects jets
+
+        value, bound = gregory_tail(f, m, [f(m + i) for i in range(4)])
+        with mp.workdps(30):
+            want = complex(mp.nsum(lambda j: 1 / ((64 + j) ** 2 + 1), [1, mp.inf]))
+        assert abs(value - want) <= bound < 2e-9
+
+    def test_differences_that_do_not_shrink_are_refused_first(self):
+        """An oscillation near the Nyquist angle: each difference doubles the
+        last, so no Gregory term is below a quarter of its predecessor; the
+        refusal comes before f is called at all."""
+        def f(x):
+            raise AssertionError("no quadrature on a refused tail")
+
+        lattice = [math.exp(-0.3 * k) * math.cos(3.0 * k) for k in range(16, 20)]
+        with pytest.raises(CapabilityError, match="forward differences"):
+            gregory_tail(f, 16.0, lattice)
 
 
 class TestValidation:

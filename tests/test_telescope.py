@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from finsum import cli, telescope
+from finsum import cli, eulermaclaurin, telescope
 from finsum import expr as ex
 from finsum.errors import DomainError, EvaluationError, PreconditionError
 from finsum.series import SeriesSpec, effective_term
@@ -100,29 +100,31 @@ class TestNonCollapsingSummands:
             telescoping_sum(lambda x: 1.0 / x, 5, max_terms=0)
 
 
-def test_scalar_only_summand_spends_no_tail_quadrature(monkeypatch):
-    """Without jets every Euler-Maclaurin tail is refused after the one call
-    that fails to differentiate, before any tail integral is evaluated."""
+def test_closure_failing_the_gregory_guard_spends_no_tail_quadrature(monkeypatch):
+    """Without jets the tail goes to Gregory's formula, which refuses
+    differences that do not shrink like derivatives before it integrates:
+    one g call per Euler-Maclaurin attempt (the jet that fails), none per
+    Gregory attempt, and the partials are extrapolated instead."""
     calls = [0]
 
     def g(x):
         calls[0] += 1
-        return 1.0 / (complex(x) ** 2 + 2.0)      # rejects jets
+        z = complex(x)                                # rejects jets and arrays
+        return cmath.exp(-0.3 * z) * cmath.cos(3.0 * z)
 
-    per_tail = []
-    em_tail = telescope.em_tail
-
-    def counted_em_tail(*args, **kwargs):
-        before = calls[0]
-        try:
-            return em_tail(*args, **kwargs)
-        finally:
-            per_tail.append(calls[0] - before)
-
-    monkeypatch.setattr(telescope, "em_tail", counted_em_tail)
+    per_tail = {"em_tail": [], "gregory_tail": []}
+    for name in per_tail:
+        def counted(*args, _tail=getattr(telescope, name), _seen=per_tail[name], **kwargs):
+            before = calls[0]
+            try:
+                return _tail(*args, **kwargs)
+            finally:
+                _seen.append(calls[0] - before)
+        monkeypatch.setattr(telescope, name, counted)
     res = telescoping_sum(g, 50, max_terms=1 << 10)
     assert res.diagnostics.notes["strategy"] == "extrapolation"
-    assert per_tail and set(per_tail) == {1}
+    assert per_tail["em_tail"] and set(per_tail["em_tail"]) == {1}
+    assert per_tail["gregory_tail"] and set(per_tail["gregory_tail"]) == {0}
 
 
 class TestZetaShortcut:
@@ -382,3 +384,154 @@ class TestRoundoffFloor:
         assert got.diagnostics.notes["tail_bound"] < rounding
         assert got.error_estimate == pytest.approx(rounding, rel=1e-12, abs=0)
 
+
+
+def _mp_sum(mp, term, n):
+    with mp.workdps(40):
+        return complex(mp.fsum(term(mp.mpf(k)) for k in range(1, n + 1)))
+
+
+class TestGregoryTail:
+    """Closures that reject jets finish the tail by Gregory's formula on the
+    window d(depth..depth+3); the estimate counts once two checkpoints
+    produce one, and is no smaller than their disagreement."""
+
+    # the telescoping_sum items of the scalar-closure benchmark pool, seed 7
+    _LORENTZIANS = [(0.651, 0.3516, 12), (1.1877, 1.829, 20), (0.6304, 0.9403, 33),
+                    (1.7631, 0.3138, 52), (1.3562, 1.7636, 83), (0.8752, 0.9137, 122),
+                    (0.7588, 0.2701, 201), (0.8425, 1.7644, 305), (1.5982, 0.8647, 500),
+                    (0.9583, 0.2594, 808)]
+
+    @pytest.mark.parametrize("c,a2,n", _LORENTZIANS)
+    def test_scalar_lorentzians_converge_early(self, c, a2, n):
+        mp = pytest.importorskip("mpmath")
+        got = telescoping_sum(lambda x: c / (complex(x) * complex(x) + a2), n, tol=1e-10)
+        assert got.diagnostics.converged
+        assert got.diagnostics.notes["strategy"] == "gregory"
+        assert got.diagnostics.nodes <= 512
+        want = _mp_sum(mp, lambda k: mp.mpf(c) / (k * k + mp.mpf(a2)), n)
+        assert abs(got.value - want) <= got.error_estimate < 1e-10
+
+    @staticmethod
+    def _corpus(mp):
+        """(name, scalar closure, mpmath term) over four decaying families."""
+        for c, a in ((0.65, 0.3), (1.2, 0.6), (0.9, 1.0), (1.7, 1.35), (0.8, 2.0),
+                     (1.4, 3.0), (1.1, 0.45)):
+            yield (f"{c}/(k^2+{a}^2)", lambda x, c=c, a=a: c / (complex(x) ** 2 + a * a),
+                   lambda k, c=c, a=a: c / (k * k + mp.mpf(a) ** 2))
+        for c, s in ((1.3, 1.6), (0.7, 2.0), (1.9, 2.5), (1.1, 3.0), (0.6, 3.3),
+                     (1.5, 3.7), (0.95, 4.0)):
+            yield (f"{c}*k^-{s}", lambda x, c=c, s=s: c * complex(x) ** (-s),
+                   lambda k, c=c, s=s: c * k ** (-mp.mpf(s)))
+        for c, a in ((1.0, 0.5), (0.7, 1.3), (1.6, 2.7), (1.2, 0.1), (0.9, 4.0),
+                     (1.8, 0.8), (0.55, 6.5)):
+            yield (f"{c}/(k+{a})^2", lambda x, c=c, a=a: c / (complex(x) + a) ** 2,
+                   lambda k, c=c, a=a: c / (k + mp.mpf(a)) ** 2)
+        for c, a in ((1.0, 0.05), (0.8, 0.2), (1.5, 0.5), (1.2, 1.0), (0.6, 2.0),
+                     (1.9, 0.01), (1.1, 0.12)):
+            yield (f"{c}*exp(-{a}*k)", lambda x, c=c, a=a: c * cmath.exp(-a * complex(x)),
+                   lambda k, c=c, a=a: c * mp.exp(-mp.mpf(a) * k))
+
+    def test_scalar_closures_are_covered(self):
+        """Every converged result lies within its estimate of the 40-digit
+        sum, over N in {1, 5, 12, 100, 1000} and three tolerances."""
+        mp = pytest.importorskip("mpmath")
+        uncovered = []
+        for name, g, term in self._corpus(mp):
+            for n in (1, 5, 12, 100, 1000):
+                want = _mp_sum(mp, term, n)
+                for tol in (1e-8, 1e-10, 1e-12):
+                    got = telescoping_sum(g, n, tol=tol)
+                    if got.diagnostics.converged and abs(got.value - want) > got.error_estimate:
+                        uncovered.append((name, n, tol, abs(got.value - want),
+                                          got.error_estimate))
+        assert not uncovered
+
+
+    @pytest.mark.parametrize("n", [5, 12, 100])
+    def test_one_gregory_estimate_alone_does_not_converge(self, n):
+        """exp(-k)cos(0.75k): the Gregory estimate at depth 16 already sits
+        below tol, but misses by about 1e-9; the next checkpoint's estimate
+        disagrees with it, and the result is still covered."""
+        mp = pytest.importorskip("mpmath")
+        got = telescoping_sum(lambda x: cmath.exp(-complex(x)) * cmath.cos(0.75 * complex(x)), n)
+        want = _mp_sum(mp, lambda k: mp.exp(-k) * mp.cos(0.75 * k), n)
+        assert got.diagnostics.converged
+        assert abs(got.value - want) <= got.error_estimate
+
+
+class TestFailedTailIntegral:
+    """A tail integral that failed is not tried again while the checkpoint
+    increments do not shrink; once they do, it is."""
+
+    @staticmethod
+    def _counted_em_tail(monkeypatch):
+        calls = [0]
+        em_tail = telescope.em_tail
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return em_tail(*args, **kwargs)
+
+        monkeypatch.setattr(telescope, "em_tail", counted)
+        return calls
+
+    @pytest.mark.parametrize("text,n,value", [("1.6005*log(k)", 9, -149.24668015330968),
+                                              ("0.6627*sqrt(k)", 72, -17004.272529909467)])
+    def test_non_integrable_tail_is_integrated_once(self, monkeypatch, text, n, value):
+        """d decays like N/k or N/sqrt(k): the first tail integral fails and
+        the block sums never shrink, so no second one is run.  The record is
+        the one that retrying at every checkpoint produced."""
+        calls = self._counted_em_tail(monkeypatch)
+        got = telescoping_sum(_effective(text, n), n)
+        assert calls[0] == 1
+        assert got.value == pytest.approx(value, rel=1e-15, abs=0)
+        assert got.diagnostics.nodes == 1 << 17
+        assert not got.diagnostics.converged
+        assert got.diagnostics.notes["strategy"] == "extrapolation"
+        assert got.error_estimate == math.inf
+
+    @pytest.mark.parametrize("text,n", [("1.6005*log(k)", 9), ("0.6627*sqrt(k)", 72)])
+    def test_closure_without_jets_waits_for_shrinking_increments(self, monkeypatch, text, n):
+        """Without jets Gregory's tail integral is tried only once the
+        increments shrink.  Those of log and sqrt never do, so a closure
+        that rejects arrays is not called some 1e5 times on a tail integral
+        that cannot converge; the record is the array path's."""
+        integrals = []
+        tail_integral = eulermaclaurin._tail_integral
+
+        def counted(*args, **kwargs):
+            integrals.append(args[1])
+            return tail_integral(*args, **kwargs)
+
+        monkeypatch.setattr(eulermaclaurin, "_tail_integral", counted)
+        h = _effective(text, n)
+        sca = telescoping_sum(lambda x: complex(h(float(x))), n, max_terms=1 << 12)
+        assert integrals == []
+        arr = telescoping_sum(h, n, max_terms=1 << 12)
+        _assert_same_decisions(arr, sca, h, n)
+
+    def test_pole_in_the_tail_is_retried_once_the_increments_shrink(self, monkeypatch):
+        """1/(k-40.5)^2: the tail integral from 32 crosses the pole and fails;
+        the block past it does not shrink, so 64 is skipped, and the integral
+        from 128 certifies the sum."""
+        mp = pytest.importorskip("mpmath")
+        calls = self._counted_em_tail(monkeypatch)
+        got = telescoping_sum(_effective("1/(k-40.5)^2", 10), 10)
+        assert calls[0] == 2
+        assert got.diagnostics.converged
+        assert got.diagnostics.notes["strategy"] == "euler-maclaurin"
+        assert got.diagnostics.nodes == 128
+        want = _mp_sum(mp, lambda k: 1 / (k - mp.mpf(40.5)) ** 2, 10)
+        assert abs(got.value - want) <= got.error_estimate < 1e-10
+
+
+@pytest.mark.parametrize("c,a,n", [(1.9544, 0.6654, 17), (1.3092, 0.6152, 39)])
+def test_em_tail_bound_carries_the_quadrature_error(c, a, n):
+    """Two eval-all records whose deviation exceeded the Euler-Maclaurin
+    term alone; the tail integral's own error estimate covers them."""
+    mp = pytest.importorskip("mpmath")
+    rec = cli.run(f"{c}*exp(-{a}*k)", n, method="telescope")["results"][1]
+    want = _mp_sum(mp, lambda k: c * mp.exp(-mp.mpf(a) * k), n)
+    assert not rec["flags"]
+    assert abs(complex(rec["value"]["re"], rec["value"]["im"]) - want) <= rec["error_estimate"]
