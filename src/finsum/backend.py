@@ -1,9 +1,10 @@
 """The numpy grid primitives every route evaluates through.
 
-Variant codes: 0 standard, 1 alternating, 2 shifted, 3 shifted-alternating,
-4 exp-factor, 5 exp-factor-alternating.  Callers look these functions up as
-``backend.<name>`` at call time, so a wrapper installed on the module
-attribute sees every call.
+Callers look these functions up as ``backend.<name>`` at call time, so a
+wrapper installed on the module attribute sees every call.  ``phi_grid``
+and ``dirichlet_grid`` are reached only with grids; the laplace spike path
+evaluates ``summation_factor`` at a scalar or a jet without them.  The comb
+behind both lives in :mod:`finsum.jets`.
 """
 
 from __future__ import annotations
@@ -14,12 +15,7 @@ import math
 import numpy as np
 
 from . import jets
-from .errors import PoleError
-from .stable import power_sums
 
-_SERIES_CUTOFF = 1e-6
-_SERIES_N_CUTOFF = 3e-3
-_POLE_EPS = 1e-12
 # lane count of the tiled compensated sum; arrays up to this length go
 # straight to math.fsum
 _LANES = 1024
@@ -30,53 +26,26 @@ def active() -> str:
     return "pure"
 
 
-def _geom_sum(z: np.ndarray, n: int) -> np.ndarray:
-    """sum_{k=1}^{n} exp(z k) element-wise for Re(z) <= 0."""
-    out = np.empty(z.shape, dtype=np.complex128)
-    az = np.abs(z)
-    small = (az < _SERIES_CUTOFF) & (az * n <= _SERIES_N_CUTOFF)
-    if np.any(small):
-        s0, s1, s2, s3, s4 = power_sums(n)
-        zs = z[small]
-        out[small] = s0 + zs * (s1 + zs * (s2 / 2.0 + zs * (s3 / 6.0 + zs * (s4 / 24.0))))
-    big = ~small
-    if np.any(big):
-        zb = z[big]
-        den = jets.expm1(zb)
-        bad = np.abs(den) < _POLE_EPS
-        if np.any(bad):
-            idx = int(np.argmax(bad))
-            raise PoleError("variant kernel pole on the integration path", pole=complex(zb[idx]))
-        out[big] = jets.expm1(zb * n) * np.exp(zb) / den
-    return out
-
-
-def _alt_sum(z: np.ndarray, n: int) -> np.ndarray:
-    """sum_{k=1}^{n} (-1)^(k+1) exp(z k) element-wise."""
-    ez = np.exp(z)
-    den = 1.0 + ez
-    bad = np.abs(den) < _POLE_EPS
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise PoleError("alternating kernel pole on the integration path", pole=complex(z[idx]))
-    if n % 2 == 0:
-        return -jets.expm1(z * n) * ez / den
-    return (2.0 + jets.expm1(z * n)) * ez / den
-
-
-def phi_grid(t: np.ndarray, n: int, variant: int, alpha: complex, beta: complex) -> np.ndarray:
-    """Variant kernel Phi(t) on a grid of real abscissas t > 0."""
-    t = np.asarray(t, dtype=np.float64)
-    w = alpha * t.astype(np.complex128)
-    if variant >= 4:
+def summation_factor(t, n: int, variant, alpha: complex, beta: complex):
+    """The kernel Phi(t) of a :class:`finsum.series.Variant` at a complex
+    scalar, a jet or a complex grid: w = alpha*t (+ beta), the comb of -w,
+    and the shift factor exp(-beta*t)."""
+    w = alpha * t
+    if variant.is_exp_factor:
         w = w + beta
-    if variant in (1, 3, 5):
-        out = _alt_sum(-w, n)
+    if variant.is_alternating:
+        out = jets.alternating_exp_power_sum(-w, n)
     else:
-        out = _geom_sum(-w, n)
-    if variant in (2, 3):
-        out = out * np.exp(-(beta * t.astype(np.complex128)))
+        out = jets.exp_power_sum(-w, n)
+    if variant.is_shifted:
+        # the shift factor is part of the kernel, so derivatives see it too
+        out = out * jets.exp(-beta * t)
     return out
+
+
+def phi_grid(t: np.ndarray, n: int, variant, alpha: complex, beta: complex) -> np.ndarray:
+    """Variant kernel Phi(t) on a grid of real abscissas t >= 0."""
+    return summation_factor(np.asarray(t, dtype=np.complex128), n, variant, alpha, beta)
 
 
 def dirichlet_grid(alpha: np.ndarray, n: int) -> np.ndarray:
@@ -84,7 +53,7 @@ def dirichlet_grid(alpha: np.ndarray, n: int) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=np.float64)
     two_pi = 2.0 * math.pi
     d = alpha - two_pi * np.round(alpha / two_pi)
-    return _geom_sum(1j * d, n)
+    return jets.exp_power_sum(1j * d, n)
 
 
 def neumaier_sum(x: np.ndarray) -> complex:

@@ -6,6 +6,10 @@ order ``p`` without finite differencing.  The module-level ``exp``, ``log``,
 ``sin``, ``cos``, ``sqrt`` and ``expm1`` dispatch on their argument (Jet,
 numpy array, plain number), which lets one closure serve the direct
 summation, the quadrature grids and the derivative machinery alike.
+
+The geometric combs ``exp_power_sum`` and ``alternating_exp_power_sum``
+dispatch the same way; they are the one implementation of the Laplace
+summation factor and the Fourier lattice factor, on scalars, jets and grids.
 """
 
 from __future__ import annotations
@@ -15,8 +19,14 @@ import math
 
 import numpy as np
 
-from .stable import cexpm1 as _scalar_expm1
+from .errors import PoleError
 from .stable import power_sums
+
+# the comb's Faulhaber series serves |z| below this with |z|*n below the next
+_SERIES_CUTOFF = 1e-6
+_SERIES_N_CUTOFF = 3e-3
+# a comb denominator this close to 0 is a pole, not a value
+_POLE_EPS = 1e-12
 
 
 class Jet:
@@ -161,22 +171,29 @@ def exp(x):
     return math.exp(x) if x < 709.0 else math.inf
 
 
+def _complex_expm1(lib, re, im):
+    """Parts of exp(re + i*im) - 1 by ``lib`` (math or numpy); the real part
+    expm1(re)*cos(im) - 2*sin^2(im/2) avoids the cancellation of
+    exp(re)*cos(im) - 1 when both factors are close to 1 (Higham, ch. 1)."""
+    ex = lib.expm1(re)
+    s = lib.sin(0.5 * im)
+    return ex * lib.cos(im) - 2.0 * s * s, (ex + 1.0) * lib.sin(im)
+
+
 def expm1(x):
     """exp(x) - 1, accurate near 0, for jets, arrays and scalars."""
     if isinstance(x, Jet):
         j = _jet_exp_coeffs(x.coeffs, cmath.exp(x.value))
         coeffs = list(j.coeffs)
-        coeffs[0] = _scalar_expm1(x.value)
+        coeffs[0] = expm1(x.value)
         return Jet(coeffs)
     if isinstance(x, np.ndarray):
         if np.iscomplexobj(x):
-            re, im = x.real, x.imag
-            s = np.sin(0.5 * im)
-            ex = np.expm1(re)
-            return (ex * np.cos(im) - 2.0 * s * s) + 1j * ((ex + 1.0) * np.sin(im))
+            re, im = _complex_expm1(np, x.real, x.imag)
+            return re + 1j * im
         return np.expm1(x)
     if isinstance(x, complex):
-        return _scalar_expm1(x)
+        return complex(*_complex_expm1(math, x.real, x.imag))
     return math.expm1(x)
 
 
@@ -265,20 +282,47 @@ def value_part(x) -> complex:
     return x.value if isinstance(x, Jet) else complex(x)
 
 
+def _faulhaber(z, n: int):
+    """sum exp(z k) = S0 + z S1 + z^2 S2/2 + z^3 S3/6 + z^4 S4/24 + O(z^5 S5)."""
+    s0, s1, s2, s3, s4 = power_sums(n)
+    return s0 + z * (s1 + z * (s2 / 2.0 + z * (s3 / 6.0 + z * (s4 / 24.0))))
+
+
+def _check_grid_pole(den: np.ndarray, z: np.ndarray, what: str) -> None:
+    """PoleError naming the first z whose comb denominator den vanishes."""
+    bad = np.abs(den) < _POLE_EPS
+    if np.any(bad):
+        raise PoleError(f"{what} pole on the integration path",
+                        pole=complex(z[np.argmax(bad)]))
+
+
 def exp_power_sum(z, n: int):
-    """sum_{k=1}^{n} exp(z*k), stable for scalars and jets.
+    """sum_{k=1}^{n} exp(z*k), stable for scalars, jets and arrays.
 
     Closed form expm1(n*z)*exp(z)/expm1(z), rearranged so that only
     exponentials of non-positive real part appear when Re(z) <= 0.  Near the
     removable point z = 0 (|z| < 1e-6 with |z|*n small) a degree-4 series in
     z with Faulhaber coefficients is used; at z = 0 exactly the limit is n.
+    Arrays must have Re(z) <= 0; there the series serves a mask of the
+    elements, and a pole z = 2*pi*i*m (m != 0) raises PoleError.
     """
+    if isinstance(z, np.ndarray):
+        out = np.empty(z.shape, dtype=np.complex128)
+        az = np.abs(z)
+        small = (az < _SERIES_CUTOFF) & (az * n <= _SERIES_N_CUTOFF)
+        if np.any(small):
+            out[small] = _faulhaber(z[small], n)
+        big = ~small
+        if np.any(big):
+            zb = z[big]
+            den = expm1(zb)
+            _check_grid_pole(den, zb, "variant kernel")
+            out[big] = expm1(zb * n) * np.exp(zb) / den
+        return out
     z0 = value_part(z)
     az = abs(z0)
-    if az < 1e-6 and az * n <= 3e-3:
-        s0, s1, s2, s3, s4 = power_sums(n)
-        # sum exp(z k) = S0 + z S1 + z^2 S2/2 + z^3 S3/6 + z^4 S4/24 + O(z^5 S5)
-        return s0 + z * (s1 + z * (s2 / 2.0 + z * (s3 / 6.0 + z * (s4 / 24.0))))
+    if az < _SERIES_CUTOFF and az * n <= _SERIES_N_CUTOFF:
+        return _faulhaber(z, n)
     if z0.real <= 0.0:
         return expm1(z * n) * exp(z) / expm1(z)
     # Growing case: factor the dominant exponential out front.
@@ -286,12 +330,16 @@ def exp_power_sum(z, n: int):
 
 
 def alternating_exp_power_sum(z, n: int):
-    """sum_{k=1}^{n} (-1)^(k+1) exp(z*k), stable for scalars and jets.
+    """sum_{k=1}^{n} (-1)^(k+1) exp(z*k), stable for scalars, jets and arrays.
 
     Equals (1 - (-1)^n exp(n z)) * exp(z) / (1 + exp(z)); no removable point
-    (the value at z = 0 is 0 for even n, 1 for odd n).
+    (the value at z = 0 is 0 for even n, 1 for odd n).  On arrays a pole
+    z = i*pi*(2m+1) raises PoleError.
     """
     ez = exp(z)
+    den = 1.0 + ez
+    if isinstance(z, np.ndarray):
+        _check_grid_pole(den, z, "alternating kernel")
     if n % 2 == 0:
-        return -expm1(z * n) * ez / (1.0 + ez)
-    return (2.0 + expm1(z * n)) * ez / (1.0 + ez)
+        return -expm1(z * n) * ez / den
+    return (2.0 + expm1(z * n)) * ez / den

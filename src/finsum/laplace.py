@@ -5,7 +5,8 @@ weights) equals the integral of G(t) against a rational summation factor
 built from the geometric sum of exp(-alpha*k*t).  Spike components of G hit
 the factor in closed form through its derivatives; smooth components go
 through adaptive quadrature with the factor evaluated in expm1-stabilized
-form on the whole grid.
+form on the whole grid.  Both evaluate ``backend.summation_factor`` (the
+grid through ``backend.phi_grid``); this module adds the pole check in t.
 
 Also here: the dual family that evaluates Sigma G(x/k)/k directly
 (``type_b_sum`` and its spike counterpart ``delta_type_b``), and the
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import backend, jets
 from .errors import CapabilityError, PoleError, PreconditionError
+from .jets import _POLE_EPS
 from .kernels import Kernel
 from .quadrature import integrate_semi_infinite
 from .series import (Diagnostics, SeriesSpec, SumResult, Variant,
@@ -31,7 +33,6 @@ from .special import riemann_zeta
 from .stable import TWO_PI
 
 _EPS = 2.220446049250313e-16
-_POLE_EPS = 1e-12
 _MAX_DERIV = 4
 
 
@@ -54,13 +55,16 @@ class VariantKernel:
             object.__setattr__(self, name, value)
 
 
-def _check_pole(vk: VariantKernel | SeriesSpec, w: complex) -> None:
-    """Reject w within _POLE_EPS of a zero of the kernel denominator.
+def _check_pole(vk: VariantKernel | SeriesSpec, t: complex) -> None:
+    """Reject t whose exponent w = alpha*t (+ beta) lies within _POLE_EPS of
+    a zero of the kernel denominator.
 
     Non-alternating kernels: exp(w) = 1 at w = 2*pi*i*m; the m = 0 point is
     removable and served by the series branch, so only m != 0 counts.
     Alternating kernels: exp(w) = -1 at w = i*pi*(2m+1), every m.
     """
+    shift = vk.beta if vk.variant.is_exp_factor else 0.0
+    w = vk.alpha * t + shift
     if vk.variant.is_alternating:
         m = round((w.imag / math.pi - 1.0) / 2.0)
         pole_w = complex(0.0, math.pi * (2 * m + 1))
@@ -70,40 +74,27 @@ def _check_pole(vk: VariantKernel | SeriesSpec, w: complex) -> None:
             return
         pole_w = complex(0.0, TWO_PI * m)
     if abs(w - pole_w) < _POLE_EPS:
-        shift = vk.beta if vk.variant.is_exp_factor else 0.0
         pole_t = (pole_w - shift) / vk.alpha
         raise PoleError(
             f"summation factor has a pole at t = {pole_t} "
             f"(denominator exponent {pole_w})", pole=pole_t)
 
 
-def _phi_any(vk: VariantKernel | SeriesSpec, t):
-    """Phi at a complex point or a jet; shared by phi and phi_derivative."""
-    w = vk.alpha * t
-    if vk.variant.is_exp_factor:
-        w = w + vk.beta
-    _check_pole(vk, jets.value_part(w))
-    if vk.variant.is_alternating:
-        s = jets.alternating_exp_power_sum(-w, vk.n_terms)
-    else:
-        s = jets.exp_power_sum(-w, vk.n_terms)
-    if vk.variant.is_shifted:
-        # the shift factor is part of the kernel, so derivatives see it too
-        s = s * jets.exp(-vk.beta * t)
-    return s
-
-
 def phi(vk: VariantKernel | SeriesSpec, t) -> complex:
     """The summation factor at complex t (removable point at t=0 included)."""
-    return complex(_phi_any(vk, complex(t)))
+    t = complex(t)
+    _check_pole(vk, t)
+    return complex(backend.summation_factor(t, vk.n_terms, vk.variant, vk.alpha, vk.beta))
 
 
 def phi_derivative(vk: VariantKernel | SeriesSpec, t, order: int) -> complex:
     """d^order/dt^order of the summation factor, by jet arithmetic."""
     if not 1 <= order <= _MAX_DERIV:
         raise PreconditionError(f"derivative order {order} outside 1..{_MAX_DERIV}")
+    _check_pole(vk, complex(t))
     jet = jets.Jet.variable(complex(t), order)
-    return _phi_any(vk, jet).derivative(order)
+    return backend.summation_factor(jet, vk.n_terms, vk.variant, vk.alpha,
+                                    vk.beta).derivative(order)
 
 
 def _growth_limit(vk: VariantKernel | SeriesSpec) -> float:
@@ -141,11 +132,10 @@ def sum_via_integral(spec: SeriesSpec, kernel: Kernel, tol: float = 1e-10) -> Su
                 raise PreconditionError(
                     f"density {s.label!r} grows like exp({s.growth_bound}*t) "
                     f"but the summation factor only decays like exp(-{limit}*t)")
-        code = spec.variant.code
 
         def integrand(t):
             t = np.asarray(t, dtype=float)
-            factor = backend.phi_grid(t, spec.n_terms, code, spec.alpha, spec.beta)
+            factor = backend.phi_grid(t, spec.n_terms, spec.variant, spec.alpha, spec.beta)
             total = kernel.smooth[0].fn(t) * factor
             for s in kernel.smooth[1:]:
                 total = total + s.fn(t) * factor

@@ -44,12 +44,6 @@ class Variant(str, Enum):
     def is_exp_factor(self) -> bool:
         return self in (Variant.EXP_FACTOR, Variant.EXP_FACTOR_ALTERNATING)
 
-    @property
-    def code(self) -> int:
-        """Integer code used by the grid primitives in :mod:`finsum.backend`."""
-        return ("standard", "alternating", "shifted", "shifted-alternating",
-                "exp-factor", "exp-factor-alternating").index(self.value)
-
 
 def check_count(n, name: str = "n_terms") -> int:
     """n as a Python int, or PreconditionError unless it is an integer >= 1.

@@ -1,7 +1,8 @@
 """Numerically stable scalar primitives shared across the engines.
 
-Everything here works on Python complex scalars.  Array and jet versions
-live in :mod:`finsum.jets`, the grid primitives in :mod:`finsum.backend`.
+Everything here works on Python scalars.  ``expm1`` and the geometric combs
+for scalars, jets and arrays live in :mod:`finsum.jets`, the grid primitives
+in :mod:`finsum.backend`.
 """
 
 from __future__ import annotations
@@ -22,21 +23,6 @@ def cexp(z) -> complex:
     else:
         mag = math.exp(z.real)
     return complex(mag * math.cos(z.imag), mag * math.sin(z.imag))
-
-
-def cexpm1(z) -> complex:
-    """exp(z) - 1 with full relative accuracy near z = 0, for complex z.
-
-    Real part uses expm1(x)*cos(y) - 2*sin^2(y/2) which avoids the
-    cancellation of exp(x)*cos(y) - 1 when both factors are close to 1.
-    """
-    z = complex(z)
-    x, y = z.real, z.imag
-    if x < -745.0:
-        return complex(-1.0, 0.0)  # exp(z) underflows entirely
-    ex = math.expm1(x)
-    s = math.sin(0.5 * y)
-    return complex(ex * math.cos(y) - 2.0 * s * s, (ex + 1.0) * math.sin(y))
 
 
 def power_sums(n: int) -> tuple[float, float, float, float, float]:

@@ -156,7 +156,10 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
                                  error_estimate=math.inf, diagnostics=diag)
             converged = True
             tail = 0j
-            tail_bound = max(window)
+            # the tail is bounded as geometric at the window's largest ratio
+            # of consecutive magnitudes, when that is below 1
+            r = max(b / a if a else (math.inf if b else 0.0) for a, b in zip(window, window[1:]))
+            tail_bound = max(window) / (1.0 - r) if r < 1.0 else max(window)
             break
 
         gregory = None  # this checkpoint's Gregory estimate of the sum

@@ -1,5 +1,6 @@
 """The numpy grid primitives: the compensated sum against math.fsum, the
-kernel at its removable point, and one end-to-end run through them."""
+kernel at its removable point, one end-to-end run through them, and which
+requests reach the grid factors."""
 
 import math
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 import finsum
-from finsum import backend
+from finsum import backend, cli
+from finsum.series import Variant
 
 _EPS = 2.220446049250313e-16
 
@@ -50,7 +52,7 @@ class TestNeumaierSum:
 
 def test_phi_grid_includes_origin():
     """t = 0 is the removable point: Phi(0) = N, by the power-sum series."""
-    out = backend.phi_grid(np.array([0.0, 1e-12, 0.5]), 7, 0, 1.0 + 0j, 0j)
+    out = backend.phi_grid(np.array([0.0, 1e-12, 0.5]), 7, Variant.STANDARD, 1.0 + 0j, 0j)
     assert out[0] == pytest.approx(7.0, rel=1e-14)
     assert out[1] == pytest.approx(7.0, rel=1e-10)
     assert out[2] == pytest.approx(sum(math.exp(-0.5 * k) for k in range(1, 8)),
@@ -74,15 +76,16 @@ class TestEndToEndOnPure:
 
 def _phi_reference(mp, t, n, variant, alpha, beta):
     """The variant comb summed term by term in mpmath."""
-    w = mp.mpc(alpha) * t + (mp.mpc(beta) if variant >= 4 else 0)
-    sign = (lambda k: (-1) ** (k + 1)) if variant in (1, 3, 5) else (lambda k: 1)
+    w = mp.mpc(alpha) * t + (mp.mpc(beta) if variant.is_exp_factor else 0)
+    sign = (lambda k: (-1) ** (k + 1)) if variant.is_alternating else (lambda k: 1)
     total = mp.fsum(sign(k) * mp.exp(-w * k) for k in range(1, n + 1))
-    if variant in (2, 3):
+    if variant.is_shifted:
         total *= mp.exp(-mp.mpc(beta) * t)
     return total
 
 
-@pytest.mark.parametrize("variant", range(6))
+# ids number the variants in declaration order
+@pytest.mark.parametrize("variant", list(Variant), ids=range(len(Variant)))
 @pytest.mark.parametrize("n", [10, 210])
 def test_phi_grid_keeps_relative_accuracy_on_the_tail(variant, n):
     """Phi(t) to relative 1e-13 for t up to 700/Re(alpha), where it falls
@@ -109,7 +112,6 @@ def test_pinned_tail_reproducer_converges():
     """An exp-factor-alternating laplace request that needs Phi's tail to
     full relative accuracy: with a noisy tail the quadrature splits panels
     until it exhausts its 10^6-node budget."""
-    from finsum import cli
     report = cli.run("1.6568/k^3.1948+1.6568/(k^2+7.8613)", 210, method="laplace",
                      alpha=0.569, variant="exp-factor-alternating", beta=0.5, tol=1e-12)
     lap = report["results"][1]
@@ -117,3 +119,39 @@ def test_pinned_tail_reproducer_converges():
     assert not lap["flags"]
     assert lap["diagnostics"]["nodes"] < 2000
     assert lap["abs_err_vs_oracle"] <= max(lap["error_estimate"], 1e-12)
+
+
+class TestGridHooks:
+    """``backend.phi_grid`` and ``backend.dirichlet_grid`` are looked up at
+    call time and reached only with grids, so a counting wrapper installed
+    on the module attribute sees exactly the grid evaluations."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        inner = getattr(backend, name)
+
+        def wrapper(grid, *args):
+            calls.append(grid)
+            return inner(grid, *args)
+
+        monkeypatch.setattr(backend, name, wrapper)
+        return calls
+
+    def test_smooth_laplace_request_calls_phi_grid_with_arrays(self, monkeypatch):
+        calls = self._count(monkeypatch, "phi_grid")
+        cli.run("1/(k^2+1)", 10, method="laplace")
+        assert calls
+        assert all(isinstance(t, np.ndarray) and t.size > 1 for t in calls)
+
+    def test_spike_laplace_request_skips_phi_grid(self, monkeypatch):
+        calls = self._count(monkeypatch, "phi_grid")
+        report = cli.run("sin(1.1*k)", 50, method="laplace")
+        assert "error" not in report["results"][1]
+        assert calls == []
+
+    def test_fourier_request_calls_dirichlet_grid(self, monkeypatch):
+        calls = self._count(monkeypatch, "dirichlet_grid")
+        cli.run("exp(-0.5*k^2)", 20, method="fourier")
+        assert calls
+        assert all(isinstance(a, np.ndarray) for a in calls)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from finsum import jets
+from finsum.errors import PoleError
 from finsum.jets import Jet, alternating_exp_power_sum, exp_power_sum
 
 
@@ -154,3 +155,34 @@ class TestAlternatingExpPowerSum:
     def test_zero_argument(self):
         assert complex(alternating_exp_power_sum(0j, 8)) == pytest.approx(0.0, abs=1e-14)
         assert complex(alternating_exp_power_sum(0j, 9)) == pytest.approx(1.0, rel=1e-14)
+
+
+class TestCombOnArrays:
+    """The combs on a complex128 array against the same combs on each element
+    as a Python complex.  libm and numpy differ by about an ulp, so the two
+    agree to 4 eps relative, not bit for bit."""
+
+    # z = 0, |z| on both sides of the 1e-6 series cutoff, and O(1) values.
+    # |z| = 5e-7 is in the series below n = 6000 (|z|*n <= 3e-3) and in the
+    # closed form at n = 100000; |z| >= 2e-6 is always in the closed form
+    _Z = np.array([0.0, -5e-7, 5e-7j, -3e-7 - 4e-7j, -2e-6, 2e-6j,
+                   -1e-6 + 2e-6j, -4e-6j, -0.3 + 2.0j, -1.7 - 0.4j, 3.0j, -25.0 + 1.0j])
+
+    @pytest.mark.parametrize("comb", [exp_power_sum, alternating_exp_power_sum])
+    @pytest.mark.parametrize("n", [1, 8, 9, 1000, 1001, 100_000])
+    def test_array_matches_scalar(self, comb, n):
+        got = comb(self._Z.astype(np.complex128), n)
+        assert got.shape == self._Z.shape
+        for z, value in zip(self._Z.tolist(), got.tolist()):
+            want = complex(comb(complex(z), n))
+            assert abs(value - want) <= 4.0 * 2.220446049250313e-16 * abs(want), (z, n)
+
+    def test_pole_on_the_grid_raises(self):
+        z = np.array([-0.5 + 0j, 2j * math.pi, -1.0 + 1j])
+        with pytest.raises(PoleError) as info:
+            exp_power_sum(z, 5)
+        assert info.value.pole == pytest.approx(2j * math.pi)
+        z = np.array([-0.5 + 0j, 1j * math.pi])
+        with pytest.raises(PoleError) as info:
+            alternating_exp_power_sum(z, 6)
+        assert info.value.pole == pytest.approx(1j * math.pi)

@@ -49,10 +49,6 @@ class TestSpecValidation:
             SeriesSpec(g=abs, n_terms=4, variant=Variant.EXP_FACTOR, beta=-0.5)
         SeriesSpec(g=abs, n_terms=4, variant=Variant.EXP_FACTOR, beta=0.5)
 
-    def test_variant_codes_are_distinct(self):
-        codes = {v.code for v in Variant}
-        assert codes == set(range(6))
-
 
 class TestDirectSum:
     def test_standard_matches_loop(self):

@@ -1,4 +1,5 @@
-"""Tests for the stable scalar primitives."""
+"""Tests for the stable scalar primitives, and for jets.expm1 on complex
+scalars and complex arrays."""
 
 import cmath
 import math
@@ -7,7 +8,8 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from finsum.stable import (TWO_PI, cexp, cexpm1, power_sums, reduce_angle,
+from finsum.jets import expm1
+from finsum.stable import (TWO_PI, cexp, power_sums, reduce_angle,
                            scaled_angle, two_prod)
 
 
@@ -24,22 +26,32 @@ class TestCexp:
 
 
 class TestCexpm1:
+    """jets.expm1 on complex input: each case as a Python complex and inside
+    a complex128 array."""
+
+    @staticmethod
+    def _both(z):
+        return expm1(complex(z)), complex(expm1(np.array([z], dtype=np.complex128))[0])
+
     def test_small_arguments_keep_relative_accuracy(self):
         """Near z = 0 the naive exp(z)-1 loses all digits; expm1 must not."""
         for mag in (1e-5, 1e-8, 1e-12):
             for phase in np.linspace(0, TWO_PI, 13, endpoint=False):
                 z = mag * cmath.exp(1j * phase)
                 series = z + z * z / 2 + z**3 / 6 + z**4 / 24
-                assert cexpm1(z) == pytest.approx(series, rel=1e-13)
+                for got in self._both(z):
+                    assert got == pytest.approx(series, rel=1e-13)
 
     def test_matches_cmath_away_from_zero(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             z = complex(rng.uniform(-5, 5), rng.uniform(-10, 10))
-            assert cexpm1(z) == pytest.approx(cmath.exp(z) - 1, rel=1e-12, abs=1e-13)
+            for got in self._both(z):
+                assert got == pytest.approx(cmath.exp(z) - 1, rel=1e-12, abs=1e-13)
 
     def test_underflow_limit(self):
-        assert cexpm1(-1000.0) == complex(-1.0, 0.0)
+        for got in self._both(-1000.0):
+            assert got == complex(-1.0, 0.0)
 
 
 class TestPowerSums:

@@ -385,6 +385,23 @@ class TestRoundoffFloor:
         assert got.error_estimate == pytest.approx(rounding, rel=1e-12, abs=0)
 
 
+def test_died_out_bound_sums_the_geometric_remainder():
+    """Once the differences fall below 1e-15 of the partial sum the tail is
+    taken as 0, but a remainder shrinking by r per term sums to up to
+    max(window)/(1 - r): 1.3*exp(-0.125k)*cos(0.02k) at N=12 stops there at
+    depth 256 and misses by about 10 times max(window)."""
+    mp = pytest.importorskip("mpmath")
+    lam, theta, n = 0.125, 0.02, 12
+    got = telescoping_sum(lambda x: 1.3 * cmath.exp(-lam * complex(x))
+                          * cmath.cos(theta * complex(x)), n, tol=1e-12)
+    with mp.workdps(40):
+        want = complex(mp.fsum(mp.mpf(1.3) * mp.exp(-mp.mpf(lam) * k) * mp.cos(mp.mpf(theta) * k)
+                               for k in range(1, n + 1)))
+    assert got.diagnostics.converged
+    assert got.diagnostics.truncation_index == 256
+    assert abs(got.value - want) <= got.error_estimate < 1e-12
+
+
 
 def _mp_sum(mp, term, n):
     with mp.workdps(40):
