@@ -24,9 +24,24 @@ call of g on the points k, k+N not seen before; g(k) for k > N was already
 evaluated as a g(k'+N) and is carried over.  Only the last N or so values of
 g(k+N) are kept, so memory grows with min(N, depth), never with N alone.
 
-Constants expose the method's precondition: their differences vanish
-identically while the sum is N*c, so the result cannot be certified and is
-flagged instead of silently wrong.
+The route needs g to decay, and judges that from a statistic it already
+holds: E, the largest |g(k+N)| among the values a checkpoint evaluates for
+the first time.  While E grows, g has no limit 0, so the tail integral of d
+diverges (log, sqrt) or misses N*lim g (1 - 1/k^2); it is skipped and counts
+as failed.  Once the depth reaches max(2N, 1024) (below 2N the g(k+N) sample
+g only near N), an E that has not fallen by 1% at two checkpoints in a row
+ends the run: sin, k^2 and 1000 + 1/k^2 stop at 1,024 terms.  So does a
+constant, whose differences vanish identically while the sum is N*c.  Both
+are the same refusal, a non-converged result with an infinite estimate and
+notes["reason"] "g does not decay", not a CapabilityError.  A g whose
+magnitude still rises past that depth is refused as well, though its sum
+may be computable: k*exp(-k/2000) at N=10 peaks at k=2000; the direct sum
+serves such g.  A g that tends to a nonzero constant but whose partials
+converge before that depth (2 - exp(-k)) is still certified without N*c.
+
+Every other exit names itself in notes["strategy"]: the tail that certified
+or last bounded the sum (euler-maclaurin, gregory, extrapolation), or
+died-out when the differences fell below 1e-15 of the partial sum.
 """
 
 from __future__ import annotations
@@ -43,6 +58,8 @@ from .series import Diagnostics, SumResult, check_count
 from .special import hurwitz_zeta, riemann_zeta
 
 _START_DEPTH = 8
+_DECAY_DEPTH = 1024  # no refusal for lack of decay below max(2N, this)
+_STALL = 0.99  # a checkpoint's max |g(k+N)| above this times the last one's has not fallen
 _EM_ORDER = 3
 _EPS = 2.220446049250313e-16
 
@@ -92,7 +109,8 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
     low_size = 0.0
 
     def extend(hi):
-        """d(k) for k = known+1..hi; EvaluationError at the first bad k.
+        """d(k) for k = known+1..hi, and max |g(k+N)| over the range;
+        EvaluationError at the first bad k.
 
         Only g(k) for k <= N and g(k+N) are new: g(k) for k > N is a g(k'+N)
         of this range or of an earlier one.
@@ -120,7 +138,7 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
         finite = np.isfinite(out)
         if not finite.all():
             raise EvaluationError("difference is not finite", at=f"k={lo + int(np.argmin(finite))}")
-        return out
+        return out, float(np.abs(g_high).max())
 
     vals = np.empty(0, dtype=np.complex128)  # d(1), ..., d(depth + 3)
     partials = []  # partial sums at each doubling checkpoint
@@ -133,10 +151,15 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
     tail_bound = math.inf
     integral_failed = False  # the last tail integral tried failed
     previous = None  # the previous checkpoint's Gregory estimate of the sum
+    high = math.inf  # max |g(k+N)| over the values the checkpoint evaluated
+    stalled = 0  # checkpoints in a row at which that did not fall by 1%
 
     while True:
         # the checkpoint's differences and the window d(m..m+3) past it
-        vals = np.concatenate((vals, extend(m + 3)))
+        block, block_high = extend(m + 3)
+        vals = np.concatenate((vals, block))
+        last_high, high = high, block_high
+        stalled = stalled + 1 if high > _STALL * last_high else 0
         peak = max(peak, float(np.abs(vals[depth:m]).max()))
         depth = m
         partial = complex(math.fsum(vals[:depth].real.tolist()),
@@ -149,12 +172,9 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
             # differences have died out; is it genuine collapse or a flat g?
             if abs(shifted[-4]) > tol * scale:  # g(N + depth)
                 # g does not decay, so nothing was telescoped into the partials
-                diag = Diagnostics(nodes=depth, truncation_index=depth,
-                                   converged=False,
-                                   notes={"reason": "differences vanish but g does not decay"})
-                return SumResult(value=partial, method="telescope",
-                                 error_estimate=math.inf, diagnostics=diag)
+                return _does_not_decay(partial, depth)
             converged = True
+            strategy = "died-out"
             tail = 0j
             # the tail is bounded as geometric at the window's largest ratio
             # of consecutive magnitudes, when that is below 1
@@ -174,9 +194,13 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
         else:
             strategy = "extrapolation"
             # a tail integral that failed is tried again only once the
-            # checkpoint increments shrink; until then it would fail again
+            # checkpoint increments shrink; until then it would fail again.
+            # While |g(k+N)| grows g has no limit 0, so the integral of d
+            # diverges or misses N*lim g: it counts as failed untried
             shrinking = _shrinking(partials)
-            if not integral_failed or shrinking:
+            if high > last_high:
+                integral_failed = True
+            elif not integral_failed or shrinking:
                 quad_tol = min(tol, 1e-12)
                 try:
                     try:
@@ -211,6 +235,10 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
         if tail_bound < tol:
             converged = True
             break
+        if stalled >= 2 and depth >= max(2 * n_terms, _DECAY_DEPTH):
+            # below depth 2N the g(k+N) sample g only near N, where a slow
+            # decay can look flat (x**-2 at N = 1e9)
+            return _does_not_decay(partial, depth)
         if m >= max_terms:
             break
         m = min(2 * m, max_terms)
@@ -226,6 +254,14 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
                        + float(np.abs(shifted[shifted.size - min(known, n_terms):]).sum()))
     return SumResult(value=value, method="telescope",
                      error_estimate=max(float(tail_bound), rounding), diagnostics=diag)
+
+
+def _does_not_decay(partial, depth):
+    """The refusal: g does not decay, so the partials telescoped nothing."""
+    diag = Diagnostics(nodes=depth, truncation_index=depth, converged=False,
+                       notes={"reason": "g does not decay"})
+    return SumResult(value=partial, method="telescope",
+                     error_estimate=math.inf, diagnostics=diag)
 
 
 def _shrinking(partials):

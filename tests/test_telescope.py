@@ -104,7 +104,8 @@ def test_closure_failing_the_gregory_guard_spends_no_tail_quadrature(monkeypatch
     """Without jets the tail goes to Gregory's formula, which refuses
     differences that do not shrink like derivatives before it integrates:
     one g call per Euler-Maclaurin attempt (the jet that fails), none per
-    Gregory attempt, and the partials are extrapolated instead."""
+    Gregory attempt, and the partials are extrapolated instead until the
+    differences die out."""
     calls = [0]
 
     def g(x):
@@ -122,7 +123,7 @@ def test_closure_failing_the_gregory_guard_spends_no_tail_quadrature(monkeypatch
                 _seen.append(calls[0] - before)
         monkeypatch.setattr(telescope, name, counted)
     res = telescoping_sum(g, 50, max_terms=1 << 10)
-    assert res.diagnostics.notes["strategy"] == "extrapolation"
+    assert res.diagnostics.notes["strategy"] == "died-out"
     assert per_tail["em_tail"] and set(per_tail["em_tail"]) == {1}
     assert per_tail["gregory_tail"] and set(per_tail["gregory_tail"]) == {0}
 
@@ -202,14 +203,30 @@ class TestArrayBlocks:
     ])
     def test_non_decaying_families_match_a_scalar_closure(self, text, n):
         """The wrapper takes neither arrays nor jets, as a user's closure
-        might; these summands never reach an Euler-Maclaurin tail anyway."""
+        might; both paths refuse these summands at 1,024 terms."""
         h = _effective(text, n)
         arr = telescoping_sum(h, n, max_terms=1 << 12)
         sca = telescoping_sum(lambda x: complex(h(float(x))), n, max_terms=1 << 12)
         _assert_same_decisions(arr, sca, h, n)
+        assert arr.diagnostics.nodes == 1024
+        assert arr.diagnostics.notes["reason"] == "g does not decay"
+
+    @pytest.mark.parametrize("text,n", [
+        ("1.2*sin(0.83*k)/k^0.05", 37), ("cos(1.7*k)/k^0.1", 64),
+        ("1.4*cos(2.3*k)/k^0.05", 90), ("0.7*cos(k)/k^0.05", 12),
+    ])
+    def test_slowly_decaying_oscillations_match_a_scalar_closure(self, text, n):
+        """|g| decays, too slowly to converge in 4,096 terms, while the
+        differences stay at full strength: these never reach an
+        Euler-Maclaurin tail, on either path."""
+        h = _effective(text, n)
+        arr = telescoping_sum(h, n, max_terms=1 << 12)
+        sca = telescoping_sum(lambda x: complex(h(float(x))), n, max_terms=1 << 12)
+        _assert_same_decisions(arr, sca, h, n)
+        assert arr.diagnostics.nodes == 1 << 12
         assert arr.diagnostics.notes["strategy"] == "extrapolation"
 
-    @pytest.mark.parametrize("text", ["sin(1.1*k)", "1.3*k^2"])
+    @pytest.mark.parametrize("text", ["sin(1.1*k)/k^0.05", "1.3*cos(2.2*k)/k^0.1"])
     def test_calls_per_checkpoint_not_per_term(self, text):
         """At the 2^17 term cap, g is called for the probe and then once per
         checkpoint, for its block and window together: O(checkpoints), not
@@ -258,11 +275,16 @@ class TestUndefinedDifferences:
         assert info.value.at == f"k={k}"
 
 
+def _slow(x):
+    """sin(1.1x)/x^0.05: it decays, too slowly for 2^17 terms to converge."""
+    return np.sin(1.1 * x) * x ** -0.05
+
+
 def _fails_at_3000(x):
-    """sin(1.1x), a scalar closure that raises at x = 3000 only."""
+    """_slow as a scalar closure that raises at x = 3000 only."""
     if x == 3000.0:
         raise ValueError("undefined at 3000")
-    return cmath.sin(1.1 * complex(x))
+    return cmath.sin(1.1 * complex(x)) * complex(x) ** -0.05
 
 
 class TestCarriedValues:
@@ -272,12 +294,11 @@ class TestCarriedValues:
     _CHECKPOINTS = 17 - 3 + 1          # depths 8, 16, ..., 2^17
 
     def test_array_path_points(self):
-        g = _effective("sin(1.1*k)", 50)
         sizes = []
 
         def counted(x):
             sizes.append(np.size(x))
-            return g(x)
+            return _slow(x)
 
         res = telescoping_sum(counted, 50, max_terms=1 << 17)
         assert res.diagnostics.nodes == 1 << 17
@@ -288,7 +309,7 @@ class TestCarriedValues:
 
         def counted(x):
             calls[0] += 1
-            return cmath.sin(1.1 * complex(x))       # rejects arrays
+            return cmath.sin(1.1 * complex(x)) * complex(x) ** -0.05  # rejects arrays
 
         res = telescoping_sum(counted, 50, max_terms=1 << 17)
         assert res.diagnostics.nodes == 1 << 17
@@ -315,7 +336,7 @@ class TestCarriedValues:
 
     def test_array_nan_names_the_same_k(self):
         def g(x):
-            return np.where(x == 3000.0, np.nan, np.sin(1.1 * x))
+            return np.where(x == 3000.0, np.nan, _slow(x))
 
         with pytest.raises(EvaluationError) as info:
             telescoping_sum(g, 10)
@@ -369,6 +390,7 @@ class TestRoundoffFloor:
             ref = complex(ref)
         got = telescoping_sum(lambda x: c * np.exp(-a * x * x), n)
         assert got.diagnostics.converged
+        assert got.diagnostics.notes["strategy"] == "died-out"
         assert got.diagnostics.notes["tail_bound"] < 1e-20
         assert abs(got.value - ref) <= got.error_estimate <= 1e-15
 
@@ -389,7 +411,8 @@ def test_died_out_bound_sums_the_geometric_remainder():
     """Once the differences fall below 1e-15 of the partial sum the tail is
     taken as 0, but a remainder shrinking by r per term sums to up to
     max(window)/(1 - r): 1.3*exp(-0.125k)*cos(0.02k) at N=12 stops there at
-    depth 256 and misses by about 10 times max(window)."""
+    depth 256 and misses by about 10 times max(window).  The record names
+    that stop, not the Gregory tail of the checkpoint before."""
     mp = pytest.importorskip("mpmath")
     lam, theta, n = 0.125, 0.02, 12
     got = telescoping_sum(lambda x: 1.3 * cmath.exp(-lam * complex(x))
@@ -399,8 +422,61 @@ def test_died_out_bound_sums_the_geometric_remainder():
                                for k in range(1, n + 1)))
     assert got.diagnostics.converged
     assert got.diagnostics.truncation_index == 256
+    assert got.diagnostics.notes["strategy"] == "died-out"
     assert abs(got.value - want) <= got.error_estimate < 1e-12
 
+
+
+def _telescope_record(text, n):
+    return cli.run(text, n, method="telescope")["results"][1]
+
+
+class TestDecayCheck:
+    """Past depth max(2N, 1024) the route refuses, non-converged with
+    reason "g does not decay", once max |g(k+N)| over the values a
+    checkpoint evaluates has not fallen by 1% at two checkpoints in a row;
+    while that maximum grows, no tail integral is tried."""
+
+    _HEAVY = ("1.2*sin(1.1*k)", "k*cos(2.2*k)", "1.3*k^2", "0.9*cos(3.1*k)",
+              "1.6*log(k)", "0.7*sqrt(k)")
+
+    @pytest.mark.parametrize("text,n", [*cli._BENCH_SUITE,
+                                        *[(t, n) for t in _HEAVY for n in (8, 31, 100)]])
+    def test_more_than_4096_terms_only_to_converge(self, text, n):
+        rec = _telescope_record(text, n)
+        assert not rec["flags"] or rec["diagnostics"]["nodes"] <= 4096
+
+    def test_deep_convergence_is_kept(self):
+        """A power law at huge N samples g only near N, and a slow
+        exponential still falls by more than 1% per checkpoint."""
+        got = telescoping_sum(lambda x: x ** -2.0, 10 ** 9)
+        assert got.diagnostics.converged and got.diagnostics.nodes == 16
+        rec = _telescope_record("exp(-0.001*k)", 100)
+        assert not rec["flags"] and rec["diagnostics"]["nodes"] == 2048
+
+    def test_no_refusal_below_twice_n(self):
+        """Below 2N the g(k+N) sample g only up to 3N: sin(1.1k) at N=3000
+        runs to the first checkpoint past 6,000."""
+        got = telescoping_sum(lambda x: np.sin(1.1 * x), 3000)
+        assert got.diagnostics.nodes == 8192
+        assert got.diagnostics.notes["reason"] == "g does not decay"
+
+    def test_constant_limit_is_flagged(self):
+        """1000 + 1/k^2: the differences telescope the 1/k^2 part only and
+        miss N*1000, so the record must not come back certified."""
+        rec = _telescope_record("1000 + 1/k^2", 10)
+        assert rec["flags"] == ["non-converged"]
+        assert rec["diagnostics"]["notes"]["reason"] == "g does not decay"
+
+    def test_rising_limit_stops_without_a_tail_integral(self, monkeypatch):
+        """1 - 1/k^2: |g(k+N)| rises toward 1, so after the first checkpoint,
+        which has no earlier maximum to compare with, no tail integral is
+        tried (one would miss N*1), and the run stops at 1,024 terms."""
+        calls = TestFailedTailIntegral._counted_em_tail(monkeypatch)
+        rec = _telescope_record("1 - 1/k^2", 10)
+        assert calls[0] == 1
+        assert rec["flags"] == ["non-converged"]
+        assert rec["diagnostics"]["nodes"] == 1024
 
 
 def _mp_sum(mp, term, n):
@@ -493,19 +569,17 @@ class TestFailedTailIntegral:
         monkeypatch.setattr(telescope, "em_tail", counted)
         return calls
 
-    @pytest.mark.parametrize("text,n,value", [("1.6005*log(k)", 9, -149.24668015330968),
-                                              ("0.6627*sqrt(k)", 72, -17004.272529909467)])
-    def test_non_integrable_tail_is_integrated_once(self, monkeypatch, text, n, value):
-        """d decays like N/k or N/sqrt(k): the first tail integral fails and
-        the block sums never shrink, so no second one is run.  The record is
-        the one that retrying at every checkpoint produced."""
+    @pytest.mark.parametrize("text,n", [("1.6005*log(k)", 9), ("0.6627*sqrt(k)", 72)])
+    def test_growing_g_makes_no_tail_integral(self, monkeypatch, text, n):
+        """d decays like N/k or N/sqrt(k), and its tail integral diverges:
+        |g(k+N)| grows at every checkpoint, so none is tried, and the run
+        stops at 1,024 terms because g does not decay."""
         calls = self._counted_em_tail(monkeypatch)
         got = telescoping_sum(_effective(text, n), n)
-        assert calls[0] == 1
-        assert got.value == pytest.approx(value, rel=1e-15, abs=0)
-        assert got.diagnostics.nodes == 1 << 17
+        assert calls[0] == 0
+        assert got.diagnostics.nodes == 1024
         assert not got.diagnostics.converged
-        assert got.diagnostics.notes["strategy"] == "extrapolation"
+        assert got.diagnostics.notes["reason"] == "g does not decay"
         assert got.error_estimate == math.inf
 
     @pytest.mark.parametrize("text,n", [("1.6005*log(k)", 9), ("0.6627*sqrt(k)", 72)])
@@ -529,18 +603,31 @@ class TestFailedTailIntegral:
         _assert_same_decisions(arr, sca, h, n)
 
     def test_pole_in_the_tail_is_retried_once_the_increments_shrink(self, monkeypatch):
-        """1/(k-40.5)^2: the tail integral from 32 crosses the pole and fails;
-        the block past it does not shrink, so 64 is skipped, and the integral
-        from 128 certifies the sum."""
+        """1/(k-40.5)^2 at N=25: the tail integral from 32 crosses the pole
+        and fails, while |g(k+N)| falls past it; the block past 32 does not
+        shrink, so 64 is skipped, and the integral from 128 certifies the
+        sum."""
         mp = pytest.importorskip("mpmath")
         calls = self._counted_em_tail(monkeypatch)
-        got = telescoping_sum(_effective("1/(k-40.5)^2", 10), 10)
+        got = telescoping_sum(_effective("1/(k-40.5)^2", 25), 25)
         assert calls[0] == 2
         assert got.diagnostics.converged
         assert got.diagnostics.notes["strategy"] == "euler-maclaurin"
         assert got.diagnostics.nodes == 128
-        want = _mp_sum(mp, lambda k: 1 / (k - mp.mpf(40.5)) ** 2, 10)
+        want = _mp_sum(mp, lambda k: 1 / (k - mp.mpf(40.5)) ** 2, 25)
         assert abs(got.value - want) <= got.error_estimate < 1e-10
+
+    def test_pole_met_while_g_grows_is_integrated_once_past_it(self, monkeypatch):
+        """1/(k-40.5)^2 at N=10: the checkpoint at 32 meets the pole among
+        its g(k+N), which grow there, so its tail integral counts as failed
+        untried; 64 is skipped as before, and the one integral, from 128,
+        certifies the sum the retry did."""
+        calls = self._counted_em_tail(monkeypatch)
+        got = telescoping_sum(_effective("1/(k-40.5)^2", 10), 10)
+        assert calls[0] == 1
+        assert got.diagnostics.converged
+        assert got.diagnostics.nodes == 128
+        assert got.value == 0.008331549911444542
 
 
 @pytest.mark.parametrize("c,a,n", [(1.9544, 0.6654, 17), (1.3092, 0.6152, 39)])
