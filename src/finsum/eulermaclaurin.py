@@ -2,8 +2,9 @@
 
 The lattice sum of f over a, a+h, ..., b is the integral plus endpoint
 corrections weighted by even-index Bernoulli numbers; the first omitted
-correction bounds the remainder.  Derivatives are taken by jet arithmetic
-unless the caller supplies them analytically.  ``em_tail`` is the one-sided
+correction bounds the remainder.  Derivatives are taken by jet arithmetic,
+one jet for every point a sum needs, unless the caller supplies them
+analytically.  ``em_tail`` is the one-sided
 version used to finish infinite tails for the telescoping route;
 ``gregory_tail`` finishes the same tail for an f that jets cannot
 differentiate, with forward differences of four lattice values in place of
@@ -15,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from . import jets
 from .errors import (CapabilityError, DomainError, EvaluationError,
@@ -58,6 +61,15 @@ class EMJob:
         return (self.b - self.a) / self.m
 
 
+# what a closure that cannot take a jet raises on one
+_NO_JET = (TypeError, AttributeError, ZeroDivisionError)
+
+
+def _cannot_differentiate(x: float, order: int, e: Exception) -> CapabilityError:
+    return CapabilityError(f"cannot differentiate f at x={x} to order {order}: {e}; "
+                           "supply derivative= analytically")
+
+
 def _derivative_at(job: EMJob, x: float, order: int) -> complex:
     if order == 0:
         return complex(job.f(x))
@@ -66,10 +78,47 @@ def _derivative_at(job: EMJob, x: float, order: int) -> complex:
     try:
         jet = jets.Jet.variable(complex(x), order)
         return job.f(jet).derivative(order)
-    except (TypeError, AttributeError, ZeroDivisionError) as e:
-        raise CapabilityError(
-            f"cannot differentiate f at x={x} to order {order}: {e}; "
-            "supply derivative= analytically") from None
+    except _NO_JET as e:
+        raise _cannot_differentiate(x, order, e) from None
+
+
+def _derivatives(job: EMJob, xs: list[float], order: int) -> Callable:
+    """at(i, j) -> f^(j)(xs[i]), for j up to order, from one jet of that order.
+
+    One point takes a scalar jet: its coefficients are those of the
+    lower-order jets the per-point path would take, and an f that rejects
+    it is refused at the first order asked for, as there.  More points take
+    one jet over the array of them (numpy in place of cmath for the value
+    parts).  With derivative= given, when f raises on that batch or when
+    any derivative it gives is not finite, at() takes the per-point path
+    instead, call for call in the caller's order, so that its errors and
+    its overflow behaviour are the ones reported.
+    """
+    def per_point(i, j):
+        return _derivative_at(job, xs[i], j)
+
+    if job.derivative is not None:
+        return per_point
+    if len(xs) == 1:
+        try:
+            jet = job.f(jets.Jet.variable(complex(xs[0]), order))
+            scalars = [jet.derivative(j) for j in range(order + 1)]
+        except _NO_JET as e:
+            def refuse(i, j, e=e):
+                raise _cannot_differentiate(xs[0], j, e) from None
+            return refuse
+        return lambda i, j: scalars[j]
+    x = np.array(xs, dtype=np.complex128)
+    try:
+        with np.errstate(all="ignore"):
+            jet = job.f(jets.Jet.variable(x, order))
+            table = np.array([np.broadcast_to(jet.derivative(j), x.shape)
+                              for j in range(order + 1)], dtype=np.complex128)
+    except Exception:  # whatever f raised, the per-point path replays
+        return per_point
+    if not np.all(np.isfinite(table)):
+        return per_point
+    return lambda i, j: complex(table[j, i])
 
 
 def em_sum(job: EMJob, quad_tol: float = 1e-13) -> SumResult:
@@ -77,17 +126,21 @@ def em_sum(job: EMJob, quad_tol: float = 1e-13) -> SumResult:
     h = job.h
     quad = integrate_finite(job.f, job.a, job.b, tol=quad_tol)
     value = quad.value / h + 0.5 * (complex(job.f(job.a)) + complex(job.f(job.b)))
+    # the curvature samples include both endpoints, so one jet of order 2n
+    # over them also gives the odd derivatives of the corrections
+    last = _CURVATURE_SAMPLES - 1
+    xs = [job.a] + [job.a + (job.b - job.a) * i / last for i in range(1, last)] + [job.b]
+    at = _derivatives(job, xs, 2 * job.n)
     for k in range(1, job.n):
         b2k = float(bernoulli(2 * k))
-        diff = _derivative_at(job, job.b, 2 * k - 1) - _derivative_at(job, job.a, 2 * k - 1)
+        diff = at(last, 2 * k - 1) - at(0, 2 * k - 1)
         value += b2k * h ** (2 * k - 1) * diff / math.factorial(2 * k)
 
     # remainder: |h^(2n) B_2n / (2n)!| per step, against the worst curvature
     b2n = abs(float(bernoulli(2 * job.n)))
     worst = 0.0
     for i in range(_CURVATURE_SAMPLES):
-        x = job.a + (job.b - job.a) * i / (_CURVATURE_SAMPLES - 1)
-        worst = max(worst, abs(_derivative_at(job, x, 2 * job.n)))
+        worst = max(worst, abs(at(i, 2 * job.n)))
     error = h ** (2 * job.n) * b2n / math.factorial(2 * job.n) * job.m * worst
     error += quad.abs_error_estimate / h
 
@@ -121,11 +174,11 @@ def em_tail(f: Callable, m: float, n: int = 3, quad_tol: float = 1e-13):
     n = check_count(n, "correction order")
     # derivatives first: an f that jets cannot differentiate is refused
     # before any quadrature is spent on it
-    job = EMJob(f, m, m + 1.0, 1, n)  # reuse the derivative plumbing
-    corrections = [float(bernoulli(2 * k)) * _derivative_at(job, m, 2 * k - 1)
+    at = _derivatives(EMJob(f, m, m + 1.0, 1, n), [m], 2 * n - 1)
+    corrections = [float(bernoulli(2 * k)) * at(0, 2 * k - 1)
                    / math.factorial(2 * k) for k in range(1, n)]
     b2n = float(bernoulli(2 * n))
-    bound = abs(b2n * _derivative_at(job, m, 2 * n - 1) / math.factorial(2 * n))
+    bound = abs(b2n * at(0, 2 * n - 1) / math.factorial(2 * n))
     quad = _tail_integral(f, m, quad_tol)
     value = quad.value - 0.5 * complex(f(m))
     for c in corrections:

@@ -2,7 +2,10 @@
 
 A :class:`Jet` carries the Taylor coefficients ``c[0..p]`` of a function at a
 point, so composing ordinary arithmetic on jets propagates derivatives up to
-order ``p`` without finite differencing.  The module-level ``exp``, ``log``,
+order ``p`` without finite differencing.  The coefficients may also be
+complex128 arrays over a batch of points (``Jet.variable`` of an array), so
+that one evaluation of a closure differentiates it at every point of the
+batch.  The module-level ``exp``, ``log``,
 ``sin``, ``cos``, ``sqrt`` and ``expm1`` dispatch on their argument (Jet,
 numpy array, plain number), which lets one closure serve the direct
 summation, the quadrature grids and the derivative machinery alike.
@@ -30,7 +33,14 @@ _POLE_EPS = 1e-12
 
 
 class Jet:
-    """Taylor coefficients of a function at a point, truncated at fixed order."""
+    """Taylor coefficients of a function at a point, truncated at fixed order.
+
+    A coefficient is a complex scalar or a complex128 array.  Arrays of one
+    shape make a jet over a batch of points, which one walk of an expression
+    serves (vector-mode Taylor arithmetic: Griewank & Walther, Evaluating
+    Derivatives, 2nd ed., ch. 13); a scalar coefficient in such a jet is the
+    same at every point.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -38,22 +48,34 @@ class Jet:
         self.coeffs = tuple(complex(c) for c in coeffs)
 
     @classmethod
+    def _of(cls, coeffs) -> "Jet":
+        """A jet on coefficients that are already complex scalars or arrays."""
+        jet = object.__new__(cls)
+        jet.coeffs = tuple(coeffs)
+        return jet
+
+    @classmethod
     def variable(cls, value, order: int) -> "Jet":
-        """The identity function x -> x as a jet of the given order."""
+        """The identity function x -> x as a jet of the given order; an array
+        of values gives the jet over that batch of points."""
         if order < 0:
             raise ValueError("jet order must be >= 0")
-        tail = (1.0,) + (0.0,) * (order - 1) if order > 0 else ()
-        return cls((complex(value),) + tail)
+        if isinstance(value, np.ndarray):
+            value = value.astype(np.complex128)
+        else:
+            value = complex(value)
+        tail = (1 + 0j,) + (0j,) * (order - 1) if order > 0 else ()
+        return cls._of((value,) + tail)
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
     @property
-    def value(self) -> complex:
+    def value(self):
         return self.coeffs[0]
 
-    def derivative(self, k: int) -> complex:
+    def derivative(self, k: int):
         """The k-th derivative encoded by this jet."""
         if not 0 <= k <= self.order:
             raise ValueError(f"derivative order {k} out of range 0..{self.order}")
@@ -67,25 +89,25 @@ class Jet:
                 raise ValueError("jet order mismatch")
             return other
         if isinstance(other, (int, float, complex)):
-            return Jet((complex(other),) + (0.0,) * self.order)
+            return Jet._of((complex(other),) + (0j,) * self.order)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Jet(a + b for a, b in zip(self.coeffs, o.coeffs))
+        return Jet._of(a + b for a, b in zip(self.coeffs, o.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-a for a in self.coeffs)
+        return Jet._of(-a for a in self.coeffs)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Jet(a - b for a, b in zip(self.coeffs, o.coeffs))
+        return Jet._of(a - b for a, b in zip(self.coeffs, o.coeffs))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -98,7 +120,7 @@ class Jet:
         if o is None:
             return NotImplemented
         a, b = self.coeffs, o.coeffs
-        return Jet(
+        return Jet._of(
             sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(len(a))
         )
 
@@ -109,15 +131,15 @@ class Jet:
         if o is None:
             return NotImplemented
         a, b = self.coeffs, o.coeffs
-        if b[0] == 0:
+        if np.any(b[0] == 0):
             raise ZeroDivisionError("jet division by a jet with zero value part")
-        q: list[complex] = []
+        q = []
         for k in range(len(a)):
             acc = a[k]
             for j in range(k):
-                acc -= q[j] * b[k - j]
+                acc = acc - q[j] * b[k - j]
             q.append(acc / b[0])
-        return Jet(q)
+        return Jet._of(q)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -129,7 +151,7 @@ class Jet:
         if isinstance(p, Jet):
             return exp(log(self) * p)
         if isinstance(p, int) and p >= 0:
-            out = Jet((1.0,) + (0.0,) * self.order)
+            out = self._coerce(1)
             base = self
             n = p
             while n:
@@ -150,25 +172,34 @@ class Jet:
         return f"Jet({list(self.coeffs)!r})"
 
 
-def _jet_exp_coeffs(a: tuple, c0: complex) -> Jet:
+# The elementals below take the value part of a jet through the scalar and
+# array dispatch of this module (cmath for a complex scalar, numpy for an
+# array); the recurrences for the higher coefficients serve both.  Their
+# accumulators, like the quotient's, are rebound and never updated in place,
+# since one may start as an operand's coefficient array.
+
+def _jet_exp_coeffs(a: tuple, c0) -> Jet:
     """Propagate exp through a jet given the (already computed) value part."""
     out = [c0]
     for k in range(1, len(a)):
         acc = 0j
         for j in range(1, k + 1):
-            acc += j * a[j] * out[k - j]
+            acc = acc + j * a[j] * out[k - j]
         out.append(acc / k)
-    return Jet(out)
+    return Jet._of(out)
 
 
 def exp(x):
     if isinstance(x, Jet):
-        return _jet_exp_coeffs(x.coeffs, cmath.exp(x.value))
+        return _jet_exp_coeffs(x.coeffs, exp(x.value))
     if isinstance(x, np.ndarray):
         return np.exp(x)
     if isinstance(x, complex):
         return cmath.exp(x)
-    return math.exp(x) if x < 709.0 else math.inf
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _complex_expm1(lib, re, im):
@@ -183,10 +214,9 @@ def _complex_expm1(lib, re, im):
 def expm1(x):
     """exp(x) - 1, accurate near 0, for jets, arrays and scalars."""
     if isinstance(x, Jet):
-        j = _jet_exp_coeffs(x.coeffs, cmath.exp(x.value))
-        coeffs = list(j.coeffs)
+        coeffs = list(_jet_exp_coeffs(x.coeffs, exp(x.value)).coeffs)
         coeffs[0] = expm1(x.value)
-        return Jet(coeffs)
+        return Jet._of(coeffs)
     if isinstance(x, np.ndarray):
         if np.iscomplexobj(x):
             re, im = _complex_expm1(np, x.real, x.imag)
@@ -200,15 +230,15 @@ def expm1(x):
 def log(x):
     if isinstance(x, Jet):
         a = x.coeffs
-        if a[0] == 0:
+        if np.any(a[0] == 0):
             raise ZeroDivisionError("log of a jet with zero value part")
-        out = [cmath.log(a[0])]
+        out = [log(a[0])]
         for k in range(1, len(a)):
             acc = k * a[k]
             for j in range(1, k):
-                acc -= j * out[j] * a[k - j]
+                acc = acc - j * out[j] * a[k - j]
             out.append(acc / (k * a[0]))
-        return Jet(out)
+        return Jet._of(out)
     if isinstance(x, np.ndarray):
         return np.log(x)
     if isinstance(x, complex) or (isinstance(x, (int, float)) and x < 0):
@@ -216,20 +246,24 @@ def log(x):
     return math.log(x)
 
 
+def _sin_cos_coeffs(a: tuple) -> tuple[list, list]:
+    """The coefficients of sin and of cos of the jet with coefficients a."""
+    s = [sin(a[0])]
+    c = [cos(a[0])]
+    for k in range(1, len(a)):
+        sacc = 0j
+        cacc = 0j
+        for j in range(1, k + 1):
+            sacc = sacc + j * a[j] * c[k - j]
+            cacc = cacc + j * a[j] * s[k - j]
+        s.append(sacc / k)
+        c.append(-cacc / k)
+    return s, c
+
+
 def sin(x):
     if isinstance(x, Jet):
-        a = x.coeffs
-        s = [cmath.sin(a[0])]
-        c = [cmath.cos(a[0])]
-        for k in range(1, len(a)):
-            sacc = 0j
-            cacc = 0j
-            for j in range(1, k + 1):
-                sacc += j * a[j] * c[k - j]
-                cacc += j * a[j] * s[k - j]
-            s.append(sacc / k)
-            c.append(-cacc / k)
-        return Jet(s)
+        return Jet._of(_sin_cos_coeffs(x.coeffs)[0])
     if isinstance(x, np.ndarray):
         return np.sin(x)
     if isinstance(x, complex):
@@ -239,18 +273,7 @@ def sin(x):
 
 def cos(x):
     if isinstance(x, Jet):
-        a = x.coeffs
-        s = [cmath.sin(a[0])]
-        c = [cmath.cos(a[0])]
-        for k in range(1, len(a)):
-            sacc = 0j
-            cacc = 0j
-            for j in range(1, k + 1):
-                sacc += j * a[j] * c[k - j]
-                cacc += j * a[j] * s[k - j]
-            s.append(sacc / k)
-            c.append(-cacc / k)
-        return Jet(c)
+        return Jet._of(_sin_cos_coeffs(x.coeffs)[1])
     if isinstance(x, np.ndarray):
         return np.cos(x)
     if isinstance(x, complex):
@@ -261,15 +284,15 @@ def cos(x):
 def sqrt(x):
     if isinstance(x, Jet):
         a = x.coeffs
-        if a[0] == 0:
+        if np.any(a[0] == 0):
             raise ZeroDivisionError("sqrt of a jet with zero value part")
-        r = [cmath.sqrt(a[0])]
+        r = [sqrt(a[0])]
         for k in range(1, len(a)):
             acc = a[k]
             for j in range(1, k):
-                acc -= r[j] * r[k - j]
+                acc = acc - r[j] * r[k - j]
             r.append(acc / (2.0 * r[0]))
-        return Jet(r)
+        return Jet._of(r)
     if isinstance(x, np.ndarray):
         return np.sqrt(x)  # evaluators hand us complex128 arrays
     if isinstance(x, complex) or (isinstance(x, (int, float)) and x < 0):

@@ -184,7 +184,8 @@ def _probe_vectorized(g: Callable) -> bool:
     """True when g maps a complex128 array to a matching array of values."""
     probe = np.array([1.0 + 0j, 2.0 + 0j])
     try:
-        out = g(probe)
+        with np.errstate(all="ignore"):
+            out = g(probe)
     except Exception:
         return False
     if not isinstance(out, np.ndarray) or np.shape(out) != probe.shape:
@@ -210,10 +211,11 @@ def direct_sum(spec: SeriesSpec) -> SumResult:
     n = spec.n_terms
     if _probe_vectorized(spec.g):
         ks = np.arange(1, n + 1, dtype=np.complex128)
-        args = spec.alpha * ks + (spec.beta if spec.variant.is_shifted else 0.0)
-        vals = np.asarray(spec.g(args), dtype=np.complex128)
-        weights = np.asarray(term_weight(spec, np.arange(1, n + 1)), dtype=np.complex128)
-        terms = vals * weights
+        with np.errstate(all="ignore"):  # a non-finite term is reported below
+            args = spec.alpha * ks + (spec.beta if spec.variant.is_shifted else 0.0)
+            vals = np.asarray(spec.g(args), dtype=np.complex128)
+            weights = np.asarray(term_weight(spec, np.arange(1, n + 1)), dtype=np.complex128)
+            terms = vals * weights
         finite = np.isfinite(terms.real) & np.isfinite(terms.imag)
         if not np.all(finite):
             k_bad = int(np.argmin(finite)) + 1

@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from finsum import jets
+from finsum import cli, jets
 from finsum.errors import CapabilityError, DomainError, PreconditionError
 from finsum.eulermaclaurin import EMJob, em_sum, em_tail, gregory_tail
+from finsum.expr import as_function, parse_expression
 from finsum.special import hurwitz_zeta
 
 
@@ -99,6 +101,90 @@ class TestAnalyticDerivatives:
                            derivative=lambda x, o: (-1.0) ** o * math.exp(-x)))
         want = math.fsum(math.exp(-float(k)) for k in range(6))
         assert abs(got.value.real - want) <= got.error_estimate
+
+
+class TestOneJet:
+    """em_sum takes every derivative from one jet over its 17 curvature
+    samples, em_tail from one scalar jet; the per-point path is the fallback
+    and serves derivative= call for call."""
+
+    @staticmethod
+    def _counted(f):
+        seen = []
+
+        def g(x):
+            if isinstance(x, jets.Jet):
+                seen.append(x)
+            return f(x)
+        return g, seen
+
+    def test_em_sum_calls_a_parsed_summand_on_one_jet(self):
+        g, seen = self._counted(as_function(parse_expression("1.3*exp(-0.4*k)*cos(0.7*k)")))
+        em_sum(EMJob(g, 1.0, 20.0, 19, n=3))
+        assert len(seen) == 1
+        assert seen[0].order == 6 and seen[0].value.shape == (17,)
+        assert seen[0].value[0] == 1.0 and seen[0].value[-1] == 20.0
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_em_tail_calls_f_on_one_jet_of_order_2n_minus_1(self, n):
+        g, seen = self._counted(lambda x: x ** (-2.0))
+        em_tail(g, 8.0, n=n)
+        assert [(jet.order, jet.value) for jet in seen] == [(2 * n - 1, 8.0)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_derivative_path_is_called_per_point(self, n):
+        calls = []
+
+        def df(x, order):
+            calls.append((x, order))
+            return (-1.0) ** order * math.factorial(order) / x ** (order + 1)
+
+        g, seen = self._counted(lambda x: 1.0 / x)
+        em_sum(EMJob(g, 1.0, 9.0, 8, n=n, derivative=df))
+        assert len(calls) == 2 * (n - 1) + 17 and not seen
+        corrections = [(x, o) for k in range(1, n) for x, o in ((9.0, 2 * k - 1), (1.0, 2 * k - 1))]
+        assert calls[:2 * (n - 1)] == corrections
+        assert [o for _, o in calls[2 * (n - 1):]] == [2 * n] * 17
+
+    @staticmethod
+    def _per_point(f):
+        """em_sum of f with each derivative from its own scalar jet: the
+        per-point path, as a derivative= callback."""
+        def derivative(x, order):
+            return f(jets.Jet.variable(complex(x), order)).derivative(order)
+        return em_sum(EMJob(f, 1.0, 20.0, 19, n=3, derivative=derivative))
+
+    @pytest.mark.parametrize("text", ["1.3*exp(-0.4*k)*cos(0.7*k)", "1/(k^2+1.5)"])
+    def test_closure_rejecting_a_batch_gives_the_same_record(self, text):
+        f = as_function(parse_expression(text))
+
+        def scalar_only(x):
+            if isinstance(x, jets.Jet) and isinstance(x.value, np.ndarray):
+                raise TypeError("no batches")
+            return f(x)
+
+        want = self._per_point(f)
+        got = em_sum(EMJob(scalar_only, 1.0, 20.0, 19, n=3))
+        assert (got.value, got.error_estimate) == (want.value, want.error_estimate)
+        batch = em_sum(EMJob(f, 1.0, 20.0, 19, n=3))
+        assert batch.value == pytest.approx(want.value, rel=4e-16)
+        assert batch.error_estimate == pytest.approx(want.error_estimate, rel=1e-12)
+
+    def test_non_finite_batch_is_replayed_per_point(self):
+        """exp just past the top of the double range at b: numpy gives inf
+        there, and the per-point replay raises cmath's OverflowError, as the
+        per-point path always did."""
+        b = math.nextafter(math.log(np.finfo(float).max), math.inf)
+        with pytest.raises(OverflowError):
+            em_sum(EMJob(jets.exp, 700.0, b, 9, n=3))
+
+    def test_refusal_names_the_first_point_and_order_as_before(self):
+        """The batch fails on the zero under sqrt at k = 1; the per-point
+        replay refuses at the lower end of the first correction, as one jet
+        per point always did, not at the curvature order."""
+        rec = cli.run("sqrt(k-1)", 10, method="euler-maclaurin")["results"][1]
+        assert rec["error"] == ("cannot differentiate f at x=1.0 to order 1: sqrt of a "
+                                "jet with zero value part; supply derivative= analytically")
 
 
 class TestTailEstimator:

@@ -96,9 +96,76 @@ class TestElementals:
         assert j.value == pytest.approx(1e-12, rel=1e-13)
         assert j.derivative(1) == pytest.approx(math.exp(1e-12), rel=1e-13)
 
+    def test_real_exp_overflows_only_past_the_double_range(self):
+        """math.exp(709.5) is finite; inf only where math.exp overflows."""
+        limit = math.log(np.finfo(float).max)          # 709.78...
+        for x in (709.0, 709.5, math.nextafter(limit, 0.0)):
+            assert jets.exp(x) == math.exp(x) < math.inf
+        for x in (math.nextafter(limit, math.inf), 710.0, 1e5):
+            assert jets.exp(x) == math.inf
+
     def test_value_part(self):
         assert jets.value_part(3.5) == 3.5
         assert jets.value_part(Jet.variable(2.0, 3) ** 2) == 4.0
+
+
+# every operation on jets, on operands x and y
+_BATCH_OPS = {
+    "+": lambda x, y: x + y, "-": lambda x, y: x - y,
+    "*": lambda x, y: x * y, "/": lambda x, y: x / y,
+    "** int": lambda x, y: x ** 5, "** float": lambda x, y: x ** 0.37,
+    # exp multiplies the rounding of its argument p*log(x) by |p*log(x)|:
+    # a Jet exponent of modest size keeps that below an ulp
+    "** jet": lambda x, y: x ** (0.25 * y),
+    "exp": lambda x, y: jets.exp(x), "expm1": lambda x, y: jets.expm1(x),
+    "log": lambda x, y: jets.log(x), "sin": lambda x, y: jets.sin(x),
+    "cos": lambda x, y: jets.cos(x), "sqrt": lambda x, y: jets.sqrt(x),
+}
+
+
+class TestBatchJets:
+    """A jet over an array of points against scalar jets at each point.
+
+    numpy and libm differ by about an ulp in the value parts, and numpy may
+    fuse or reorder a complex product, so the two agree to rounding, not bit
+    for bit: to 4 ulps of the largest coefficient of the jet at that point,
+    the scale at which a coefficient that nearly cancels still carries the
+    rounding of its larger terms."""
+
+    _ORDER = 6  # what em_sum takes at its default n = 3
+    # 17 points on a circle about 1.2, away from 0 and the branch cut of log
+    _Z = 1.2 + 0.5 * np.exp(2j * np.pi * (np.arange(17) + 0.5) / 17)
+
+    @classmethod
+    def _operands(cls, z):
+        return Jet.variable(z, cls._ORDER), Jet.variable(3.0 - 1.0j - 0.5 * z, cls._ORDER)
+
+    @pytest.mark.parametrize("name", list(_BATCH_OPS))
+    def test_agrees_with_scalar_jets_per_point(self, name):
+        op = _BATCH_OPS[name]
+        batch = op(*self._operands(self._Z))
+        assert batch.order == self._ORDER
+        for i, z in enumerate(self._Z.tolist()):
+            want = op(*self._operands(z)).coeffs
+            scale = max(abs(c) for c in want)
+            for k, (got, c) in enumerate(zip(batch.coeffs, want)):
+                got = complex(np.broadcast_to(got, self._Z.shape)[i])
+                assert abs(got - c) <= 4.0 * 2.220446049250313e-16 * scale, (name, z, k)
+
+    @pytest.mark.parametrize("name", ["1/x", "log", "sqrt"])
+    def test_zero_value_part_in_any_lane_raises(self, name):
+        op = {"1/x": lambda x: 1.0 / x, "log": jets.log, "sqrt": jets.sqrt}[name]
+        for lane in (0, 8, 16):
+            z = self._Z.copy()
+            z[lane] = 0.0
+            with pytest.raises(ZeroDivisionError):
+                op(Jet.variable(z, self._ORDER))
+
+    def test_variable_over_an_array(self):
+        x = Jet.variable(np.array([1.0, 2.5]), 3)
+        assert x.value.dtype == np.complex128
+        assert np.array_equal(x.derivative(1) * np.ones(2), [1.0, 1.0])
+        assert np.array_equal((x * x).derivative(2), [2.0, 2.0])
 
 
 class TestExpPowerSum:

@@ -6,11 +6,13 @@ longhand, one per variant, so everything downstream can lean on it.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from finsum.errors import CapabilityError, EvaluationError, PreconditionError
+from finsum.expr import as_function, parse_expression
 from finsum.series import (SeriesSpec, Variant, antidifference_sum, direct_sum,
                            effective_term, term_argument, term_weight)
 
@@ -104,6 +106,19 @@ class TestDirectSum:
         spec = SeriesSpec(g=lambda k: 1.0 / (complex(k).real - 3.0), n_terms=6)
         with pytest.raises(EvaluationError, match="k=3"):
             direct_sum(spec)
+
+    @pytest.mark.parametrize("text, n, k", [("1/(k-5)", 10, 5), ("log(k-3)", 10, 3),
+                                            ("exp(k^2)", 30, 27)])
+    def test_non_finite_grid_term_raises_without_numpy_warnings(self, text, n, k):
+        """The vectorized grid reports the first non-finite term as a typed
+        error and leaves nothing on stderr: no numpy RuntimeWarning escapes
+        first, even with warnings turned into errors."""
+        spec = SeriesSpec(g=as_function(parse_expression(text)), n_terms=n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError) as info:
+                direct_sum(spec)
+        assert info.value.at == f"k={k}"
 
     def test_runtime_and_nodes_recorded(self):
         res = direct_sum(SeriesSpec(g=lambda k: 1.0 / k, n_terms=25))
