@@ -57,21 +57,23 @@ def dirichlet_grid(alpha: np.ndarray, n: int) -> np.ndarray:
 
 
 def neumaier_sum(x: np.ndarray) -> complex:
-    """Compensated sum of a complex array, each component separately.
+    """Compensated sum of a float64 (one component) or complex array (two).
 
-    Up to ``_LANES`` terms this is ``math.fsum``, correctly rounded.  Longer
-    arrays are cut into rows of ``_LANES`` terms and accumulated down the
-    rows with TwoSum, a running sum and an error carry per column; the column
-    sums and carries then go through ``math.fsum``.  The carries are only
-    summed in floating point, so the result can differ from ``math.fsum`` by
-    rounding on terms of order eps times the carried errors, far below
-    ``eps * sum(|x|)``.
+    Up to ``_LANES`` terms each component is one ``math.fsum``, correctly
+    rounded.  Longer arrays are cut into rows of ``_LANES`` terms and
+    accumulated down the rows with TwoSum, a running sum and an error carry
+    per column; the column sums and carries then go through ``math.fsum``.
+    The carries are only summed in floating point, so the result can differ
+    from ``math.fsum`` by rounding on terms of order eps times the carried
+    errors, far below ``eps * sum(|x|)``.
     """
-    x = np.ascontiguousarray(x, dtype=np.complex128).ravel()
-    if x.size <= _LANES:
-        return complex(math.fsum(x.real.tolist()), math.fsum(x.imag.tolist()))
-    flat = x.view(np.float64)            # re, im interleaved
-    width = 2 * _LANES
+    x = np.asarray(x)
+    parts = 2 if np.iscomplexobj(x) else 1
+    flat = np.ascontiguousarray(x, dtype=np.complex128 if parts == 2 else np.float64)
+    flat = flat.ravel().view(np.float64)  # re, im interleaved when complex
+    width = parts * _LANES
+    if flat.size <= width:
+        return complex(*(math.fsum(flat[i::parts].tolist()) for i in range(parts)))
     rows = flat[:flat.size // width * width].reshape(-1, width)
     last = np.zeros(width)
     last[:flat.size - rows.size] = flat[rows.size:]
@@ -88,8 +90,8 @@ def neumaier_sum(x: np.ndarray) -> complex:
         np.subtract(row, bp, out=err)
         carry += err
         total, s = s, total
-    parts = np.concatenate((total, carry)).reshape(-1, 2)
-    return complex(math.fsum(parts[:, 0].tolist()), math.fsum(parts[:, 1].tolist()))
+    cols = np.concatenate((total, carry)).reshape(-1, parts)
+    return complex(*(math.fsum(cols[:, i].tolist()) for i in range(parts)))
 
 
 def hurwitz_head(s: float, a: float, m: int) -> float:

@@ -136,15 +136,15 @@ def em_sum(job: EMJob, quad_tol: float = 1e-13) -> SumResult:
         diff = at(last, 2 * k - 1) - at(0, 2 * k - 1)
         value += b2k * h ** (2 * k - 1) * diff / math.factorial(2 * k)
 
-    # remainder: |h^(2n) B_2n / (2n)!| per step, against the worst curvature
+    # remainder: |h^(2n) B_2n / (2n)!| per step, against the worst curvature;
+    # a nan or inf sample voids the bound rather than being skipped by max
     b2n = abs(float(bernoulli(2 * job.n)))
-    worst = 0.0
-    for i in range(_CURVATURE_SAMPLES):
-        worst = max(worst, abs(at(i, 2 * job.n)))
+    curvature = [abs(at(i, 2 * job.n)) for i in range(_CURVATURE_SAMPLES)]
+    worst = max(curvature) if all(map(math.isfinite, curvature)) else math.inf
     error = h ** (2 * job.n) * b2n / math.factorial(2 * job.n) * job.m * worst
     error += quad.abs_error_estimate / h
 
-    diag = Diagnostics(nodes=quad.nodes_used, converged=quad.converged,
+    diag = Diagnostics(nodes=quad.nodes_used, converged=quad.converged and math.isfinite(worst),
                        notes={"lattice_points": job.m + 1})
     return SumResult(value=value, method="euler-maclaurin",
                      error_estimate=error, diagnostics=diag)

@@ -11,8 +11,8 @@
 Precedence (low to high): additive, multiplicative, unary minus, power,
 atoms -- so ``-k^2`` is ``-(k^2)`` and ``2^3^2`` is 512.  Parse errors carry
 the byte offset and the expected-token set.  Evaluation is polymorphic: the
-same tree evaluates at complex scalars, complex128 arrays and jets, which is
-how one closure serves the oracle, the quadrature grids and the derivative
+same tree evaluates at scalars, float64 and complex128 arrays and jets, which
+is how one closure serves the oracle, the quadrature grids and the derivative
 machinery.
 """
 
@@ -229,7 +229,11 @@ _FUNCS = {"sin": jets.sin, "cos": jets.cos, "exp": jets.exp,
 
 
 def evaluate(node: Node, k):
-    """Evaluate at k, which may be a complex scalar, a complex array or a jet."""
+    """Evaluate at k, which may be a scalar, a float64 or complex array or a jet.
+
+    An array power is real only for a float64 base and a real scalar
+    exponent that is integral or has every base > 0; ``(k-5)^0.5`` is complex.
+    """
     match node:
         case Num(value=v):
             return v
@@ -255,6 +259,9 @@ def evaluate(node: Node, k):
                     return be ** ee
                 return jets.exp(jets.log(jets.Jet((complex(be),) + (0,) * ee.order)) * ee)
             if isinstance(be, np.ndarray) or isinstance(ee, np.ndarray):
+                if (isinstance(be, np.ndarray) and be.dtype == np.float64 and isinstance(ee, float)
+                        and (ee.is_integer() or np.all(be > 0))):
+                    return np.power(be, ee)
                 return np.asarray(be, dtype=complex) ** ee
             return complex(be) ** ee
         case Call(fn=fn, arg=a):

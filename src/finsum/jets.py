@@ -294,7 +294,7 @@ def sqrt(x):
             r.append(acc / (2.0 * r[0]))
         return Jet._of(r)
     if isinstance(x, np.ndarray):
-        return np.sqrt(x)  # evaluators hand us complex128 arrays
+        return np.sqrt(x)  # real (nan below 0) on a float64 array
     if isinstance(x, complex) or (isinstance(x, (int, float)) and x < 0):
         return cmath.sqrt(x)
     return math.sqrt(x)

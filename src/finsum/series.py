@@ -137,10 +137,15 @@ def term_argument(spec: SeriesSpec, k):
 
 
 def term_weight(spec: SeriesSpec, k):
-    """The variant weight at index k (scalar or array of indices)."""
-    w = 1.0 + 0j
+    """The variant weight at index k (scalar or array of indices); float64
+    on a float64 index array when beta is real."""
+    w = 1.0
     if spec.variant.is_exp_factor:
-        w = jets.exp(-spec.beta * k) if not isinstance(k, np.ndarray) else np.exp(-spec.beta * k)
+        if isinstance(k, np.ndarray):
+            real = k.dtype == np.float64 and spec.beta.imag == 0.0
+            w = np.exp(-(spec.beta.real if real else spec.beta) * k)
+        else:
+            w = jets.exp(-spec.beta * k)
     if spec.variant.is_alternating:
         if isinstance(k, np.ndarray):
             sign = np.where(np.asarray(k).astype(np.int64) % 2 == 1, 1.0, -1.0)
@@ -180,9 +185,9 @@ def effective_term(spec: SeriesSpec) -> Callable:
     return h
 
 
-def _probe_vectorized(g: Callable) -> bool:
-    """True when g maps a complex128 array to a matching array of values."""
-    probe = np.array([1.0 + 0j, 2.0 + 0j])
+def _probe_vectorized(g: Callable, dtype=np.complex128) -> bool:
+    """True when g maps an array of the dtype to a matching array of values."""
+    probe = np.array([1.0, 2.0], dtype=dtype)
     try:
         with np.errstate(all="ignore"):
             out = g(probe)
@@ -200,14 +205,28 @@ def _probe_vectorized(g: Callable) -> bool:
     return bool(np.all(np.abs(np.asarray(out, dtype=complex) - ref) <= 1e-12 * scale))
 
 
-def direct_sum(spec: SeriesSpec) -> SumResult:
-    """Compensated direct evaluation of the series (the oracle).
+def _real_lattice(spec: SeriesSpec):
+    """The weighted terms on a float64 lattice, or None when alpha or a beta
+    the variant uses is complex, or g raises there, gives the wrong shape or
+    any non-finite term."""
+    beta_used = spec.variant.is_shifted or spec.variant.is_exp_factor
+    if (spec.alpha.imag != 0.0 or (beta_used and spec.beta.imag != 0.0)
+            or not _probe_vectorized(spec.g, np.float64)):
+        return None
+    ks = np.arange(1, spec.n_terms + 1, dtype=np.float64)
+    try:
+        with np.errstate(all="ignore"):
+            args = spec.alpha.real * ks + (spec.beta.real if spec.variant.is_shifted else 0.0)
+            terms = np.asarray(spec.g(args)) * term_weight(spec, ks)
+            finite = terms.shape == ks.shape and bool(np.all(np.isfinite(terms)))
+    except Exception:
+        return None
+    return terms if finite else None
 
-    Terms are evaluated one by one (or vectorized when g supports arrays)
-    and reduced with Neumaier summation; the error estimate bounds the
-    rounding accumulation by eps * sum(|terms|).
-    """
-    t0 = time.perf_counter_ns()
+
+def _complex_terms(spec: SeriesSpec) -> np.ndarray:
+    """The weighted terms on a complex128 lattice, or one by one when g does
+    not take arrays; EvaluationError names the first failing index."""
     n = spec.n_terms
     if _probe_vectorized(spec.g):
         ks = np.arange(1, n + 1, dtype=np.complex128)
@@ -220,20 +239,35 @@ def direct_sum(spec: SeriesSpec) -> SumResult:
         if not np.all(finite):
             k_bad = int(np.argmin(finite)) + 1
             raise EvaluationError("series term is not finite", at=f"k={k_bad}")
-    else:
-        terms = []
-        for k in range(1, n + 1):
-            try:
-                term = complex(spec.g(term_argument(spec, k))) * complex(term_weight(spec, k))
-            except Exception as exc:
-                raise EvaluationError(f"series term failed to evaluate: {exc}", at=f"k={k}") from exc
-            if not (math.isfinite(term.real) and math.isfinite(term.imag)):
-                raise EvaluationError("series term is not finite", at=f"k={k}")
-            terms.append(term)
-        terms = np.array(terms, dtype=np.complex128)
+        return terms
+    terms = []
+    for k in range(1, n + 1):
+        try:
+            term = complex(spec.g(term_argument(spec, k))) * term_weight(spec, k)
+        except Exception as exc:
+            raise EvaluationError(f"series term failed to evaluate: {exc}", at=f"k={k}") from exc
+        if not (math.isfinite(term.real) and math.isfinite(term.imag)):
+            raise EvaluationError("series term is not finite", at=f"k={k}")
+        terms.append(term)
+    return np.array(terms, dtype=np.complex128)
+
+
+def direct_sum(spec: SeriesSpec) -> SumResult:
+    """Compensated direct evaluation of the series (the oracle).
+
+    g runs on a float64 lattice when alpha is real and beta real or unused.
+    Otherwise, or when g raises there, gives the wrong shape or a non-finite
+    term, the complex128 lattice (or a loop, for g that rejects arrays)
+    gives the terms and names a failing k.  Neumaier summation reduces them;
+    the estimate bounds the rounding accumulation by eps * sum(|terms|).
+    """
+    t0 = time.perf_counter_ns()
+    terms = _real_lattice(spec)
+    if terms is None:
+        terms = _complex_terms(spec)
     value = backend.neumaier_sum(terms)
     abs_sum = float(np.sum(np.abs(terms)))
-    diag = Diagnostics(nodes=n, runtime_ns=time.perf_counter_ns() - t0)
+    diag = Diagnostics(nodes=spec.n_terms, runtime_ns=time.perf_counter_ns() - t0)
     return SumResult(value=value, method="oracle", error_estimate=2.0 * _EPS * abs_sum,
                      diagnostics=diag)
 

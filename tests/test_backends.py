@@ -50,6 +50,36 @@ class TestNeumaierSum:
         assert backend.neumaier_sum(1j * x) == 2j * reps
 
 
+class TestNeumaierSumReal:
+    """A float64 array is one component: the same sum as its real part taken
+    as complex, in one fsum up to the lane width."""
+
+    @staticmethod
+    def _wide(rng, n):
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, backend._LANES])
+    def test_equals_fsum_up_to_lane_width(self, n):
+        x = self._wide(np.random.default_rng(31 + n), n)
+        got = backend.neumaier_sum(x)
+        assert got == math.fsum(x.tolist())
+        assert got.imag == 0.0
+
+    @pytest.mark.parametrize("n", [backend._LANES + 1, 100_000])
+    def test_within_accumulation_bound_beyond_lane_width(self, n):
+        for seed in range(5):
+            x = self._wide(np.random.default_rng(seed), n)
+            got = backend.neumaier_sum(x)
+            assert abs(got.real - math.fsum(x.tolist())) <= 2.0 * _EPS * float(np.sum(np.abs(x)))
+            assert got.imag == 0.0
+
+    @pytest.mark.parametrize("n", [1, 7, backend._LANES, backend._LANES + 1,
+                                   3 * backend._LANES - 5, 100_000])
+    def test_equals_the_complex_sum_of_the_same_terms(self, n):
+        x = self._wide(np.random.default_rng(7 * n), n)
+        assert backend.neumaier_sum(x) == backend.neumaier_sum(x + 0j)
+
+
 def test_phi_grid_includes_origin():
     """t = 0 is the removable point: Phi(0) = N, by the power-sum series."""
     out = backend.phi_grid(np.array([0.0, 1e-12, 0.5]), 7, Variant.STANDARD, 1.0 + 0j, 0j)

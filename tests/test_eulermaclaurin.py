@@ -75,6 +75,14 @@ class TestRemainderHonesty:
         assert abs(got.value.real - want) <= got.error_estimate
         assert abs(got.value.real - want) < 1e-7
 
+    def test_non_finite_curvature_voids_the_bound(self):
+        """exp(35k) overflows at the upper curvature samples: their nan
+        derivatives void the remainder bound instead of being skipped."""
+        f = as_function(parse_expression("exp(700*k/20)"))
+        got = em_sum(EMJob(f, 1.0, 20.0, 19, n=3))
+        assert not math.isfinite(got.error_estimate)
+        assert "non-converged" in got.flags
+
     def test_finer_lattice_tightens_the_estimate(self):
         coarse = em_sum(EMJob(lambda x: 1.0 / (x * x), 1.0, 5.0, 4, n=2))
         fine = em_sum(EMJob(lambda x: 1.0 / (x * x), 1.0, 5.0, 32, n=2))

@@ -67,6 +67,29 @@ class TestEvaluation:
         np.testing.assert_allclose(ex.evaluate(node, ks), 1.0 / (ks**2 + 1),
                                    rtol=1e-15)
 
+    def test_real_power_on_a_positive_float_array(self):
+        """A float64 base above 0 with a real exponent takes the real power,
+        within 1 ulp of math.pow at every point."""
+        ks = np.linspace(0.5, 2000.0, 997)
+        for text, p in (("k^2.7", 2.7), ("k^-1.3", -1.3), ("k^3", 3.0)):
+            got = ex.evaluate(ex.parse_expression(text), ks)
+            assert got.dtype == np.float64
+            for k, v in zip(ks.tolist(), got.tolist()):
+                assert abs(v - math.pow(k, p)) <= math.ulp(math.pow(k, p))
+
+    def test_integral_power_of_a_negative_base_is_real(self):
+        ks = np.arange(1.0, 11.0)
+        got = ex.evaluate(ex.parse_expression("(k-5)^3"), ks)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, (ks - 5.0) ** 3)
+
+    def test_fractional_power_of_a_negative_base_stays_complex(self):
+        ks = np.arange(1.0, 11.0)
+        got = ex.evaluate(ex.parse_expression("(k-5)^0.5"), ks)
+        assert np.iscomplexobj(got)
+        np.testing.assert_array_equal(got, np.asarray(ks - 5.0, dtype=complex) ** 0.5)
+        assert got[0] == pytest.approx(2j, rel=1e-15)
+
     def test_complex_argument(self):
         node = ex.parse_expression("exp(-k)")
         z = 0.3 + 0.4j

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from finsum import backend, cli, series
 from finsum.errors import CapabilityError, EvaluationError, PreconditionError
 from finsum.expr import as_function, parse_expression
 from finsum.series import (SeriesSpec, Variant, antidifference_sum, direct_sum,
@@ -124,6 +125,80 @@ class TestDirectSum:
         res = direct_sum(SeriesSpec(g=lambda k: 1.0 / k, n_terms=25))
         assert res.diagnostics.nodes == 25
         assert res.diagnostics.runtime_ns > 0
+
+
+def _spec(text, n, **kw):
+    return SeriesSpec(g=as_function(parse_expression(text)), n_terms=n, **kw)
+
+
+# one summand of each spike-catalog family, at alpha != 1
+_SPIKE_FAMILIES = ("1.3*sin(1.7*k)", "0.8*cos(2.9*k)", "k*cos(1.1*k)",
+                   "exp(-0.2*k)*cos(0.7*k)", "1.5*exp(-0.3*k)", "1.2*k^3",
+                   "0.9/k^2.5")
+
+
+class TestRealLattice:
+    """With alpha and beta real the oracle runs on a float64 lattice; it
+    must agree with the complex128 lattice within its own estimate, and
+    everything that lattice cannot evaluate must come out as before."""
+
+    @staticmethod
+    def _agrees_with_complex_lattice(spec):
+        assert series._real_lattice(spec).dtype == np.float64
+        got = direct_sum(spec)
+        want = backend.neumaier_sum(series._complex_terms(spec))
+        assert abs(got.value - want) <= got.error_estimate
+
+    @pytest.mark.parametrize("text, n", cli._BENCH_SUITE)
+    def test_bench_suite_rows(self, text, n):
+        self._agrees_with_complex_lattice(_spec(text, n))
+
+    @pytest.mark.parametrize("n", [1, 1024, 1025, 100_000])
+    @pytest.mark.parametrize("text", _SPIKE_FAMILIES)
+    def test_spike_catalog_families(self, text, n):
+        self._agrees_with_complex_lattice(_spec(text, n, alpha=1.3))
+
+    @pytest.mark.parametrize("variant, beta", [
+        (Variant.ALTERNATING, 0.0), (Variant.SHIFTED, 0.37),
+        (Variant.SHIFTED_ALTERNATING, 0.37), (Variant.EXP_FACTOR, 0.21),
+        (Variant.EXP_FACTOR_ALTERNATING, 0.21)])
+    def test_variants_with_real_beta(self, variant, beta):
+        for text in ("1/(k^2+1)", "k^0.5*cos(1.1*k)"):
+            self._agrees_with_complex_lattice(
+                _spec(text, 1030, alpha=0.9, variant=variant, beta=beta))
+
+    def test_negative_sqrt_falls_back_to_the_complex_lattice(self):
+        """sqrt(k-5) is nan on the float64 lattice below k = 5; the complex
+        lattice gives the same value, bit for bit, as before the float64
+        lattice existed."""
+        spec = _spec("sqrt(k-5)", 30)
+        assert series._real_lattice(spec) is None
+        got = direct_sum(spec)
+        assert got.value == complex(float.fromhex("0x1.5688fdb2493e0p+6"),
+                                    float.fromhex("0x1.895c653b5e21ep+2"))
+        assert got.error_estimate == float.fromhex("0x1.6f1ec405ff200p-45")
+
+    @pytest.mark.parametrize("variant, beta, re, im, est", [
+        ("standard", 0j, "0x1.b7aebcfba6930p+4", "-0x1.30f5bea9832e0p+1",
+         "0x1.bb0ae9e929d06p-47"),
+        ("exp-factor", 0.3 - 0.2j, "0x1.4e94e4a66ffd7p+1", "0x1.0877314faa776p+1",
+         "0x1.eec3a1f7ba26dp-50"),
+        ("shifted", 0.25, "0x1.b246be2f309f1p+4", "-0x1.2d72f74f75cb3p+1",
+         "0x1.b597dcc224276p-47")])
+    def test_complex_alpha_record_is_unchanged(self, variant, beta, re, im, est):
+        """Complex alpha never reaches the float64 lattice: the oracle
+        record is the one the complex lattice always gave."""
+        rec = cli.run("1/(k^2+1)+k^0.5*exp(-0.1*k)", 40, "oracle", alpha=1 + 0.1j,
+                      variant=variant, beta=beta)["results"][0]
+        assert (rec["value"]["re"], rec["value"]["im"]) == (float.fromhex(re), float.fromhex(im))
+        assert rec["error_estimate"] == float.fromhex(est)
+        assert rec["flags"] == [] and rec["diagnostics"]["nodes"] == 40
+
+    def test_complex_beta_keeps_the_complex_lattice(self):
+        spec = _spec("1/(k^2+1)", 40, alpha=1.5, variant=Variant.EXP_FACTOR, beta=0.2 + 0.3j)
+        assert series._real_lattice(spec) is None
+        assert direct_sum(spec).value == complex(float.fromhex("0x1.3f3c40ca08710p-2"),
+                                                 float.fromhex("-0x1.407703f1c44e7p-3"))
 
 
 class TestTermHelpers:
