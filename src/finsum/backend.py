@@ -48,12 +48,24 @@ def phi_grid(t: np.ndarray, n: int, variant, alpha: complex, beta: complex) -> n
     return summation_factor(np.asarray(t, dtype=np.complex128), n, variant, alpha, beta)
 
 
+def dirichlet_amplitude(d, n: int):
+    """sin(n d/2)/sin(d/2) at reduced angles |d| <= pi, with n at d = 0."""
+    half = 0.5 * np.asarray(d, dtype=np.float64)
+    den = np.sin(half)
+    return np.divide(np.sin(n * half), den, out=np.full(half.shape, float(n)),
+                     where=den != 0.0)
+
+
 def dirichlet_grid(alpha: np.ndarray, n: int) -> np.ndarray:
-    """sum_{k=1}^{n} exp(i alpha k) on a grid of real frequencies."""
+    """sum_{k=1}^{n} exp(i alpha k) on a grid of real frequencies: the real
+    amplitude times the phase exp(i (n+1) d/2) at the angle d reduced mod 2 pi."""
     alpha = np.asarray(alpha, dtype=np.float64)
     two_pi = 2.0 * math.pi
     d = alpha - two_pi * np.round(alpha / two_pi)
-    return jets.exp_power_sum(1j * d, n)
+    amp, phase = dirichlet_amplitude(d, n), (0.5 * (n + 1)) * d
+    out = np.empty(d.shape, dtype=np.complex128)
+    out.real, out.imag = amp * np.cos(phase), amp * np.sin(phase)
+    return out
 
 
 def neumaier_sum(x: np.ndarray) -> complex:

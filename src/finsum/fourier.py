@@ -6,9 +6,10 @@ factor D(alpha) = Sigma_{k=1}^{N} exp(i alpha k).  D is 2pi-periodic, so the
 integral folds onto one period: (1/2pi) * integral over [-pi, pi] of
 G_per(alpha) * D(alpha), where G_per(alpha) = Sigma_m G(alpha + 2 pi m) is
 the Poisson-summed transform.  Over a finite period nothing is truncated.
-The factor is evaluated from the geometric closed form after exact argument
-reduction modulo 2pi (the reduced angle gives the same value at every
-integer k and keeps the evaluation conditioned near resonances).
+The factor is evaluated as the real amplitude sin(N d/2)/sin(d/2) times the
+phase exp(i d (N+1)/2) after exact argument reduction alpha = 2 pi m + d
+(the reduced angle gives the same value at every integer k and keeps the
+evaluation conditioned near resonances).
 
 The transform table is deliberately tiny -- Gaussian and Lorentzian families
 under the convention G(alpha) = integral g(x) exp(-i alpha x) dx, each with
@@ -28,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import backend, jets, quadrature
+from . import backend, quadrature
 from . import expr as ex
 from .errors import CapabilityError
 from .kernels import GAUSS, linear_terms, _Unrecognized
@@ -36,6 +37,7 @@ from .series import Diagnostics, SumResult, check_count
 from .stable import TWO_PI, reduce_angle
 
 _LOG_EPS = -math.log(np.finfo(float).eps)
+_MESH_PANELS = 20_000   # 3e5 nodes, under a third of the node budget
 
 
 class DirichletForm(str, Enum):
@@ -51,13 +53,11 @@ def dirichlet_factor(alpha: float, n_terms: int,
     d, m = reduce_angle(float(alpha))
     if form is DirichletForm.EXACT:
         # exp(i alpha k) == exp(i d k) exactly at integer k
-        return complex(jets.exp_power_sum(1j * d, n_terms))
+        return complex(backend.dirichlet_grid(d, n_terms))
     # sin(alpha N/2)/sin(alpha/2) via the reduced angle:
     # sin(pi m N + d N/2) = (-1)^(mN) sin(dN/2), sin(pi m + d/2) = (-1)^m sin(d/2)
-    sign = -1.0 if (m * (n_terms - 1)) % 2 else 1.0
-    if d == 0.0:
-        return complex(sign * n_terms)
-    return complex(sign * math.sin(0.5 * d * n_terms) / math.sin(0.5 * d))
+    amp = float(backend.dirichlet_amplitude(d, n_terms))
+    return complex(-amp if (m * (n_terms - 1)) % 2 else amp)
 
 
 @dataclass(frozen=True)
@@ -164,8 +164,12 @@ def sum_via_fourier(pair, n_terms: int, tol: float = 1e-9) -> SumResult:
     def integrand(al):
         return pair.periodic(al) * backend.dirichlet_grid(al, n_terms)
 
-    # the midpoint cut at 0 falls on the Lorentzian kink and the peak of D
-    quad = quadrature.integrate_finite(integrand, -math.pi, math.pi, tol)
+    # the mesh cuts at every step-th half-lobe j*pi/N of D, at most _MESH_PANELS
+    # panels; its cut at 0 falls on the Lorentzian kink and the peak of D
+    step = -(-n_terms // (_MESH_PANELS // 2))
+    half_lobes = np.arange(step, n_terms, step) * (math.pi / n_terms)
+    quad = quadrature.integrate_finite(integrand, -math.pi, math.pi, tol,
+                                       points=np.concatenate((-half_lobes, half_lobes)))
     value = quad.value / TWO_PI
     residual = abs(value.imag)
     converged = quad.converged and residual < 10.0 * tol

@@ -56,11 +56,13 @@ class DeltaTerm:
 
 @dataclass(frozen=True)
 class SmoothTerm:
-    """Density fn(t) on t >= 0 with |fn(t)| <= C * exp(growth_bound * t)."""
+    """Density fn(t) on t >= 0 with |fn(t)| <= C * exp(growth_bound * t)
+    and fn(t) ~ t^endpoint_exponent as t -> 0."""
 
     fn: Callable
     growth_bound: float = 0.0
     label: str = ""
+    endpoint_exponent: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -329,7 +331,7 @@ def _term_kernel(coeff: complex, factors: dict) -> tuple[Kernel, str]:
     if kpow < 0:
         s = -kpow
         fn = (lambda t, c=coeff, s=s: c * t ** (s - 1.0) / gamma_fn(s))
-        return Kernel(smooth=(SmoothTerm(fn, 0.0, f"power(s={s})"),)), "smooth:power"
+        return Kernel(smooth=(SmoothTerm(fn, 0.0, f"power(s={s})", s - 1.0),)), "smooth:power"
     order = _as_order(kpow)
     return Kernel(deltas=(DeltaTerm(coeff, 0j, order),)), "delta:monomial"
 

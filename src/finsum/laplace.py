@@ -34,6 +34,7 @@ from .stable import TWO_PI
 
 _EPS = 2.220446049250313e-16
 _MAX_DERIV = 4
+_LADDER_FLOOR = 1e-100   # t^p, p > -1, stays below 1e100 on the ladder
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,21 @@ def _growth_limit(vk: VariantKernel | SeriesSpec) -> float:
     return limit
 
 
+def _ladder(spec: SeriesSpec, smooth, tol: float) -> np.ndarray:
+    """Breakpoints 4^-j in t from t = 1 down toward the smaller of two
+    scales: a quarter of the knee 1/(|alpha| N), where the summation factor
+    turns from its plateau near N to its 1/(alpha t) decay, and for a
+    density t^p with non-integer p, (tol/N)^(1/(p+1)), below which the
+    density's mass against the factor is under tol."""
+    low = 1.0 / (4.0 * abs(spec.alpha) * spec.n_terms)
+    for s in smooth:
+        p = s.endpoint_exponent
+        if p != round(p):
+            low = min(low, (tol / spec.n_terms) ** (1.0 / (p + 1.0)))
+    depth = math.floor(math.log(1.0 / max(low, _LADDER_FLOOR), 4.0))
+    return 4.0 ** -np.arange(depth + 1)
+
+
 def sum_via_integral(spec: SeriesSpec, kernel: Kernel, tol: float = 1e-10) -> SumResult:
     """Evaluate the finite sum of spec through its integral representation.
 
@@ -141,7 +157,8 @@ def sum_via_integral(spec: SeriesSpec, kernel: Kernel, tol: float = 1e-10) -> Su
                 total = total + s.fn(t) * factor
             return total
 
-        quad = integrate_semi_infinite(integrand, tol=tol)
+        quad = integrate_semi_infinite(integrand, tol=tol,
+                                       points=_ladder(spec, kernel.smooth, tol))
         value += quad.value
         error += quad.abs_error_estimate
         nodes = quad.nodes_used

@@ -8,11 +8,14 @@ One engine, two frontends:
 Intervals are bisected worst-first (by the QUADPACK-style error estimate of
 a 7/15 Gauss-Kronrod pair) until the summed estimate drops below ``tol`` or
 the node budget runs out.  Each round bisects a batch of the worst panels
-and evaluates all their children in one integrand call.  Endpoints are
-never sampled: every Kronrod node is interior, which is what lets the
-half-line transform skip t = 0.  Integrands are complex-valued; they are
-evaluated on 1-D arrays of abscissas (each frontend detects scalar-only
-callables once and wraps them).
+and evaluates all their children in one integrand call.  Callers may seed
+the initial mesh with interior ``points`` where the integrand's scale lies
+(QUADPACK's QAGP breakpoints); they only spare the rounds that would find
+that scale, the error control is unchanged.  Endpoints are never sampled:
+every Kronrod node is interior, which is what lets the half-line transform
+skip t = 0.  Integrands are complex-valued; they are evaluated on 1-D arrays
+of abscissas (each frontend detects scalar-only callables once and wraps
+them).
 """
 
 from __future__ import annotations
@@ -135,7 +138,10 @@ def _adaptive(f: Callable, cuts: list[float], tol: float, budget: int) -> Quadra
         err_total += math.fsum(errs)
         value_run += sum(vals)
 
-    push(cuts[:-1], cuts[1:])
+    # the initial mesh goes in slices the size of one full round's children
+    lo, hi, width = cuts[:-1], cuts[1:], 2 * _ROUND_CAP
+    for i in range(0, len(lo), width):
+        push(lo[i:i + width], hi[i:i + width])
     while not stuck and heap:
         target = max(tol, _REL_FLOOR * abs(value_run))
         if err_total <= target:
@@ -179,23 +185,40 @@ def _adaptive(f: Callable, cuts: list[float], tol: float, budget: int) -> Quadra
                             converged=err_total <= max(tol, floor))
 
 
+def _mesh(cuts: list[float], points) -> list[float]:
+    """The fixed cuts merged with the interior points, sorted; points
+    outside (cuts[0], cuts[-1]) and duplicates are dropped."""
+    pts = np.asarray(points, dtype=np.float64).ravel()
+    pts = pts[(pts > cuts[0]) & (pts < cuts[-1])]
+    if not pts.size:
+        return cuts
+    # not np.unique: its first call imports a numpy submodule, ~30 ms
+    mesh = np.sort(np.concatenate((cuts, pts)))
+    return mesh[np.append(True, np.diff(mesh) > 0.0)].tolist()
+
+
 def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-10,
-                     budget: int = 10 ** 6) -> QuadratureResult:
-    """Adaptive integral of f over [a, b] to absolute tolerance tol."""
+                     budget: int = 10 ** 6, points=()) -> QuadratureResult:
+    """Adaptive integral of f over [a, b] to absolute tolerance tol;
+    ``points`` are interior breakpoints of the initial mesh."""
     if not (b > a):
         raise EvaluationError(f"integration interval is empty: [{a}, {b}]")
     f = _vectorize(f, np.array([a + 0.382 * (b - a), a + 0.618 * (b - a)]))
-    return _adaptive(f, [a, 0.5 * (a + b), b], tol, budget)
+    return _adaptive(f, _mesh([a, 0.5 * (a + b), b], points), tol, budget)
 
 
 def integrate_semi_infinite(f: Callable, tol: float = 1e-10,
-                            budget: int = 10 ** 6) -> QuadratureResult:
+                            budget: int = 10 ** 6, points=()) -> QuadratureResult:
     """Adaptive integral of f over (0, inf) to absolute tolerance tol.
 
     Maps t = u/(1-u) onto u in (0, 1); the Jacobian 1/(1-u)^2 is folded into
-    the transformed integrand.  t = 0 is never requested.
+    the transformed integrand.  t = 0 is never requested.  ``points`` are
+    interior breakpoints of the initial mesh, given in t.
     """
     g = _vectorize(f, np.array([0.5, 1.5]))
+    with np.errstate(invalid="ignore", divide="ignore"):   # t <= 0, t = inf map outside (0, 1)
+        ts = np.asarray(points, dtype=np.float64)
+        cuts = _mesh([0.0, 0.5, 0.9, 0.99, 1.0], ts / (1.0 + ts))
 
     def fu(us: np.ndarray) -> np.ndarray:
         ts = us / (1.0 - us)
@@ -204,5 +227,5 @@ def integrate_semi_infinite(f: Callable, tol: float = 1e-10,
             out = vals / (1.0 - us) ** 2
         return out
 
-    return _adaptive(fu, [0.0, 0.5, 0.9, 0.99, 1.0], tol, budget)
+    return _adaptive(fu, cuts, tol, budget)
 

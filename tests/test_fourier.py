@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from finsum import cli
+from finsum import backend, cli
 from finsum.errors import CapabilityError, PreconditionError
 from finsum.fourier import (DirichletForm, dirichlet_factor, recognize_fourier,
                             sum_via_fourier)
@@ -61,6 +61,31 @@ class TestLatticeFactor:
     def test_rejects_bad_length(self):
         with pytest.raises(PreconditionError):
             dirichlet_factor(1.0, 0)
+
+    # d = 0, +-1e-9, +-pi, and within 1e-12 of 2 pi m
+    ANGLES = [0.0, 1e-9, -1e-9, math.pi, -math.pi] + [
+        2.0 * math.pi * m + e for m in (1, -3, 7) for e in (0.0, 1e-12, -1e-12)]
+
+    @pytest.mark.parametrize("n", [1, 2, 1000, 10 ** 6])
+    def test_both_forms_and_the_grid_against_mpmath(self, n):
+        """Amplitude sin(N a/2)/sin(a/2) and phase exp(i a (N+1)/2) at 40
+        digits, at the exact doubles; the bound is eps times the condition
+        number N + |a| N^2 of the sum under a relative change of a."""
+        mpmath = pytest.importorskip("mpmath")
+        grid = backend.dirichlet_grid(np.array(self.ANGLES), n)
+        for alpha, on_grid in zip(self.ANGLES, grid):
+            with mpmath.workdps(40):
+                a = mpmath.mpf(alpha)
+                amp = mpmath.mpf(n) if alpha == 0.0 else \
+                    mpmath.sin(n * a / 2) / mpmath.sin(a / 2)
+                exact = complex(amp * mpmath.expjpi(a * (n + 1) / (2 * mpmath.pi)))
+                phase_free = float(amp)
+            bound = 4.0 * np.finfo(float).eps * (n + abs(alpha) * n * n)
+            assert abs(dirichlet_factor(alpha, n) - exact) <= bound
+            assert abs(on_grid - exact) <= bound
+            got = dirichlet_factor(alpha, n, DirichletForm.PHASE_FREE)
+            assert got.imag == 0.0
+            assert abs(got.real - phase_free) <= bound
 
 
 class TestPairTable:

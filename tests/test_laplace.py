@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from finsum import cli
 from finsum.errors import CapabilityError, PoleError, PreconditionError
 from finsum.kernels import Kernel, SmoothTerm, recognize_pair
 from finsum.laplace import (VariantKernel, delta_type_b, phi, phi_derivative,
@@ -121,6 +122,59 @@ class TestSmoothSummands:
         got = sum_via_integral(spec, rec.kernel, tol=1e-10)
         want = direct_sum(spec).value
         assert abs(got.value - want) <= max(got.error_estimate, 1e-12)
+
+
+def _mp_series(g, n, alpha, variant, beta=0.0):
+    """Sigma_k w_k g(alpha*k) in mpmath at 40 digits; g takes an mpf."""
+    mpmath = pytest.importorskip("mpmath")
+    variant = Variant(variant)
+    with mpmath.workdps(40):
+        al, be = mpmath.mpf(alpha), mpmath.mpf(beta)
+        total = mpmath.mpf(0)
+        for k in range(1, n + 1):
+            term = g(al * k + (be if variant.is_shifted else 0))
+            if variant.is_exp_factor:
+                term *= mpmath.exp(-be * k)
+            total += -term if variant.is_alternating and k % 2 == 0 else term
+        return total
+
+
+class TestInitialMesh:
+    """The breakpoint ladder puts the factor's knee and a power density's
+    endpoint scale on the initial mesh.  Literals are read as the exact
+    doubles the program receives."""
+
+    @staticmethod
+    def _check(text, g, n, alpha, variant, beta, tol):
+        rec = cli.run(text, n, method="laplace", alpha=alpha, variant=variant,
+                      beta=beta, tol=tol)["results"][1]
+        want = _mp_series(g, n, alpha, variant, beta)
+        dev = float(abs(complex(rec["value"]["re"], rec["value"]["im"]) - want))
+        assert rec["flags"] == []
+        assert dev <= rec["error_estimate"]
+        return rec
+
+    def test_knee_of_the_alternating_factor(self):
+        """The first panel t in [0, 1/3] used to miss the knee at t ~ 1/(alpha N)
+        = 0.0019: deviation 2.5e-8 against an estimate of 8.0e-9."""
+        mpf = pytest.importorskip("mpmath").mpf
+        self._check("0.6854/(k^2+3.9709)", lambda x: mpf(0.6854) / (x * x + mpf(3.9709)),
+                    334, 1.5944, "alternating", 0.0, 1e-8)
+
+    def test_power_plus_lorentzian_exp_factor(self):
+        """Deviation 1.0e-9 against an estimate of 9.9e-11 on the default mesh,
+        where Gauss and Kronrod agree by aliasing on a panel of 56 periods."""
+        mpf = pytest.importorskip("mpmath").mpf
+        self._check("0.6672/k^2.8975+0.6672/(k^2+8.982)",
+                    lambda x: mpf(0.6672) / x ** mpf(2.8975) + mpf(0.6672) / (x * x + mpf(8.982)),
+                    46, 0.5903, "exp-factor-alternating", 0.6693, 1e-10)
+
+    @pytest.mark.parametrize("n", [100, 10_000])
+    def test_inverse_square_root(self, n):
+        """t^(-1/2) is graded down to (tol/N)^2; it was flagged non-converged."""
+        mpmath = pytest.importorskip("mpmath")
+        rec = self._check("1/k^0.5", lambda x: 1 / mpmath.sqrt(x), n, 1.0, "standard", 0.0, 1e-10)
+        assert rec["diagnostics"]["nodes"] < 5_000
 
 
 class TestSpikeSummands:

@@ -2,6 +2,7 @@
 
 import heapq
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,3 +182,80 @@ def test_scalar_closure_is_probed_once():
     q = integrate_semi_infinite(f)
     assert complex(q.value) == pytest.approx(1.0, rel=1e-12)
     assert len(calls) == q.nodes_used + 1     # + the probe that failed
+
+
+# -- caller breakpoints on the initial mesh
+
+def test_points_outside_or_repeated_are_dropped():
+    f = lambda t: np.sqrt(np.asarray(t, dtype=float))
+    want = _frontend(integrate_finite, f, a=0.0, b=2.0, points=[0.3, 1.7])
+    got = _frontend(integrate_finite, f, a=0.0, b=2.0,
+                    points=[-1.0, 0.0, 0.3, 0.3, 1.0, 1.7, 2.0, 5.0, np.nan, np.inf])
+    assert got == want
+    g = lambda t: np.exp(-np.asarray(t)) * np.cos(5 * np.asarray(t))
+    # t = 1 maps onto the fixed cut u = 1/2; t <= 0 and t = inf leave (0, 1)
+    want = _frontend(integrate_semi_infinite, g, points=[0.25, 3.0])
+    got = _frontend(integrate_semi_infinite, g,
+                    points=[-3.0, -1.0, -0.5, 0.0, 0.25, 1.0, 3.0, 3.0, np.inf])
+    assert got == want
+
+
+SEEDED = {
+    "semi-exp": (integrate_semi_infinite, lambda t: np.exp(-t), {}, 1.0),
+    "semi-lorentz": (integrate_semi_infinite, lambda t: 1.0 / (1.0 + t * t), {}, math.pi / 2),
+    "semi-gamma": (integrate_semi_infinite, lambda t: t**3 * np.exp(-t), {}, 6.0),
+    "semi-oscillatory": (integrate_semi_infinite, lambda t: np.exp(-t) * np.cos(5 * t),
+                         {}, 1.0 / 26.0),
+    "semi-complex": (integrate_semi_infinite, lambda t: np.exp(-(1 + 2j) * t), {},
+                     1.0 / (1 + 2j)),
+    "finite-sqrt": (integrate_finite, lambda t: np.sqrt(t), {"a": 0.0, "b": 2.0},
+                    2.0 / 3.0 * 2.0 ** 1.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+@pytest.mark.parametrize("points", [4.0 ** -np.arange(12), np.linspace(0.05, 1.95, 39),
+                                    [0.3, 1.1, 7.0]])
+def test_points_keep_every_value_within_its_estimate(name, points):
+    integrate, f, kw, exact = SEEDED[name]
+    value, estimate, _, converged = _frontend(integrate, f, points=points, **kw)
+    assert converged
+    assert abs(value - exact) <= max(estimate, 4e-16 * abs(exact))
+
+
+def test_initial_mesh_goes_to_f_in_round_sized_slices():
+    sizes = []
+
+    def f(t):
+        sizes.append(len(t))
+        return np.cos(t)
+
+    points = np.linspace(0.0, 1.0, 1301)[1:-1]       # 1300 panels; 1/2 is among them
+    q = integrate_finite(f, 0.0, 1.0, tol=1.0, points=points)
+    slice_nodes = 15 * 2 * quadrature._ROUND_CAP
+    assert sizes[0] == 2                               # the frontend's probe
+    assert sizes[1:] == [slice_nodes, slice_nodes, 15 * 1300 - 2 * slice_nodes]
+    assert q.nodes_used == 15 * 1300
+    assert complex(q.value) == pytest.approx(math.sin(1.0), rel=1e-14)
+
+
+class TestFourierAtHugeN:
+    """The half-lobe mesh is capped at _MESH_PANELS panels, so its first
+    pass spends a fixed share of the node budget however large N is."""
+
+    def test_gaussian_converges_at_thirty_thousand(self):
+        got = sum_via_fourier("exp(-0.3*k^2)", 30_000, tol=1e-10)
+        want = math.fsum(math.exp(-0.3 * k * k) for k in range(1, 40))
+        assert got.diagnostics.converged
+        assert abs(got.value - want) <= got.error_estimate
+
+    def test_narrow_lorentzian_stays_flagged_in_bounded_memory(self):
+        tracemalloc.start()
+        try:
+            got = sum_via_fourier("1/(k^2+1)", 100_000, tol=1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not got.diagnostics.converged
+        assert got.diagnostics.nodes <= 10 ** 6
+        assert peak < 16 * 2 ** 20
