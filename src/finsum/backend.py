@@ -16,9 +16,12 @@ import numpy as np
 
 from . import jets
 
-# lane count of the tiled compensated sum; arrays up to this length go
-# straight to math.fsum
+# lane count of the tiled compensated sum
 _LANES = 1024
+# arrays up to this length go straight to math.fsum: past one row the row
+# loop's fixed cost, an fsum over 2 * _LANES column sums and carries, is
+# larger than one fsum over the terms until about 3,000 terms
+_FSUM_MAX = 2 * _LANES
 
 
 def active() -> str:
@@ -71,7 +74,7 @@ def dirichlet_grid(alpha: np.ndarray, n: int) -> np.ndarray:
 def neumaier_sum(x: np.ndarray) -> complex:
     """Compensated sum of a float64 (one component) or complex array (two).
 
-    Up to ``_LANES`` terms each component is one ``math.fsum``, correctly
+    Up to ``_FSUM_MAX`` terms each component is one ``math.fsum``, correctly
     rounded.  Longer arrays are cut into rows of ``_LANES`` terms and
     accumulated down the rows with TwoSum, a running sum and an error carry
     per column; the column sums and carries then go through ``math.fsum``.
@@ -83,9 +86,9 @@ def neumaier_sum(x: np.ndarray) -> complex:
     parts = 2 if np.iscomplexobj(x) else 1
     flat = np.ascontiguousarray(x, dtype=np.complex128 if parts == 2 else np.float64)
     flat = flat.ravel().view(np.float64)  # re, im interleaved when complex
-    width = parts * _LANES
-    if flat.size <= width:
+    if flat.size <= parts * _FSUM_MAX:
         return complex(*(math.fsum(flat[i::parts].tolist()) for i in range(parts)))
+    width = parts * _LANES
     rows = flat[:flat.size // width * width].reshape(-1, width)
     last = np.zeros(width)
     last[:flat.size - rows.size] = flat[rows.size:]

@@ -8,6 +8,7 @@ the integral engines import these helpers instead of re-deriving signs.
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass, field
@@ -226,7 +227,12 @@ def _real_lattice(spec: SeriesSpec):
 
 def _complex_terms(spec: SeriesSpec) -> np.ndarray:
     """The weighted terms on a complex128 lattice, or one by one when g does
-    not take arrays; EvaluationError names the first failing index."""
+    not take arrays; EvaluationError names the first failing index.
+
+    The per-element loop resolves the variant once per series: g, alpha,
+    the shift, the damping and the sign are bound before it, and each term
+    is formed by the operations of :func:`term_argument` and
+    :func:`term_weight` in their order, so the terms are the same bits."""
     n = spec.n_terms
     if _probe_vectorized(spec.g):
         ks = np.arange(1, n + 1, dtype=np.complex128)
@@ -240,10 +246,21 @@ def _complex_terms(spec: SeriesSpec) -> np.ndarray:
             k_bad = int(np.argmin(finite)) + 1
             raise EvaluationError("series term is not finite", at=f"k={k_bad}")
         return terms
+    g, alpha, variant = spec.g, spec.alpha, spec.variant
+    shift = spec.beta if variant.is_shifted else None
+    damping = -spec.beta if variant.is_exp_factor else None
+    alternating = variant.is_alternating
     terms = []
     for k in range(1, n + 1):
         try:
-            term = complex(spec.g(term_argument(spec, k))) * term_weight(spec, k)
+            x = alpha * k
+            if shift is not None:
+                x = x + shift
+            value = complex(g(x))
+            w = 1.0 if damping is None else cmath.exp(damping * k)
+            if alternating:
+                w = w * (1.0 if k % 2 == 1 else -1.0)
+            term = value * w
         except Exception as exc:
             raise EvaluationError(f"series term failed to evaluate: {exc}", at=f"k={k}") from exc
         if not (math.isfinite(term.real) and math.isfinite(term.imag)):

@@ -26,13 +26,14 @@ def _ill_conditioned(rng, n):
 
 
 class TestNeumaierSum:
-    @pytest.mark.parametrize("n", [0, 1, 7, backend._LANES])
+    @pytest.mark.parametrize("n", [0, 1, 7, backend._LANES, backend._FSUM_MAX])
     def test_equals_fsum_up_to_lane_width(self, n):
         x = _ill_conditioned(np.random.default_rng(13 + n), n)
         assert backend.neumaier_sum(x) == _fsum(x)
 
     @pytest.mark.parametrize("n", [backend._LANES + 1, 2 * backend._LANES,
-                                   3 * backend._LANES - 5, 100_000])
+                                   backend._FSUM_MAX + 1, 3 * backend._LANES - 5,
+                                   100_000])
     def test_within_accumulation_bound_beyond_lane_width(self, n):
         for seed in range(5):
             x = _ill_conditioned(np.random.default_rng(seed), n)
@@ -52,20 +53,20 @@ class TestNeumaierSum:
 
 class TestNeumaierSumReal:
     """A float64 array is one component: the same sum as its real part taken
-    as complex, in one fsum up to the lane width."""
+    as complex, in one fsum up to _FSUM_MAX terms."""
 
     @staticmethod
     def _wide(rng, n):
         return rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
 
-    @pytest.mark.parametrize("n", [0, 1, 7, backend._LANES])
+    @pytest.mark.parametrize("n", [0, 1, 7, backend._LANES, backend._FSUM_MAX])
     def test_equals_fsum_up_to_lane_width(self, n):
         x = self._wide(np.random.default_rng(31 + n), n)
         got = backend.neumaier_sum(x)
         assert got == math.fsum(x.tolist())
         assert got.imag == 0.0
 
-    @pytest.mark.parametrize("n", [backend._LANES + 1, 100_000])
+    @pytest.mark.parametrize("n", [backend._LANES + 1, backend._FSUM_MAX + 1, 100_000])
     def test_within_accumulation_bound_beyond_lane_width(self, n):
         for seed in range(5):
             x = self._wide(np.random.default_rng(seed), n)
@@ -74,6 +75,7 @@ class TestNeumaierSumReal:
             assert got.imag == 0.0
 
     @pytest.mark.parametrize("n", [1, 7, backend._LANES, backend._LANES + 1,
+                                   backend._FSUM_MAX, backend._FSUM_MAX + 1,
                                    3 * backend._LANES - 5, 100_000])
     def test_equals_the_complex_sum_of_the_same_terms(self, n):
         x = self._wide(np.random.default_rng(7 * n), n)

@@ -201,6 +201,97 @@ class TestRealLattice:
                                                  float.fromhex("-0x1.407703f1c44e7p-3"))
 
 
+def _reference_terms(spec):
+    """The per-element loop as it stood before the variant was bound once
+    per series: one term_argument and one term_weight call per term."""
+    terms = []
+    for k in range(1, spec.n_terms + 1):
+        try:
+            term = complex(spec.g(term_argument(spec, k))) * term_weight(spec, k)
+        except Exception as exc:
+            raise EvaluationError(f"series term failed to evaluate: {exc}", at=f"k={k}") from exc
+        if not (math.isfinite(term.real) and math.isfinite(term.imag)):
+            raise EvaluationError("series term is not finite", at=f"k={k}")
+        terms.append(term)
+    return np.array(terms, dtype=np.complex128)
+
+
+def _scalars_only(f):
+    """f, refusing arrays, so that the oracle takes its per-element loop."""
+    def g(x):
+        if isinstance(x, np.ndarray):
+            raise TypeError("scalar arguments only")
+        return f(x)
+    return g
+
+
+_SCALAR_CLOSURES = (
+    lambda x: 1.621 * cmath.exp(-0.8118 * x) * cmath.cos(1.8646 * x),
+    lambda x: 1.0 / (x * x + 0.3),
+    lambda x: math.exp(-abs(x)),                # a real value
+    lambda x: (-1e-300 * x) * 1e-300,           # signed zeros by underflow
+)
+
+
+class TestPerElementLoop:
+    """For closures that reject arrays the oracle binds the variant once per
+    series; its terms, value, estimate and errors are those of the loop that
+    called term_argument and term_weight for every term."""
+
+    @pytest.mark.parametrize("alpha, beta", [(1.3, 0.37), (1.3, 0.21 - 0.5j),
+                                             (0.9 + 0.4j, 0.37), (0.9 + 0.4j, 0.21 - 0.5j)])
+    @pytest.mark.parametrize("variant, n", [
+        (v, n) for v in Variant for n in (1, 2, 7, 1000)
+        if not (v.is_alternating and n % 2)])  # alternating variants take even N
+    def test_bit_identical_to_the_per_term_loop(self, variant, n, alpha, beta):
+        for f in _SCALAR_CLOSURES:
+            spec = SeriesSpec(g=_scalars_only(f), n_terms=n, alpha=alpha,
+                              variant=variant, beta=beta)
+            try:
+                want = _reference_terms(spec)
+            except EvaluationError as exc:
+                # cos overflows past Im(x) ~ 710 with complex alpha at N=1000
+                with pytest.raises(EvaluationError) as got:
+                    direct_sum(spec)
+                assert (str(got.value), got.value.at) == (str(exc), exc.at)
+                continue
+            assert series._complex_terms(spec).tobytes() == want.tobytes()
+            got = direct_sum(spec)
+            assert got.value == backend.neumaier_sum(want)
+            assert got.error_estimate == 2.0 * series._EPS * float(np.sum(np.abs(want)))
+
+    @staticmethod
+    def _errors(g, variant):
+        spec = SeriesSpec(g=_scalars_only(g), n_terms=6, variant=variant, beta=0.3)
+        with pytest.raises(EvaluationError) as got:
+            direct_sum(spec)
+        with pytest.raises(EvaluationError) as want:
+            _reference_terms(spec)
+        assert (str(got.value), got.value.at) == (str(want.value), want.value.at)
+        return got.value
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_non_finite_term_before_a_raise_reports_its_index(self, variant):
+        def g(x):
+            k = round(x.real)  # x is k, or k + 0.3 on the shifted variants
+            if k == 5:
+                raise ValueError("no value at 5")
+            return math.inf if k == 3 else 1.0 / x
+        err = self._errors(g, variant)
+        assert err.at == "k=3" and "series term is not finite" in str(err)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_raise_before_a_nan_term_reports_its_index(self, variant):
+        def g(x):
+            k = round(x.real)
+            if k == 2:
+                raise ZeroDivisionError("pole at 2")
+            return math.nan if k == 4 else 1.0 / x
+        err = self._errors(g, variant)
+        assert err.at == "k=2"
+        assert "series term failed to evaluate: pole at 2" in str(err)
+
+
 class TestTermHelpers:
     def test_term_argument_shifted(self):
         spec = SeriesSpec(g=abs, n_terms=4, alpha=2.0, variant=Variant.SHIFTED,
