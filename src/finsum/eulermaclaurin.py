@@ -5,7 +5,9 @@ corrections weighted by even-index Bernoulli numbers; the first omitted
 correction bounds the remainder.  Derivatives are taken by jet arithmetic,
 one jet for every point a sum needs, unless the caller supplies them
 analytically.  ``em_tail`` is the one-sided
-version used to finish infinite tails for the telescoping route;
+version used to finish infinite tails for the telescoping route, which
+passes its tolerance as ``need`` so that no tail integral is taken where
+the correction term alone already misses it;
 ``gregory_tail`` finishes the same tail for an f that jets cannot
 differentiate, with forward differences of four lattice values in place of
 the derivatives (Gregory's formula).
@@ -163,13 +165,19 @@ def _tail_integral(f: Callable, m: float, quad_tol: float):
     return quad
 
 
-def em_tail(f: Callable, m: float, n: int = 3, quad_tol: float = 1e-13):
+def em_tail(f: Callable, m: float, n: int = 3, quad_tol: float = 1e-13,
+            need: float = math.inf):
     """(value, bound) with value approximating Sigma_{j>=1} f(m + j).
 
     value = integral_m^inf f - f(m)/2 - Sigma_{k=1}^{n-1} B_2k f^(2k-1)(m)/(2k)!
     and bound is the magnitude of the first omitted correction term plus the
     quadrature's error estimate.  Needs f and its derivatives to vanish at
     infinity.
+
+    need is the bound the caller could use: when it is finite and the
+    correction term alone, |B_2n f^(2n-1)(m)/(2n)!|, is already at least
+    need, no bound this call returns can meet it, so the tail integral is
+    not taken and (None, that term) comes back.
     """
     n = check_count(n, "correction order")
     # derivatives first: an f that jets cannot differentiate is refused
@@ -179,6 +187,8 @@ def em_tail(f: Callable, m: float, n: int = 3, quad_tol: float = 1e-13):
                    / math.factorial(2 * k) for k in range(1, n)]
     b2n = float(bernoulli(2 * n))
     bound = abs(b2n * at(0, 2 * n - 1) / math.factorial(2 * n))
+    if need < math.inf and bound >= need:
+        return None, bound
     quad = _tail_integral(f, m, quad_tol)
     value = quad.value - 0.5 * complex(f(m))
     for c in corrections:

@@ -116,6 +116,12 @@ class Jet:
         return o - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, float, complex, np.number)):
+            # a constant scales each coefficient, in O(p): the Cauchy product
+            # with the constant jet gives the same bits for finite
+            # coefficients, + 0j standing in for its sum's leading 0
+            c = complex(other)
+            return Jet._of(a * c + 0j for a in self.coeffs)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

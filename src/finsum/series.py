@@ -156,32 +156,31 @@ def term_weight(spec: SeriesSpec, k):
     return w
 
 
-def smooth_weight(spec: SeriesSpec, x):
-    """Variant weight extended smoothly off the integer lattice.
-
-    Only defined for the non-alternating variants; the sign factor
-    (-1)^(k+1) has no real-smooth extension, so alternating variants raise.
-    """
-    if spec.variant.is_alternating:
-        raise CapabilityError(
-            f"variant {spec.variant.value!r} has no smooth off-lattice weight")
-    if spec.variant.is_exp_factor:
-        return jets.exp(-spec.beta * x)
-    return 1.0
-
-
 def effective_term(spec: SeriesSpec) -> Callable:
     """h with sum(spec) = sum_{k=1}^{n} h(k), extended off the lattice.
 
-    Used by the telescoping and lattice-sum routes; raises a capability
-    error for alternating variants (see :func:`smooth_weight`).
+    h(x) is exp(-beta*x) * g(alpha*x) on the exp-factor variant, and
+    g(alpha*x + beta) or g(alpha*x) itself on the shifted and standard ones,
+    with no unit weight applied.  On a jet x with alpha == 1 the argument is
+    x itself (+ beta), since scaling by 1 changes no coefficient.  Used by
+    the telescoping and lattice-sum routes; the alternating variants raise a
+    capability error, since the sign (-1)^(k+1) has no smooth extension.
     """
     if spec.variant.is_alternating:
         raise CapabilityError(
             f"variant {spec.variant.value!r} cannot be extended smoothly off the integer lattice")
+    # the variant is resolved here, once, rather than at every call of h
+    g, alpha = spec.g, spec.alpha
+    unit = alpha == 1
+    shift = spec.beta if spec.variant.is_shifted else None
+    damping = -spec.beta if spec.variant.is_exp_factor else None
 
     def h(x):
-        return smooth_weight(spec, x) * spec.g(term_argument(spec, x))
+        w = None if damping is None else jets.exp(damping * x)
+        arg = x if unit and isinstance(x, jets.Jet) else alpha * x
+        if shift is not None:
+            arg = arg + shift
+        return g(arg) if w is None else w * g(arg)
 
     return h
 

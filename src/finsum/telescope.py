@@ -11,10 +11,17 @@ takes forward differences of the window d(M..M+3) in place of the
 derivatives, once the checkpoint increments shrink; its estimate counts
 only when the previous checkpoint produced one too, and is no smaller than
 the two estimates' disagreement.  Aitken
-extrapolation of the partials closes what neither serves.  A tail integral
-that failed is not tried again while the checkpoint increments do not
-shrink: it would fail again (log(k), sqrt(k)), and once they do shrink it
-may succeed (a pole the earlier integral crossed).  The reported estimate
+extrapolation of the partials closes what neither serves.  A checkpoint
+takes the Euler-Maclaurin tail integral only where it can certify: when
+the first omitted correction, |B_6 d^(5)(M)/6!|, is already at least tol,
+the integral is skipped and that term is the checkpoint's bound, with no
+extrapolation; the last checkpoint, at max_terms, always integrates, since
+the result reports its tail.  A tail integral that failed is not tried
+again while the checkpoint increments do not shrink: it would fail again
+(log(k), sqrt(k)), and once they do shrink it may succeed (a pole the
+earlier integral crossed).  That memory holds the outcome of the last
+integral tried or skipped: a skipped one clears it, as one that converged
+does.  The reported estimate
 is floored at the rounding of the values that do not cancel in the
 evaluated differences.
 
@@ -204,8 +211,12 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
                 quad_tol = min(tol, 1e-12)
                 try:
                     try:
+                        # a correction term of at least tol skips the tail
+                        # integral (tail None), except at the last
+                        # checkpoint, whose tail the result reports
+                        need = tol if m < max_terms else math.inf
                         tail, tail_bound = em_tail(d, float(depth), _EM_ORDER,
-                                                   quad_tol=quad_tol)
+                                                   quad_tol=quad_tol, need=need)
                         strategy = "euler-maclaurin"
                     except CapabilityError:
                         # no jets: Gregory's formula on the window instead,

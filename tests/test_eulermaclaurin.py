@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from finsum import cli, jets
+from finsum import cli, eulermaclaurin, jets
 from finsum.errors import CapabilityError, DomainError, PreconditionError
 from finsum.eulermaclaurin import EMJob, em_sum, em_tail, gregory_tail
 from finsum.expr import as_function, parse_expression
@@ -218,6 +218,30 @@ class TestTailEstimator:
     def test_non_integrable_tail_is_refused(self):
         with pytest.raises(DomainError, match="integrable"):
             em_tail(lambda x: 1.0 / x, 2.0, n=2)
+
+    def test_need_skips_the_integral_only_where_the_term_misses_it(self, monkeypatch):
+        """With need at or below the first omitted term, (None, that term)
+        comes back and no tail integral is taken; above it, or at the
+        default inf (1/x at 2.0 integrates and fails), em_tail is as always."""
+        integrals = []
+        tail_integral = eulermaclaurin._tail_integral
+
+        def counted(f, m, quad_tol):
+            integrals.append(m)
+            return tail_integral(f, m, quad_tol)
+
+        monkeypatch.setattr(eulermaclaurin, "_tail_integral", counted)
+        f = lambda x: x ** (-2.0)
+        _, term = em_tail(f, 8.0, n=3, need=1e-300)
+        assert integrals == []
+        assert em_tail(f, 8.0, n=3, need=term) == (None, term)
+        assert integrals == []
+        full = em_tail(f, 8.0, n=3)
+        assert em_tail(f, 8.0, n=3, need=term * (1 + 1e-12)) == full
+        assert full[1] >= term
+        assert integrals == [8.0, 8.0]
+        with pytest.raises(DomainError, match="integrable"):
+            em_tail(lambda x: 1.0 / x, 2.0, n=2, need=math.inf)
 
     def test_decay_slower_than_inverse_square_is_refused(self):
         """x^(-1.5) is summable but its compactified tail integrand is

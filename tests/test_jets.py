@@ -75,6 +75,59 @@ class TestJetArithmetic:
             assert j.derivative(order) == pytest.approx(cmath.exp(z0), rel=1e-14)
 
 
+def _cauchy(a, b):
+    """The truncated Cauchy product of two coefficient sequences."""
+    return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(len(a))]
+
+
+def _bits(c):
+    return np.asarray(c, dtype=np.complex128).tobytes()
+
+
+class TestConstantTimesJet:
+    """A number times a jet scales each coefficient, with the bits of the
+    Cauchy product with the constant jet (c, 0, ..., 0)."""
+
+    _PARTS = (0.0, -0.0, 1.0, -2.5, 3.0e-300, -7.0e290, 0.1)
+    _CONSTANTS = (0, 1, -3, 1.0, -0.0, 2.75, 1 + 0j, -1j, 0.5 - 2j, complex(-0.0, 0.0),
+                  np.float64(1.0), np.float64(-1.3))
+
+    @classmethod
+    def _jets(cls, order=6):
+        """A scalar jet and a jet over five points, with signed zeros, tiny
+        and huge parts."""
+        rng = np.random.default_rng(16)
+
+        def part(size=None):
+            return rng.choice(cls._PARTS, size) * rng.uniform(0.5, 2.0, size)
+
+        scalar = [complex(part(), part()) for _ in range(order + 1)]
+        batch = [part(5) + 1j * part(5) for _ in range(order + 1)]
+        return Jet._of(scalar), Jet._of(batch)
+
+    @pytest.mark.parametrize("c", _CONSTANTS, ids=repr)
+    def test_same_bits_as_the_cauchy_product(self, c):
+        for jet in self._jets():
+            want = _cauchy(jet.coeffs, (complex(c),) + (0j,) * jet.order)
+            for got in (jet * c, c * jet):
+                assert isinstance(got, Jet)
+                assert [_bits(x) for x in got.coeffs] == [_bits(x) for x in want]
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("c", [2, -1.5, 0.5 + 1j, np.float64(3.0)], ids=repr)
+    def test_non_finite_stays_non_finite(self, bad, c):
+        """A non-finite coefficient gives a non-finite one, as in the Cauchy
+        product (which also spreads it to the later coefficients)."""
+        scalar = Jet._of([2.0 + 0j, complex(bad, 1.0), 0.5j])
+        batch = Jet._of([np.array([2.0, 1.0]) + 0j, np.array([1.0, bad]) + 0j,
+                         np.array([0.5j, 1.0])])
+        with np.errstate(all="ignore"):
+            for jet in (scalar, batch):
+                old = _cauchy(jet.coeffs, (complex(c),) + (0j,) * jet.order)
+                for coeffs in (old, (jet * c).coeffs, (c * jet).coeffs):
+                    assert not np.all(np.isfinite(coeffs[1]))
+
+
 class TestElementals:
     def test_dispatch_matches_math_on_scalars(self):
         for x in (0.3, 2.0):

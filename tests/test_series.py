@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from finsum import backend, cli, series
+from finsum import backend, cli, jets, series
 from finsum.errors import CapabilityError, EvaluationError, PreconditionError
 from finsum.expr import as_function, parse_expression
 from finsum.series import (SeriesSpec, Variant, antidifference_sum, direct_sum,
@@ -314,6 +314,38 @@ class TestTermHelpers:
         for k in (1, 2, 5):
             want = cmath.exp(-0.3 * k) / (1.5 * k + 1.0)
             assert complex(h(float(k))) == pytest.approx(want, rel=1e-14)
+
+
+def _old_effective_value(spec, x):
+    """h(x) as weight times term, the weight exp(-beta*x) or 1.0."""
+    weight = jets.exp(-spec.beta * x) if spec.variant.is_exp_factor else 1.0
+    return weight * spec.g(term_argument(spec, x))
+
+
+def _same(a, b):
+    if isinstance(a, jets.Jet):
+        return isinstance(b, jets.Jet) and all(
+            np.array_equal(x, y) for x, y in zip(a.coeffs, b.coeffs, strict=True))
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+class TestEffectiveTerm:
+    """effective_term binds the variant once and drops the unit weight and
+    the unit scaling of a jet; its values equal weight * g(argument)."""
+
+    @pytest.mark.parametrize("variant", [v for v in Variant if not v.is_alternating])
+    @pytest.mark.parametrize("alpha", [1.0, 1.3, 1.3 + 0.4j])
+    @pytest.mark.parametrize("beta", [0.6, 0.6 + 0.2j])
+    def test_equals_weight_times_term(self, variant, alpha, beta):
+        spec = SeriesSpec(lambda x: 0.8 * jets.exp(-0.3 * x) / (x * x + 0.7), 5,
+                          alpha, variant, beta)
+        h = effective_term(spec)
+        points = (2.5, np.linspace(1.0, 9.0, 7), jets.Jet.variable(2.5, 6),
+                  jets.Jet.variable(np.linspace(1.0, 9.0, 7), 6))
+        for x in points:
+            assert _same(h(x), _old_effective_value(spec, x)), (variant, alpha, beta, x)
 
 
 class TestAntidifference:

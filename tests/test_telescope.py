@@ -12,11 +12,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from finsum import cli, eulermaclaurin, telescope
+from finsum import cli, eulermaclaurin, jets, telescope
 from finsum import expr as ex
 from finsum.errors import DomainError, EvaluationError, PreconditionError
 from finsum.series import SeriesSpec, effective_term
-from finsum.special import hurwitz_zeta, riemann_zeta
+from finsum.special import bernoulli, hurwitz_zeta, riemann_zeta
 from finsum.telescope import telescoping_sum, zeta_power_sum
 
 _EPS = 2.220446049250313e-16
@@ -588,33 +588,60 @@ class TestFailedTailIntegral:
         increments shrink.  Those of log and sqrt never do, so a closure
         that rejects arrays is not called some 1e5 times on a tail integral
         that cannot converge; the record is the array path's."""
-        integrals = []
-        tail_integral = eulermaclaurin._tail_integral
-
-        def counted(*args, **kwargs):
-            integrals.append(args[1])
-            return tail_integral(*args, **kwargs)
-
-        monkeypatch.setattr(eulermaclaurin, "_tail_integral", counted)
+        integrals = self._counted_tail_integral(monkeypatch)
         h = _effective(text, n)
         sca = telescoping_sum(lambda x: complex(h(float(x))), n, max_terms=1 << 12)
         assert integrals == []
         arr = telescoping_sum(h, n, max_terms=1 << 12)
         _assert_same_decisions(arr, sca, h, n)
 
-    def test_pole_in_the_tail_is_retried_once_the_increments_shrink(self, monkeypatch):
-        """1/(k-40.5)^2 at N=25: the tail integral from 32 crosses the pole
-        and fails, while |g(k+N)| falls past it; the block past 32 does not
-        shrink, so 64 is skipped, and the integral from 128 certifies the
-        sum."""
+    @staticmethod
+    def _counted_tail_integral(monkeypatch):
+        """The start m and outcome of every tail integral taken."""
+        integrals = []
+        tail_integral = eulermaclaurin._tail_integral
+
+        def counted(f, m, quad_tol):
+            try:
+                quad = tail_integral(f, m, quad_tol)
+            except DomainError:
+                integrals.append((m, "failed"))
+                raise
+            integrals.append((m, "converged"))
+            return quad
+
+        monkeypatch.setattr(eulermaclaurin, "_tail_integral", counted)
+        return integrals
+
+    def test_pole_past_a_skipped_checkpoint_is_integrated_once(self, monkeypatch):
+        """1/(k-40.5)^2 at N=25: at 32 the correction term alone is above
+        tol, so the integral that would cross the pole is not taken; the one
+        from 64, past the pole, certifies the sum."""
         mp = pytest.importorskip("mpmath")
         calls = self._counted_em_tail(monkeypatch)
+        integrals = self._counted_tail_integral(monkeypatch)
         got = telescoping_sum(_effective("1/(k-40.5)^2", 25), 25)
         assert calls[0] == 2
+        assert integrals == [(64.0, "converged")]
+        assert got.diagnostics.converged
+        assert got.diagnostics.notes["strategy"] == "euler-maclaurin"
+        assert got.diagnostics.nodes == 64
+        want = _mp_sum(mp, lambda k: 1 / (k - mp.mpf(40.5)) ** 2, 25)
+        assert abs(got.value - want) <= got.error_estimate < 1e-10
+
+    def test_pole_in_the_tail_is_retried_once_the_increments_shrink(self, monkeypatch):
+        """1/(k-50.5)^2 at N=40: the tail integral from 32, whose correction
+        term is below tol, crosses the pole and fails, while |g(k+N)| falls
+        past it; the block past 32 does not shrink, so 64 is not tried, and
+        the integral from 128 certifies the sum."""
+        mp = pytest.importorskip("mpmath")
+        integrals = self._counted_tail_integral(monkeypatch)
+        got = telescoping_sum(_effective("1/(k-50.5)^2", 40), 40)
+        assert integrals == [(32.0, "failed"), (128.0, "converged")]
         assert got.diagnostics.converged
         assert got.diagnostics.notes["strategy"] == "euler-maclaurin"
         assert got.diagnostics.nodes == 128
-        want = _mp_sum(mp, lambda k: 1 / (k - mp.mpf(40.5)) ** 2, 25)
+        want = _mp_sum(mp, lambda k: 1 / (k - mp.mpf(50.5)) ** 2, 40)
         assert abs(got.value - want) <= got.error_estimate < 1e-10
 
     def test_pole_met_while_g_grows_is_integrated_once_past_it(self, monkeypatch):
@@ -628,6 +655,51 @@ class TestFailedTailIntegral:
         assert got.diagnostics.converged
         assert got.diagnostics.nodes == 128
         assert got.value == 0.008331549911444542
+
+
+class TestSkippedTailIntegral:
+    """A checkpoint whose first omitted Euler-Maclaurin term alone is at
+    least tol cannot certify, so it takes no tail integral; the records are
+    those of a run that integrated at every checkpoint."""
+
+    # (summand, N, max_terms, value, estimate, depth, converged), as computed
+    # with a tail integral at every checkpoint
+    _PINNED = [("1/k^2", 100, 1 << 17, 1.6349839000966762, 8.872064510602898e-11, 16, True),
+               ("1.9544*exp(-0.6654*k)", 17, 1 << 17, 2.0675354754628708,
+                8.750644481034056e-15, 32, True),
+               ("1/k^2", 100, 8, 1.6349838890715904, 1.1353868310143208e-08, 8, False),
+               ("1.9544*exp(-0.6654*k)", 17, 16, 2.0675354752645463,
+                2.0083818981853521e-10, 16, False)]
+
+    @staticmethod
+    def _correction(h, n, m):
+        """|B_6 d^(5)(m)/6!| for d(t) = h(t) - h(t+N)."""
+        t = jets.Jet.variable(m, 5)
+        return abs(float(bernoulli(6)) * (h(t) - h(t + n)).derivative(5) / math.factorial(6))
+
+    @pytest.mark.parametrize("text,n,max_terms,value,estimate,depth,converged", _PINNED)
+    def test_integrals_only_where_they_can_certify(self, monkeypatch, text, n, max_terms,
+                                                   value, estimate, depth, converged):
+        """Depth 8 never integrates, except as the last checkpoint, whose
+        tail the result reports; no other integral starts where the
+        correction term is at least tol."""
+        integrals = TestFailedTailIntegral._counted_tail_integral(monkeypatch)
+        h = _effective(text, n)
+        got = telescoping_sum(h, n, max_terms=max_terms)
+        starts = [m for m, _ in integrals]
+        last = float(depth)
+        assert starts and starts[-1] == last
+        assert all(self._correction(h, n, m) < 1e-10 for m in starts[:-1])
+        assert 8.0 not in starts or max_terms == 8
+        if converged:
+            assert self._correction(h, n, last) < 1e-10
+        else:
+            assert starts == [last]  # the last checkpoint integrates regardless
+        assert got.value == value
+        assert got.error_estimate == estimate
+        assert got.diagnostics.nodes == depth
+        assert got.diagnostics.converged is converged
+        assert got.diagnostics.notes == {"strategy": "euler-maclaurin", "tail_bound": estimate}
 
 
 @pytest.mark.parametrize("c,a,n", [(1.9544, 0.6654, 17), (1.3092, 0.6152, 39)])
