@@ -196,7 +196,8 @@ def em_tail(f: Callable, m: float, n: int = 3, quad_tol: float = 1e-13,
     return value, bound + quad.abs_error_estimate
 
 
-def gregory_tail(f: Callable, m: float, lattice, quad_tol: float = 1e-13):
+def gregory_tail(f: Callable, m: float, lattice, quad_tol: float = 1e-13,
+                 need: float = math.inf):
     """(value, bound) with value approximating Sigma_{j>=1} f(m + j), no derivatives.
 
     Gregory's formula: Euler-Maclaurin with the derivatives at m replaced by
@@ -210,7 +211,18 @@ def gregory_tail(f: Callable, m: float, lattice, quad_tol: float = 1e-13):
     derivatives only while they shrink, so CapabilityError is raised, before
     any quadrature, unless each term of f(m)/2, Delta f/12, Delta^2 f/24,
     19 Delta^3 f/720 is at most a quarter of the one before it.
+
+    need is the bound the caller could use, as for em_tail: when the doubled
+    term alone is at least need, the tail integral is not taken and
+    (None, that term) comes back.
     """
+    return _gregory(f, m, lattice, quad_tol, need)[:2]
+
+
+def _gregory(f: Callable, m: float, lattice, quad_tol: float, need: float = math.inf,
+             integral=None):
+    """gregory_tail's (value, bound) and the tail integral they used (None
+    when skipped); a given integral stands in for integral_m^inf f."""
     f0, f1, f2, f3 = (complex(v) for v in lattice)
     d1 = f1 - f0
     d2 = f2 - 2.0 * f1 + f0
@@ -219,6 +231,9 @@ def gregory_tail(f: Callable, m: float, lattice, quad_tol: float = 1e-13):
     if any(later > _GREGORY_RATIO * earlier for earlier, later in zip(terms, terms[1:])):
         raise CapabilityError(f"forward differences of f at {m} do not shrink "
                               "fast enough to stand in for derivatives")
-    quad = _tail_integral(f, m, quad_tol)
+    bound = _GREGORY_SAFETY * terms[3]
+    if need < math.inf and bound >= need:
+        return None, bound, None
+    quad = _tail_integral(f, m, quad_tol) if integral is None else integral
     value = quad.value - 0.5 * f0 - d1 / 12 + d2 / 24
-    return value, _GREGORY_SAFETY * terms[3] + quad.abs_error_estimate
+    return value, bound + quad.abs_error_estimate, quad

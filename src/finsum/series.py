@@ -9,7 +9,9 @@ the integral engines import these helpers instead of re-deriving signs.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -228,10 +230,13 @@ def _complex_terms(spec: SeriesSpec) -> np.ndarray:
     """The weighted terms on a complex128 lattice, or one by one when g does
     not take arrays; EvaluationError names the first failing index.
 
-    The per-element loop resolves the variant once per series: g, alpha,
-    the shift, the damping and the sign are bound before it, and each term
-    is formed by the operations of :func:`term_argument` and
-    :func:`term_weight` in their order, so the terms are the same bits."""
+    For g that rejects arrays the variant is resolved once per series, and
+    the terms are formed in one pass of g over the arguments, each value
+    weighted by the operations of :func:`term_argument` and
+    :func:`term_weight` in their order, so the terms are the same bits; one
+    numpy check then covers their finiteness.  On any exception or
+    non-finite term, :func:`_term_loop` replays the series term by term, so
+    that the error names the first failing index."""
     n = spec.n_terms
     if _probe_vectorized(spec.g):
         ks = np.arange(1, n + 1, dtype=np.complex128)
@@ -248,7 +253,27 @@ def _complex_terms(spec: SeriesSpec) -> np.ndarray:
     g, alpha, variant = spec.g, spec.alpha, spec.variant
     shift = spec.beta if variant.is_shifted else None
     damping = -spec.beta if variant.is_exp_factor else None
-    alternating = variant.is_alternating
+    # iterators, so that no list of N arguments or weights is held
+    ks = range(1, n + 1)
+    xs = map(operator.mul, itertools.repeat(alpha), ks)
+    if shift is not None:
+        xs = map(operator.add, xs, itertools.repeat(shift))
+    weights = (itertools.repeat(1.0, n) if damping is None
+               else map(cmath.exp, map(operator.mul, itertools.repeat(damping), ks)))
+    if variant.is_alternating:
+        weights = map(operator.mul, weights, itertools.cycle((1.0, -1.0)))
+    try:
+        terms = np.fromiter(map(operator.mul, map(complex, map(g, xs)), weights),
+                            dtype=np.complex128, count=n)
+        if np.all(np.isfinite(terms)):
+            return terms
+    except Exception:
+        pass  # the replay below raises it again, naming its k
+    return _term_loop(g, alpha, shift, damping, variant.is_alternating, n)
+
+
+def _term_loop(g, alpha, shift, damping, alternating, n) -> np.ndarray:
+    """The terms one at a time, each formed and checked before the next."""
     terms = []
     for k in range(1, n + 1):
         try:

@@ -16,20 +16,35 @@ takes the Euler-Maclaurin tail integral only where it can certify: when
 the first omitted correction, |B_6 d^(5)(M)/6!|, is already at least tol,
 the integral is skipped and that term is the checkpoint's bound, with no
 extrapolation; the last checkpoint, at max_terms, always integrates, since
-the result reports its tail.  A tail integral that failed is not tried
-again while the checkpoint increments do not shrink: it would fail again
-(log(k), sqrt(k)), and once they do shrink it may succeed (a pole the
-earlier integral crossed).  That memory holds the outcome of the last
-integral tried or skipped: a skipped one clears it, as one that converged
-does.  The reported estimate
-is floored at the rounding of the values that do not cancel in the
-evaluated differences.
+the result reports its tail.  Gregory's tail integral is skipped by the
+same rule (its doubled omitted term), but its estimate may still be the
+next checkpoint's comparator, so it is kept pending as (partial, depth,
+window).  A later checkpoint takes the pending integral only where the
+record can need it.  One whose own term is below tol screens first: the
+pending estimate rebuilt from this checkpoint's tail integral and a
+30-node window between the two depths.  When that lies at least 2 tol
+plus the quadrature estimates away, and extrapolation would not certify
+either, the two estimates cannot agree to tol and the integral is never
+taken.  A pending checkpoint whose Aitken step would certify takes its
+own integral and its comparator's first, since with every integral taken
+it extrapolates exactly when one of them fails.  The last checkpoint
+never screens, so every record, its bound included, is the one that
+integrating at every checkpoint gives.  A tail integral that failed is
+not tried again while the checkpoint increments do not shrink: it would
+fail again (log(k), sqrt(k)), and once they do shrink it may succeed (a
+pole the earlier integral crossed).  That memory holds the outcome of the
+last integral tried, skipped or deferred: a skipped or deferred one clears
+it, as one that converged does.  The reported estimate is floored at the
+rounding of the values that do not cancel in the evaluated differences.
 
 g is evaluated once per lattice point.  Each checkpoint extends the
 differences, through the four-point convergence window past it, with one
 call of g on the points k, k+N not seen before; g(k) for k > N was already
 evaluated as a g(k'+N) and is carried over.  Only the last N or so values of
 g(k+N) are kept, so memory grows with min(N, depth), never with N alone.
+When g rejects arrays, d takes a tail integral's nodes in one pass of g
+over t0, t0+N, t1, t1+N, ..., the order of the calls one difference at a
+time would make.
 
 The route needs g to decay, and judges that from a statistic it already
 holds: E, the largest |g(k+N)| among the values a checkpoint evaluates for
@@ -59,8 +74,9 @@ import math
 import numpy as np
 
 from .errors import CapabilityError, DomainError, EvaluationError
-from .eulermaclaurin import em_tail, gregory_tail
-from .quadrature import _vectorize
+from . import quadrature
+from .eulermaclaurin import _gregory, em_tail
+from .quadrature import QuadratureResult, _vectorize
 from .series import Diagnostics, SumResult, check_count
 from .special import hurwitz_zeta, riemann_zeta
 
@@ -76,12 +92,52 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
     """Sigma_{k=1}^{N} g(k) via the collapsing differences g(k) - g(N+k)."""
     n_terms = check_count(n_terms)
     max_terms = check_count(max_terms, "max_terms")
-
-    def d(t):
-        return g(t) - g(t + n_terms)
+    quad_tol = min(tol, 1e-12)
 
     with np.errstate(all="ignore"):
         gv = _vectorize(g, np.array([1.0, 2.0]))
+
+    def d(t):
+        if gv is not g and isinstance(t, np.ndarray):
+            # g rejects arrays: one pass over t0, t0+N, t1, t1+N, ..., the
+            # order in which the differences one by one would call it
+            pts = np.stack((t, t + n_terms), axis=-1)
+            both = gv(pts.ravel()).reshape(pts.shape)
+            return both[..., 0] - both[..., 1]
+        return g(t) - g(t + n_terms)
+
+    def exact(estimate):
+        """A Gregory estimate of the sum, taking the tail integral of a
+        deferred one, (partial, depth, window), now; None where that
+        integral fails."""
+        if not isinstance(estimate, tuple):
+            return estimate
+        partial_at, m_at, window_at = estimate
+        try:
+            tail_at = _gregory(d, m_at, window_at, quad_tol)[0]
+        except (DomainError, EvaluationError):
+            return None
+        return partial_at + tail_at
+
+    def screened(deferred, estimate, integral, m_now):
+        """The deferred estimate rebuilt from integral, the tail integral
+        from m_now, and a 30-node window from its own depth to m_now; None
+        unless it lies so far from estimate that the two surely disagree
+        by tol."""
+        partial_at, m_at, window_at = deferred
+        try:
+            # looked up on the module, where a tracer's wrapper would sit
+            span = quadrature.integrate_finite(d, m_at, m_now, tol=tol, budget=30)
+        except Exception:
+            return None  # whatever the window meets, the exact integral decides
+        joined = QuadratureResult(integral.value + span.value,
+                                  integral.abs_error_estimate + span.abs_error_estimate,
+                                  integral.nodes_used + span.nodes_used,
+                                  integral.converged and span.converged)
+        approx = partial_at + _gregory(d, m_at, window_at, quad_tol, integral=joined)[0]
+        if abs(approx - estimate) >= 2.0 * tol + joined.abs_error_estimate:
+            return approx
+        return None
 
     def g_new(points, lo, hi):
         """g at the points that k = lo..hi meets for the first time."""
@@ -157,7 +213,7 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
     tail = 0j
     tail_bound = math.inf
     integral_failed = False  # the last tail integral tried failed
-    previous = None  # the previous checkpoint's Gregory estimate of the sum
+    previous = None  # the previous checkpoint's Gregory estimate of the sum, or deferred
     high = math.inf  # max |g(k+N)| over the values the checkpoint evaluated
     stalled = 0  # checkpoints in a row at which that did not fall by 1%
 
@@ -189,7 +245,7 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
             tail_bound = max(window) / (1.0 - r) if r < 1.0 else max(window)
             break
 
-        gregory = None  # this checkpoint's Gregory estimate of the sum
+        gregory = None  # this checkpoint's Gregory estimate of the sum, or deferred
         if max(window) > 0.25 * peak:
             # the differences are still at full strength (oscillatory or
             # growing g): the tail integral would not exist, so go straight
@@ -208,7 +264,6 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
             if high > last_high:
                 integral_failed = True
             elif not integral_failed or shrinking:
-                quad_tol = min(tol, 1e-12)
                 try:
                     try:
                         # a correction term of at least tol skips the tail
@@ -225,20 +280,47 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
                         # about 1e5 calls of a closure that rejects arrays
                         if not shrinking:
                             raise
-                        tail, tail_bound = gregory_tail(d, float(depth),
-                                                        vals[depth - 1:depth + 3],
-                                                        quad_tol=quad_tol)
-                        gregory = partial + tail
+                        # below max_terms a term of at least tol defers the
+                        # tail integral (tail None): the estimate is kept as
+                        # (partial, depth, window) until a checkpoint needs it.
+                        # A deferral leaves integral_failed clear, which
+                        # changes nothing where em_tail finds no jets
+                        lattice = vals[depth - 1:depth + 3]
+                        tail, tail_bound, integral = _gregory(d, float(depth), lattice,
+                                                              quad_tol, need)
+                        gregory = (partial + tail if tail is not None
+                                   else (partial, float(depth), lattice))
                     integral_failed = False
                 except CapabilityError:
                     pass  # no jets, and no Gregory tail here either
                 except (DomainError, EvaluationError):
                     integral_failed = True  # the tail integral misbehaves
             if gregory is not None and previous is not None:
+                # a deferred integral is taken only where the record can
+                # need it.  With every integral taken, a deferred checkpoint
+                # extrapolates exactly when its own or its comparator's
+                # integral fails, so both are taken where extrapolation would
+                # certify.  A deferred comparator is taken unless the screen
+                # shows that the estimates disagree by tol and extrapolation
+                # would not certify either; the last checkpoint, whose bound
+                # the result reports, never screens
+                if isinstance(gregory, tuple):
+                    if _aitken_tail(partials)[1] < tol:
+                        gregory = exact(gregory)
+                        if gregory is not None:
+                            previous = exact(previous)
+                elif isinstance(previous, tuple):
+                    screen = None
+                    if m < max_terms and _aitken_tail(partials)[1] >= tol:
+                        screen = screened(previous, gregory, integral, float(depth))
+                    previous = exact(previous) if screen is None else screen
+            if gregory is not None and previous is not None:
                 # a Gregory estimate counts only next to the previous
-                # checkpoint's, and no closer than the two agree
+                # checkpoint's, and no closer than the two agree; a
+                # deferred one is no closer than its own term, >= tol
                 strategy = "gregory"
-                tail_bound = max(tail_bound, abs(gregory - previous))
+                if not isinstance(gregory, tuple):
+                    tail_bound = max(tail_bound, abs(gregory - previous))
             elif strategy == "extrapolation":
                 tail, tail_bound = _aitken_tail(partials)
         previous = gregory

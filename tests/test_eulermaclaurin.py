@@ -277,6 +277,35 @@ class TestGregoryTail:
         lattice = [math.exp(-0.3 * k) * math.cos(3.0 * k) for k in range(16, 20)]
         with pytest.raises(CapabilityError, match="forward differences"):
             gregory_tail(f, 16.0, lattice)
+        with pytest.raises(CapabilityError, match="forward differences"):
+            gregory_tail(f, 16.0, lattice, need=1e-300)
+
+    def test_need_skips_the_integral_only_where_the_term_misses_it(self, monkeypatch):
+        """With need at or below the doubled first omitted term,
+        2 * 19 |Delta^3 f(m)| / 720, (None, that term) comes back before any
+        quadrature; above it, or at the default inf, gregory_tail is as
+        always."""
+        integrals = []
+        tail_integral = eulermaclaurin._tail_integral
+
+        def counted(f, m, quad_tol):
+            integrals.append(m)
+            return tail_integral(f, m, quad_tol)
+
+        monkeypatch.setattr(eulermaclaurin, "_tail_integral", counted)
+        m = 32.0
+        f = lambda x: 1.0 / (complex(x) ** 2 + 1.0)  # noqa: E731
+        lattice = [f(m + i) for i in range(4)]
+        d3 = lattice[3] - 3.0 * lattice[2] + 3.0 * lattice[1] - lattice[0]
+        term = 2.0 * (19 * abs(d3) / 720)
+        assert gregory_tail(f, m, lattice, need=1e-300) == (None, term)
+        assert gregory_tail(f, m, lattice, need=term) == (None, term)
+        assert integrals == []
+        full = gregory_tail(f, m, lattice)
+        assert gregory_tail(f, m, lattice, need=term * (1 + 1e-12)) == full
+        assert gregory_tail(f, m, lattice, need=math.inf) == full
+        assert full[0] is not None and full[1] >= term
+        assert integrals == [m, m, m]
 
 
 class TestValidation:

@@ -184,6 +184,29 @@ def test_scalar_closure_is_probed_once():
     assert len(calls) == q.nodes_used + 1     # + the probe that failed
 
 
+@pytest.mark.parametrize("value", [None, np.array([0.5])])
+def test_scalar_wrapper_converts_each_value_as_complex_does(value):
+    """The wrapper of a closure that rejects arrays takes complex(f(x)) of
+    every value: a None or a 1-element array raises TypeError, as complex()
+    does, rather than turning into nan or being reshaped."""
+    def f(t):
+        if isinstance(t, np.ndarray):
+            raise TypeError("scalar arguments only")
+        return value
+
+    wrapped = quadrature._vectorize(f, np.array([0.5, 1.5]))
+    assert wrapped is not f
+    with pytest.raises(TypeError):
+        complex(value)
+    with pytest.raises(TypeError):
+        wrapped(np.array([0.25, 0.75]))
+    with pytest.raises(TypeError):
+        integrate_finite(f, 0.0, 1.0)
+    ok = quadrature._vectorize(lambda t: complex(1.0, float(t)), np.array([0.5, 1.5]))
+    got = ok(np.array([0.25, 0.75]))
+    assert got.dtype == np.complex128 and got.tolist() == [1 + 0.25j, 1 + 0.75j]
+
+
 # -- caller breakpoints on the initial mesh
 
 def test_points_outside_or_repeated_are_dropped():

@@ -261,8 +261,8 @@ class TestPerElementLoop:
             assert got.error_estimate == 2.0 * series._EPS * float(np.sum(np.abs(want)))
 
     @staticmethod
-    def _errors(g, variant):
-        spec = SeriesSpec(g=_scalars_only(g), n_terms=6, variant=variant, beta=0.3)
+    def _errors(g, variant, n=6):
+        spec = SeriesSpec(g=_scalars_only(g), n_terms=n, variant=variant, beta=0.3)
         with pytest.raises(EvaluationError) as got:
             direct_sum(spec)
         with pytest.raises(EvaluationError) as want:
@@ -290,6 +290,35 @@ class TestPerElementLoop:
         err = self._errors(g, variant)
         assert err.at == "k=2"
         assert "series term failed to evaluate: pole at 2" in str(err)
+
+    @staticmethod
+    def _counts(variant):
+        """N = 1 (2 on the alternating variants), 7 (8) and 1000."""
+        return [n + (n % 2 if variant.is_alternating else 0) for n in (1, 7, 1000)]
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_clean_series_calls_g_once_per_term(self, variant):
+        for n in self._counts(variant):
+            calls = []
+
+            def g(x):
+                calls.append(x)
+                return 1.0 / (x * x + 0.3)
+
+            spec = SeriesSpec(g=_scalars_only(g), n_terms=n, alpha=1.3,
+                              variant=variant, beta=0.37)
+            got = series._complex_terms(spec)
+            assert len(calls) == n
+            assert calls == [term_argument(spec, k) for k in range(1, n + 1)]
+            assert got.tobytes() == _reference_terms(spec).tobytes()
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_non_finite_last_term_is_named(self, variant):
+        for n in self._counts(variant):
+            def g(x, n=n):
+                return math.inf if round(x.real) == n else 1.0 / x
+            err = self._errors(g, variant, n)
+            assert err.at == f"k={n}" and "series term is not finite" in str(err)
 
 
 class TestTermHelpers:

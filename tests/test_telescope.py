@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from finsum import cli, eulermaclaurin, jets, telescope
+from finsum import cli, eulermaclaurin, jets, quadrature, telescope
 from finsum import expr as ex
 from finsum.errors import DomainError, EvaluationError, PreconditionError
 from finsum.series import SeriesSpec, effective_term
@@ -113,7 +113,7 @@ def test_closure_failing_the_gregory_guard_spends_no_tail_quadrature(monkeypatch
         z = complex(x)                                # rejects jets and arrays
         return cmath.exp(-0.3 * z) * cmath.cos(3.0 * z)
 
-    per_tail = {"em_tail": [], "gregory_tail": []}
+    per_tail = {"em_tail": [], "_gregory": []}  # _gregory: gregory_tail as telescoping_sum calls it
     for name in per_tail:
         def counted(*args, _tail=getattr(telescope, name), _seen=per_tail[name], **kwargs):
             before = calls[0]
@@ -125,7 +125,7 @@ def test_closure_failing_the_gregory_guard_spends_no_tail_quadrature(monkeypatch
     res = telescoping_sum(g, 50, max_terms=1 << 10)
     assert res.diagnostics.notes["strategy"] == "died-out"
     assert per_tail["em_tail"] and set(per_tail["em_tail"]) == {1}
-    assert per_tail["gregory_tail"] and set(per_tail["gregory_tail"]) == {0}
+    assert per_tail["_gregory"] and set(per_tail["_gregory"]) == {0}
 
 
 class TestZetaShortcut:
@@ -711,3 +711,139 @@ def test_em_tail_bound_carries_the_quadrature_error(c, a, n):
     want = _mp_sum(mp, lambda k: c * mp.exp(-mp.mpf(a) * k), n)
     assert not rec["flags"]
     assert abs(complex(rec["value"]["re"], rec["value"]["im"]) - want) <= rec["error_estimate"]
+
+
+def _bytes(got):
+    """A telescope record as bytes: value, estimate, nodes and notes."""
+    notes = {k: v.hex() if isinstance(v, float) else v for k, v in got.diagnostics.notes.items()}
+    return (got.value.real.hex(), got.value.imag.hex(), float(got.error_estimate).hex(),
+            got.diagnostics.nodes, got.diagnostics.converged, notes)
+
+
+def _pinned(value, estimate, nodes, strategy, converged=True, imag="0x0.0p+0"):
+    return (value, imag, estimate, nodes, converged,
+            {"strategy": strategy, "tail_bound": estimate})
+
+
+class TestDeferredGregoryTail:
+    """Below max_terms, a checkpoint whose doubled Gregory term alone is at
+    least tol defers its tail integral.  A later checkpoint takes it only
+    where the record can need it: a 30-node screen usually shows that the
+    two estimates disagree by tol.  The last checkpoint always takes it.
+    The records are those of a run that integrated at every checkpoint."""
+
+    _LORENTZIANS = TestGregoryTail._LORENTZIANS
+    # the records with a Gregory tail integral at every checkpoint
+    _LORENTZ_RECORDS = [
+        ("0x1.a9f3925116a33p-1", "0x1.2104000000000p-38"),
+        ("0x1.febc3ad3190e9p-1", "0x1.7863000000000p-37"),
+        ("0x1.57f3de3627f55p-1", "0x1.07f8000000000p-37"),
+        ("0x1.338d2fd47d9b0p+1", "0x1.ba1c000000000p-36"),
+        ("0x1.34447b1d5e4ebp+0", "0x1.7ca0000000000p-36"),
+        ("0x1.eb22b7646b72dp-1", "0x1.01d9000000000p-36"),
+        ("0x1.112bc426c8286p+0", "0x1.ca94000000000p-37"),
+        ("0x1.82b2827689990p-1", "0x1.ffeb000000000p-37"),
+        ("0x1.c9c0ca61db66ap+0", "0x1.e66c000000000p-36"),
+        ("0x1.5bbdaca5c0680p+0", "0x1.23c7000000000p-36"),
+    ]
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """The starts of the semi-infinite tail integrals and the finite
+        windows (a, b, nodes) taken."""
+        tails, windows = [], []
+        tail_integral = eulermaclaurin._tail_integral
+        integrate_finite = quadrature.integrate_finite
+
+        def counted_tail(f, m, quad_tol):
+            tails.append(m)
+            return tail_integral(f, m, quad_tol)
+
+        def counted_window(f, a, b, **kwargs):
+            quad = integrate_finite(f, a, b, **kwargs)
+            windows.append((a, b, quad.nodes_used))
+            return quad
+
+        monkeypatch.setattr(eulermaclaurin, "_tail_integral", counted_tail)
+        monkeypatch.setattr(quadrature, "integrate_finite", counted_window)
+        return tails, windows
+
+    @pytest.mark.parametrize("item,record", list(zip(_LORENTZIANS, _LORENTZ_RECORDS)))
+    def test_scalar_lorentzians(self, monkeypatch, item, record):
+        """Depths 32 and 64 defer; 128 integrates and screens 64 with a
+        window over [64, 128]; 256 integrates and certifies against 128.
+        Integrating at every checkpoint takes four tail integrals."""
+        c, a2, n = item
+        tails, windows = self._counted(monkeypatch)
+        got = telescoping_sum(lambda x: c / (complex(x) * complex(x) + a2), n, tol=1e-10)
+        assert _bytes(got) == _pinned(*record, 256, "gregory")
+        assert tails == [128.0, 256.0]
+        assert windows == [(64.0, 128.0, 30)]
+
+    # (pole, N, value, estimate, depth) with every tail integral taken
+    _POLES = [(40.5, 25, "0x1.55245cb51e31fp-5", "0x1.6f92400000000p-34", 256),
+              (40.5, 40, "0x1.3a3a3878163e3p+2", "0x1.b3ce000000000p-34", 256),
+              (50.5, 25, "0x1.479a84c998f3fp-6", "0x1.9bd0000000000p-41", 512),
+              (50.5, 40, "0x1.4757b3794a021p-4", "0x1.159d000000000p-40", 512)]
+
+    @pytest.mark.parametrize("pole,n,value,estimate,depth", _POLES)
+    def test_scalar_poles(self, pole, n, value, estimate, depth):
+        got = telescoping_sum(lambda x: 1 / (complex(x) - pole) ** 2, n)
+        assert _bytes(got) == _pinned(value, estimate, depth, "gregory")
+
+    # (max_terms, record) for log(1+1/k) at N=10; below 32 no Gregory
+    # estimate is tried, and 32 defers, so the last checkpoint of 64 takes
+    # both integrals and reports its own bound, not a screen's
+    _LOGS = [(8, _pinned("0x1.a6930584f0e54p+0", "inf", 8, "extrapolation", False)),
+             (16, _pinned("0x1.ef6df82ec646bp+0", "inf", 16, "extrapolation", False)),
+             (64, _pinned("0x1.32ee3b6fd0c1bp+1", "0x1.5896e76000000p-24", 64, "gregory",
+                          False))]
+
+    @pytest.mark.parametrize("max_terms,record", _LOGS)
+    def test_scalar_log_at_the_last_checkpoint(self, monkeypatch, max_terms, record):
+        tails, windows = self._counted(monkeypatch)
+        got = telescoping_sum(lambda x: cmath.log(1 + 1 / complex(x)), 10, max_terms=max_terms)
+        assert _bytes(got) == record
+        assert windows == []
+        assert tails == ([64.0, 32.0] if max_terms == 64 else [])
+
+    # the first seed-7 Lorentzian with extrapolation patched to certify at
+    # depth 64, where the Gregory estimate is deferred and has a comparator
+    _CORNER = {
+        # both integrals converge: the Gregory bound stands, 64 does not certify
+        "none": _pinned("0x1.a9f3925116a33p-1", "0x1.2104000000000p-38", 256, "gregory"),
+        # 64's own integral fails
+        "from 64": _pinned("0x1.a92414d47f0c2p-1", "0x1.b7cdfd9d7bdbbp-35", 64,
+                           "extrapolation"),
+        # 32's integral, the comparator's, fails
+        "only 32": _pinned("0x1.a92414d47f0c2p-1", "0x1.b7cdfd9d7bdbbp-35", 64,
+                           "extrapolation"),
+    }
+
+    @pytest.mark.parametrize("failing", sorted(_CORNER))
+    def test_deferred_estimate_where_extrapolation_would_certify(self, monkeypatch, failing):
+        """A run that integrates at every checkpoint extrapolates at 64
+        exactly when its integral or 32's fails, so 64 takes both before it
+        trusts the extrapolation; the records are pinned under the same
+        patches."""
+        fails = {"none": lambda m: False, "from 64": lambda m: m >= 64,
+                 "only 32": lambda m: m == 32}[failing]
+        tail_integral = eulermaclaurin._tail_integral
+        aitken_tail = telescope._aitken_tail
+        taken = []
+
+        def patched_tail(f, m, quad_tol):
+            taken.append(m)
+            if fails(m):
+                raise DomainError(f"tail integral from {m} patched to fail")
+            return tail_integral(f, m, quad_tol)
+
+        def patched_aitken(partials):
+            return (0j, 5e-11) if len(partials) == 4 else aitken_tail(partials)
+
+        monkeypatch.setattr(eulermaclaurin, "_tail_integral", patched_tail)
+        monkeypatch.setattr(telescope, "_aitken_tail", patched_aitken)
+        c, a2, n = self._LORENTZIANS[0]
+        got = telescoping_sum(lambda x: c / (complex(x) * complex(x) + a2), n, tol=1e-10)
+        assert _bytes(got) == self._CORNER[failing]
+        assert taken[:2] == ([64.0] if failing == "from 64" else [64.0, 32.0])
