@@ -5,12 +5,12 @@ corrections weighted by even-index Bernoulli numbers; the first omitted
 correction bounds the remainder.  Derivatives are taken by jet arithmetic,
 one jet for every point a sum needs, unless the caller supplies them
 analytically.  ``em_tail`` is the one-sided
-version used to finish infinite tails for the telescoping route, which
-passes its tolerance as ``need`` so that no tail integral is taken where
-the correction term alone already misses it;
-``gregory_tail`` finishes the same tail for an f that jets cannot
-differentiate, with forward differences of four lattice values in place of
-the derivatives (Gregory's formula).
+version, the tail past m; the telescoping route hands it the integral of its
+finite window in place of the semi-infinite one, and passes its tolerance
+as ``need`` so that no integral is taken where the correction term alone
+already misses it.  ``gregory_tail`` finishes the same tail for an f that
+jets cannot differentiate, with forward differences of four lattice values
+in place of the derivatives (Gregory's formula).
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from .special import bernoulli
 
 _EPS = 2.220446049250313e-16
 _CURVATURE_SAMPLES = 17
-# gregory_tail: each term must be at most this fraction of the one before it,
-# and the first omitted term is charged this many times over
+# gregory_tail: each term must be at most this fraction of the one before it
 _GREGORY_RATIO = 0.25
-_GREGORY_SAFETY = 2.0
+# em_tail and gregory_tail charge their first omitted term this many times over
+_SAFETY = 2.0
 
 
 @dataclass(frozen=True)
@@ -166,18 +166,25 @@ def _tail_integral(f: Callable, m: float, quad_tol: float):
 
 
 def em_tail(f: Callable, m: float, n: int = 3, quad_tol: float = 1e-13,
-            need: float = math.inf):
+            need: float = math.inf, integral: Callable | None = None):
     """(value, bound) with value approximating Sigma_{j>=1} f(m + j).
 
     value = integral_m^inf f - f(m)/2 - Sigma_{k=1}^{n-1} B_2k f^(2k-1)(m)/(2k)!
-    and bound is the magnitude of the first omitted correction term plus the
-    quadrature's error estimate.  Needs f and its derivatives to vanish at
-    infinity.
+    and bound is twice the magnitude of the first omitted correction term,
+    |B_2n f^(2n-1)(m)/(2n)!|, plus the quadrature's error estimate: on a
+    damped oscillation f = e^{-ax}, Im a > Re a > 0, the remainder exceeds
+    that term by about 1/(1 - (|a|/2pi)^2).  Needs f and its derivatives to
+    vanish at infinity.
+
+    integral, when given, is called with no arguments for the
+    QuadratureResult that stands in for integral_m^inf f.  The telescoping
+    route passes the integral of g over the window [m, m+N], for f(x) =
+    g(x) - g(x+N), which makes value Euler-Maclaurin for the window's sum.
 
     need is the bound the caller could use: when it is finite and the
-    correction term alone, |B_2n f^(2n-1)(m)/(2n)!|, is already at least
-    need, no bound this call returns can meet it, so the tail integral is
-    not taken and (None, that term) comes back.
+    doubled correction term alone is already at least need, no bound this
+    call returns can meet it, so the integral is not taken and (None, that
+    term) comes back.
     """
     n = check_count(n, "correction order")
     # derivatives first: an f that jets cannot differentiate is refused
@@ -186,10 +193,10 @@ def em_tail(f: Callable, m: float, n: int = 3, quad_tol: float = 1e-13,
     corrections = [float(bernoulli(2 * k)) * at(0, 2 * k - 1)
                    / math.factorial(2 * k) for k in range(1, n)]
     b2n = float(bernoulli(2 * n))
-    bound = abs(b2n * at(0, 2 * n - 1) / math.factorial(2 * n))
+    bound = _SAFETY * abs(b2n * at(0, 2 * n - 1) / math.factorial(2 * n))
     if need < math.inf and bound >= need:
         return None, bound
-    quad = _tail_integral(f, m, quad_tol)
+    quad = _tail_integral(f, m, quad_tol) if integral is None else integral()
     value = quad.value - 0.5 * complex(f(m))
     for c in corrections:
         value -= c
@@ -197,7 +204,7 @@ def em_tail(f: Callable, m: float, n: int = 3, quad_tol: float = 1e-13,
 
 
 def gregory_tail(f: Callable, m: float, lattice, quad_tol: float = 1e-13,
-                 need: float = math.inf):
+                 integral: Callable | None = None):
     """(value, bound) with value approximating Sigma_{j>=1} f(m + j), no derivatives.
 
     Gregory's formula: Euler-Maclaurin with the derivatives at m replaced by
@@ -210,19 +217,9 @@ def gregory_tail(f: Callable, m: float, lattice, quad_tol: float = 1e-13,
     Numerical Integration, on Gregory's rule).  The differences stand in for
     derivatives only while they shrink, so CapabilityError is raised, before
     any quadrature, unless each term of f(m)/2, Delta f/12, Delta^2 f/24,
-    19 Delta^3 f/720 is at most a quarter of the one before it.
-
-    need is the bound the caller could use, as for em_tail: when the doubled
-    term alone is at least need, the tail integral is not taken and
-    (None, that term) comes back.
+    19 Delta^3 f/720 is at most a quarter of the one before it.  integral
+    stands in for integral_m^inf f as in em_tail.
     """
-    return _gregory(f, m, lattice, quad_tol, need)[:2]
-
-
-def _gregory(f: Callable, m: float, lattice, quad_tol: float, need: float = math.inf,
-             integral=None):
-    """gregory_tail's (value, bound) and the tail integral they used (None
-    when skipped); a given integral stands in for integral_m^inf f."""
     f0, f1, f2, f3 = (complex(v) for v in lattice)
     d1 = f1 - f0
     d2 = f2 - 2.0 * f1 + f0
@@ -231,9 +228,6 @@ def _gregory(f: Callable, m: float, lattice, quad_tol: float, need: float = math
     if any(later > _GREGORY_RATIO * earlier for earlier, later in zip(terms, terms[1:])):
         raise CapabilityError(f"forward differences of f at {m} do not shrink "
                               "fast enough to stand in for derivatives")
-    bound = _GREGORY_SAFETY * terms[3]
-    if need < math.inf and bound >= need:
-        return None, bound, None
-    quad = _tail_integral(f, m, quad_tol) if integral is None else integral
+    quad = _tail_integral(f, m, quad_tol) if integral is None else integral()
     value = quad.value - 0.5 * f0 - d1 / 12 + d2 / 24
-    return value, bound + quad.abs_error_estimate, quad
+    return value, _SAFETY * terms[3] + quad.abs_error_estimate

@@ -2,68 +2,53 @@
 
 The finite sum of g equals the infinite sum of differences
 d(k) = g(k) - g(N+k): each g(N+k) cancels a later g(k), so only the first N
-survive.  That trades a finite sum for an infinite-but-collapsing one, which
-pays off when d decays fast while g itself does not (the separate sums may
-even diverge, as with 1/k).  The truncation policy is ours: partial sums at
-doubling depth M with the remaining tail finished by one-sided
-Euler-Maclaurin on d.  When jets cannot differentiate d, Gregory's formula
-takes forward differences of the window d(M..M+3) in place of the
-derivatives, once the checkpoint increments shrink; its estimate counts
-only when the previous checkpoint produced one too, and is no smaller than
-the two estimates' disagreement.  Aitken
-extrapolation of the partials closes what neither serves.  A checkpoint
-takes the Euler-Maclaurin tail integral only where it can certify: when
-the first omitted correction, |B_6 d^(5)(M)/6!|, is already at least tol,
-the integral is skipped and that term is the checkpoint's bound, with no
-extrapolation; the last checkpoint, at max_terms, always integrates, since
-the result reports its tail.  Gregory's tail integral is skipped by the
-same rule (its doubled omitted term), but its estimate may still be the
-next checkpoint's comparator, so it is kept pending as (partial, depth,
-window).  A later checkpoint takes the pending integral only where the
-record can need it.  One whose own term is below tol screens first: the
-pending estimate rebuilt from this checkpoint's tail integral and a
-30-node window between the two depths.  When that lies at least 2 tol
-plus the quadrature estimates away, and extrapolation would not certify
-either, the two estimates cannot agree to tol and the integral is never
-taken.  A pending checkpoint whose Aitken step would certify takes its
-own integral and its comparator's first, since with every integral taken
-it extrapolates exactly when one of them fails.  The last checkpoint
-never screens, so every record, its bound included, is the one that
-integrating at every checkpoint gives.  A tail integral that failed is
-not tried again while the checkpoint increments do not shrink: it would
-fail again (log(k), sqrt(k)), and once they do shrink it may succeed (a
-pole the earlier integral crossed).  That memory holds the outcome of the
-last integral tried, skipped or deferred: a skipped or deferred one clears
-it, as one that converged does.  The reported estimate is floored at the
-rounding of the values that do not cancel in the evaluated differences.
+survive.  Cut at any depth M, the identity is exact and finite:
+
+    Sigma_{k=1}^{N} g(k) = Sigma_{k<=M} d(k) + Sigma_{k=M+1}^{M+N} g(k),
+
+so the tail past M is a window of N values of g, whatever g does beyond it.
+The route sums the differences to doubling depths M and finishes each
+checkpoint's window by Euler-Maclaurin on [M, M+N]: the integral of g over
+the window, from one finite quadrature, with the corrections of d at M,
+d^(j)(M) = g^(j)(M) - g^(j)(M+N), which are those of g at both ends of the
+window (Apostol, "An elementary view of Euler's summation formula", Amer.
+Math. Monthly 1999).  The window integral always exists where g is smooth
+on [M, M+N]; no decay of g is assumed, and a limit c of g is summed inside
+the window as N*c.  The bound is twice the first omitted correction plus
+the quadrature's error estimate.  A checkpoint whose first omitted
+correction is already at least tol takes no window integral (em_tail's
+need), except the last, at max_terms, whose tail the result reports.  When
+jets cannot differentiate d, Gregory's formula takes forward differences of
+d(M..M+3) in place of the derivatives; its estimate counts only when the
+previous checkpoint produced one too, and is no smaller than the two
+estimates' disagreement.  Where neither serves, or while the window of
+differences is still above a quarter of their peak (an oscillating or
+growing g), Aitken extrapolation of the partials closes the tail.  The
+reported estimate is floored at the rounding of the values that do not
+cancel in the evaluated differences.
 
 g is evaluated once per lattice point.  Each checkpoint extends the
 differences, through the four-point convergence window past it, with one
 call of g on the points k, k+N not seen before; g(k) for k > N was already
 evaluated as a g(k'+N) and is carried over.  Only the last N or so values of
 g(k+N) are kept, so memory grows with min(N, depth), never with N alone.
-When g rejects arrays, d takes a tail integral's nodes in one pass of g
-over t0, t0+N, t1, t1+N, ..., the order of the calls one difference at a
-time would make.
 
-The route needs g to decay, and judges that from a statistic it already
-holds: E, the largest |g(k+N)| among the values a checkpoint evaluates for
-the first time.  While E grows, g has no limit 0, so the tail integral of d
-diverges (log, sqrt) or misses N*lim g (1 - 1/k^2); it is skipped and counts
-as failed.  Once the depth reaches max(2N, 1024) (below 2N the g(k+N) sample
-g only near N), an E that has not fallen by 1% at two checkpoints in a row
-ends the run: sin, k^2 and 1000 + 1/k^2 stop at 1,024 terms.  So does a
-constant, whose differences vanish identically while the sum is N*c.  Both
-are the same refusal, a non-converged result with an infinite estimate and
-notes["reason"] "g does not decay", not a CapabilityError.  A g whose
-magnitude still rises past that depth is refused as well, though its sum
-may be computable: k*exp(-k/2000) at N=10 peaks at k=2000; the direct sum
-serves such g.  A g that tends to a nonzero constant but whose partials
-converge before that depth (2 - exp(-k)) is still certified without N*c.
+The route refuses a g that oscillates or grows, judging that from a
+statistic it already holds: E, the largest |g(k+N)| among the values a
+checkpoint evaluates for the first time.  Once the depth reaches
+max(2N, 1024) (below 2N the g(k+N) sample g only near N), an E that has not
+fallen by 1% at two checkpoints in a row ends the run: sin and k^2 stop at
+1,024 terms.  So does 1000 + 1/k^2, whose window sums of about 1e4 cannot
+be certified to an absolute tol of 1e-10.  The refusal is a non-converged result
+with an infinite estimate and notes["reason"] "g does not decay", not a
+CapabilityError.  A g whose magnitude still rises past that depth is refused
+as well, though its sum may be computable: k*exp(-k/2000) at N=10 peaks at
+k=2000; the direct sum serves such g.
 
 Every other exit names itself in notes["strategy"]: the tail that certified
 or last bounded the sum (euler-maclaurin, gregory, extrapolation), or
-died-out when the differences fell below 1e-15 of the partial sum.
+died-out when the differences, and g(N + M) with them, fell below 1e-15 of
+the partial sum.
 """
 
 from __future__ import annotations
@@ -75,8 +60,8 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError, EvaluationError
 from . import quadrature
-from .eulermaclaurin import _gregory, em_tail
-from .quadrature import QuadratureResult, _vectorize
+from .eulermaclaurin import em_tail, gregory_tail
+from .quadrature import _vectorize
 from .series import Diagnostics, SumResult, check_count
 from .special import hurwitz_zeta, riemann_zeta
 
@@ -98,46 +83,7 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
         gv = _vectorize(g, np.array([1.0, 2.0]))
 
     def d(t):
-        if gv is not g and isinstance(t, np.ndarray):
-            # g rejects arrays: one pass over t0, t0+N, t1, t1+N, ..., the
-            # order in which the differences one by one would call it
-            pts = np.stack((t, t + n_terms), axis=-1)
-            both = gv(pts.ravel()).reshape(pts.shape)
-            return both[..., 0] - both[..., 1]
         return g(t) - g(t + n_terms)
-
-    def exact(estimate):
-        """A Gregory estimate of the sum, taking the tail integral of a
-        deferred one, (partial, depth, window), now; None where that
-        integral fails."""
-        if not isinstance(estimate, tuple):
-            return estimate
-        partial_at, m_at, window_at = estimate
-        try:
-            tail_at = _gregory(d, m_at, window_at, quad_tol)[0]
-        except (DomainError, EvaluationError):
-            return None
-        return partial_at + tail_at
-
-    def screened(deferred, estimate, integral, m_now):
-        """The deferred estimate rebuilt from integral, the tail integral
-        from m_now, and a 30-node window from its own depth to m_now; None
-        unless it lies so far from estimate that the two surely disagree
-        by tol."""
-        partial_at, m_at, window_at = deferred
-        try:
-            # looked up on the module, where a tracer's wrapper would sit
-            span = quadrature.integrate_finite(d, m_at, m_now, tol=tol, budget=30)
-        except Exception:
-            return None  # whatever the window meets, the exact integral decides
-        joined = QuadratureResult(integral.value + span.value,
-                                  integral.abs_error_estimate + span.abs_error_estimate,
-                                  integral.nodes_used + span.nodes_used,
-                                  integral.converged and span.converged)
-        approx = partial_at + _gregory(d, m_at, window_at, quad_tol, integral=joined)[0]
-        if abs(approx - estimate) >= 2.0 * tol + joined.abs_error_estimate:
-            return approx
-        return None
 
     def g_new(points, lo, hi):
         """g at the points that k = lo..hi meets for the first time."""
@@ -162,6 +108,18 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
                 if bad is not None:
                     raise EvaluationError("difference is not finite", at=f"k={bad}")
             raise
+
+    def window_integral():
+        """The integral of g over the checkpoint's tail window
+        [depth, depth + N]; an error of g there is an EvaluationError."""
+        try:
+            # looked up on the module, where a tracer's wrapper would sit
+            return quadrature.integrate_finite(g, float(depth), float(depth + n_terms),
+                                               tol=quad_tol)
+        except EvaluationError:
+            raise
+        except Exception as exc:
+            raise EvaluationError(f"g failed to evaluate on the tail window: {exc}") from exc
 
     # after the differences up to k = known: g(k+N) for the last
     # min(known, N) + 3 values of k, which are every g(k+N) that a later k can
@@ -212,8 +170,7 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
     strategy = "euler-maclaurin"
     tail = 0j
     tail_bound = math.inf
-    integral_failed = False  # the last tail integral tried failed
-    previous = None  # the previous checkpoint's Gregory estimate of the sum, or deferred
+    previous = None  # the previous checkpoint's Gregory estimate of the sum
     high = math.inf  # max |g(k+N)| over the values the checkpoint evaluated
     stalled = 0  # checkpoints in a row at which that did not fall by 1%
 
@@ -231,11 +188,9 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
 
         window = np.abs(vals[depth - 1:]).tolist()
         scale = max(1.0, abs(partial))
-        if max(window) <= 1e-15 * scale:
-            # differences have died out; is it genuine collapse or a flat g?
-            if abs(shifted[-4]) > tol * scale:  # g(N + depth)
-                # g does not decay, so nothing was telescoped into the partials
-                return _does_not_decay(partial, depth)
+        # differences that vanish next to a g(N + depth) that does not (a
+        # flat g) have not died out: the tail window holds N*g
+        if max(window) <= 1e-15 * scale and abs(shifted[-4]) <= tol * scale:
             converged = True
             strategy = "died-out"
             tail = 0j
@@ -245,82 +200,38 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
             tail_bound = max(window) / (1.0 - r) if r < 1.0 else max(window)
             break
 
-        gregory = None  # this checkpoint's Gregory estimate of the sum, or deferred
+        gregory = None  # this checkpoint's Gregory estimate of the sum
+        strategy = "extrapolation"
         if max(window) > 0.25 * peak:
             # the differences are still at full strength (oscillatory or
-            # growing g): the tail integral would not exist, so go straight
-            # to extrapolating the checkpoint partials.  No extrapolant can
-            # be trusted below the size of the terms still being added.
-            strategy = "extrapolation"
+            # growing g): go straight to extrapolating the checkpoint
+            # partials.  No extrapolant can be trusted below the size of the
+            # terms still being added.
             tail, tail_bound = _aitken_tail(partials)
             tail_bound = max(tail_bound, max(window))
         else:
-            strategy = "extrapolation"
-            # a tail integral that failed is tried again only once the
-            # checkpoint increments shrink; until then it would fail again.
-            # While |g(k+N)| grows g has no limit 0, so the integral of d
-            # diverges or misses N*lim g: it counts as failed untried
-            shrinking = _shrinking(partials)
-            if high > last_high:
-                integral_failed = True
-            elif not integral_failed or shrinking:
+            # the tail is g summed over the window [depth, depth + N]; below
+            # max_terms a correction term of at least tol skips its integral
+            # (tail None), and the last checkpoint, whose tail the result
+            # reports, always integrates
+            try:
                 try:
-                    try:
-                        # a correction term of at least tol skips the tail
-                        # integral (tail None), except at the last
-                        # checkpoint, whose tail the result reports
-                        need = tol if m < max_terms else math.inf
-                        tail, tail_bound = em_tail(d, float(depth), _EM_ORDER,
-                                                   quad_tol=quad_tol, need=need)
-                        strategy = "euler-maclaurin"
-                    except CapabilityError:
-                        # no jets: Gregory's formula on the window instead,
-                        # but only once the increments shrink, since a tail
-                        # integral that cannot converge (log, sqrt) costs
-                        # about 1e5 calls of a closure that rejects arrays
-                        if not shrinking:
-                            raise
-                        # below max_terms a term of at least tol defers the
-                        # tail integral (tail None): the estimate is kept as
-                        # (partial, depth, window) until a checkpoint needs it.
-                        # A deferral leaves integral_failed clear, which
-                        # changes nothing where em_tail finds no jets
-                        lattice = vals[depth - 1:depth + 3]
-                        tail, tail_bound, integral = _gregory(d, float(depth), lattice,
-                                                              quad_tol, need)
-                        gregory = (partial + tail if tail is not None
-                                   else (partial, float(depth), lattice))
-                    integral_failed = False
+                    need = tol if m < max_terms else math.inf
+                    tail, tail_bound = em_tail(d, float(depth), _EM_ORDER, quad_tol=quad_tol,
+                                               need=need, integral=window_integral)
+                    strategy = "euler-maclaurin"
                 except CapabilityError:
-                    pass  # no jets, and no Gregory tail here either
-                except (DomainError, EvaluationError):
-                    integral_failed = True  # the tail integral misbehaves
-            if gregory is not None and previous is not None:
-                # a deferred integral is taken only where the record can
-                # need it.  With every integral taken, a deferred checkpoint
-                # extrapolates exactly when its own or its comparator's
-                # integral fails, so both are taken where extrapolation would
-                # certify.  A deferred comparator is taken unless the screen
-                # shows that the estimates disagree by tol and extrapolation
-                # would not certify either; the last checkpoint, whose bound
-                # the result reports, never screens
-                if isinstance(gregory, tuple):
-                    if _aitken_tail(partials)[1] < tol:
-                        gregory = exact(gregory)
-                        if gregory is not None:
-                            previous = exact(previous)
-                elif isinstance(previous, tuple):
-                    screen = None
-                    if m < max_terms and _aitken_tail(partials)[1] >= tol:
-                        screen = screened(previous, gregory, integral, float(depth))
-                    previous = exact(previous) if screen is None else screen
+                    # no jets: Gregory's formula on the window instead
+                    tail, tail_bound = gregory_tail(d, float(depth), vals[depth - 1:depth + 3],
+                                                    quad_tol, integral=window_integral)
+                    gregory = partial + tail
+            except (CapabilityError, EvaluationError):
+                pass  # neither tail serves, or g fails on the window
             if gregory is not None and previous is not None:
                 # a Gregory estimate counts only next to the previous
-                # checkpoint's, and no closer than the two agree; a
-                # deferred one is no closer than its own term, >= tol
+                # checkpoint's, and no closer than the two agree
                 strategy = "gregory"
-                if not isinstance(gregory, tuple):
-                    tail_bound = max(tail_bound, abs(gregory - previous))
+                tail_bound = max(tail_bound, abs(gregory - previous))
             elif strategy == "extrapolation":
                 tail, tail_bound = _aitken_tail(partials)
         previous = gregory
@@ -350,18 +261,11 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
 
 
 def _does_not_decay(partial, depth):
-    """The refusal: g does not decay, so the partials telescoped nothing."""
+    """The refusal: g oscillates or grows, so the partials telescoped nothing."""
     diag = Diagnostics(nodes=depth, truncation_index=depth, converged=False,
                        notes={"reason": "g does not decay"})
     return SumResult(value=partial, method="telescope",
                      error_estimate=math.inf, diagnostics=diag)
-
-
-def _shrinking(partials):
-    """Whether the last checkpoint increment is below 0.9 of the one before,
-    the ratio at which _aitken_tail stops refusing; False with too few."""
-    return (len(partials) >= 3 and
-            abs(partials[-1] - partials[-2]) < 0.9 * abs(partials[-2] - partials[-3]))
 
 
 def _aitken_tail(partials):

@@ -1,5 +1,6 @@
 """Lattice-summation tests: Bernoulli corrections, remainder honesty, tails."""
 
+import cmath
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from finsum import cli, eulermaclaurin, jets
 from finsum.errors import CapabilityError, DomainError, PreconditionError
 from finsum.eulermaclaurin import EMJob, em_sum, em_tail, gregory_tail
 from finsum.expr import as_function, parse_expression
+from finsum.quadrature import integrate_finite
 from finsum.special import hurwitz_zeta
 
 
@@ -243,6 +245,18 @@ class TestTailEstimator:
         with pytest.raises(DomainError, match="integrable"):
             em_tail(lambda x: 1.0 / x, 2.0, n=2, need=math.inf)
 
+    def test_bound_is_twice_the_first_omitted_term(self):
+        """On a damped oscillation e^{-ax}, Im a > Re a > 0, the remainder
+        exceeds the first omitted term by about 1/(1 - (|a|/2pi)^2), so the
+        term is charged twice over."""
+        a, m = 0.2 - 2.0j, 6.0
+        f = lambda x: jets.exp(-a * x)  # noqa: E731
+        term = abs(a ** 5 * cmath.exp(-a * m)) / 42 / math.factorial(6)
+        assert em_tail(f, m, n=3, need=1e-300)[1] == pytest.approx(2 * term, rel=1e-12)
+        value, bound = em_tail(f, m, n=3)
+        want = cmath.exp(-a * m) / (cmath.exp(a) - 1.0)
+        assert term < abs(value - want) <= bound
+
     def test_decay_slower_than_inverse_square_is_refused(self):
         """x^(-1.5) is summable but its compactified tail integrand is
         endpoint-singular, which the half-line rule does not serve; the
@@ -277,35 +291,24 @@ class TestGregoryTail:
         lattice = [math.exp(-0.3 * k) * math.cos(3.0 * k) for k in range(16, 20)]
         with pytest.raises(CapabilityError, match="forward differences"):
             gregory_tail(f, 16.0, lattice)
-        with pytest.raises(CapabilityError, match="forward differences"):
-            gregory_tail(f, 16.0, lattice, need=1e-300)
 
-    def test_need_skips_the_integral_only_where_the_term_misses_it(self, monkeypatch):
-        """With need at or below the doubled first omitted term,
-        2 * 19 |Delta^3 f(m)| / 720, (None, that term) comes back before any
-        quadrature; above it, or at the default inf, gregory_tail is as
-        always."""
-        integrals = []
-        tail_integral = eulermaclaurin._tail_integral
-
-        def counted(f, m, quad_tol):
-            integrals.append(m)
-            return tail_integral(f, m, quad_tol)
-
-        monkeypatch.setattr(eulermaclaurin, "_tail_integral", counted)
-        m = 32.0
-        f = lambda x: 1.0 / (complex(x) ** 2 + 1.0)  # noqa: E731
-        lattice = [f(m + i) for i in range(4)]
-        d3 = lattice[3] - 3.0 * lattice[2] + 3.0 * lattice[1] - lattice[0]
-        term = 2.0 * (19 * abs(d3) / 720)
-        assert gregory_tail(f, m, lattice, need=1e-300) == (None, term)
-        assert gregory_tail(f, m, lattice, need=term) == (None, term)
-        assert integrals == []
-        full = gregory_tail(f, m, lattice)
-        assert gregory_tail(f, m, lattice, need=term * (1 + 1e-12)) == full
-        assert gregory_tail(f, m, lattice, need=math.inf) == full
-        assert full[0] is not None and full[1] >= term
-        assert integrals == [m, m, m]
+    def test_given_integral_makes_it_a_window_sum(self, monkeypatch):
+        """For f(x) = g(x) - g(x+N), the integral of g over [m, m+N] in place
+        of the semi-infinite one turns either tail into the sum of g over
+        m+1..m+N; no semi-infinite integral is taken."""
+        mp = pytest.importorskip("mpmath")
+        monkeypatch.setattr(eulermaclaurin, "_tail_integral", None)
+        m, n = 16.0, 40
+        g = lambda x: 1.0 / (x * x + 1.0)  # noqa: E731
+        f = lambda x: g(x) - g(x + n)  # noqa: E731
+        window = lambda: integrate_finite(g, m, m + n, tol=1e-13)  # noqa: E731
+        want = complex(mp.fsum(1 / (mp.mpf(k) ** 2 + 1) for k in range(17, 17 + n)))
+        value, bound = em_tail(f, m, integral=window)
+        assert abs(value - want) <= bound < 1e-9
+        scalar = lambda x: f(complex(x))  # noqa: E731
+        value, bound = gregory_tail(scalar, m, [scalar(m + i) for i in range(4)],
+                                    integral=window)
+        assert abs(value - want) <= bound < 1e-5
 
 
 class TestValidation:

@@ -1,8 +1,8 @@
 """Telescoping-route tests.
 
-Sigma_{k=1}^{N} g(k) = Sigma_{k>=1} (g(k) - g(N+k)) whenever g decays; the
-engine must land within tol of the direct sum, certify the decay cases, and
-flag the cases where the collapse argument does not apply.
+Sigma_{k=1}^{N} g(k) = Sigma_{k<=M} (g(k) - g(N+k)) + Sigma_{k=M+1}^{M+N} g(k)
+at every depth M; the engine must land within tol of the direct sum, certify
+the cases whose window tail converges, and flag the g that oscillate or grow.
 """
 
 import cmath
@@ -68,13 +68,12 @@ class TestDecayingSummands:
 
 
 class TestNonCollapsingSummands:
-    def test_constant_is_flagged(self):
-        """d(k) == 0 identically while the sum is N*c: no certification."""
+    def test_constant_sums_to_n_times_c(self):
+        """d(k) == 0 identically while the sum is N*c: the differences have
+        not died out, and the tail window holds the N*c."""
         got = telescoping_sum(lambda x: 3.0, 10, tol=1e-10)
-        assert not got.diagnostics.converged
-        assert "non-converged" in got.flags
-        assert got.error_estimate == math.inf
-        assert "does not decay" in got.diagnostics.notes["reason"]
+        assert got.diagnostics.converged and not got.flags
+        assert abs(got.value - 30.0) <= got.error_estimate < 1e-10
 
     def test_oscillation_is_not_certified(self):
         """sin(1.1*k) does not decay, so the differences never die; the
@@ -113,7 +112,7 @@ def test_closure_failing_the_gregory_guard_spends_no_tail_quadrature(monkeypatch
         z = complex(x)                                # rejects jets and arrays
         return cmath.exp(-0.3 * z) * cmath.cos(3.0 * z)
 
-    per_tail = {"em_tail": [], "_gregory": []}  # _gregory: gregory_tail as telescoping_sum calls it
+    per_tail = {"em_tail": [], "gregory_tail": []}
     for name in per_tail:
         def counted(*args, _tail=getattr(telescope, name), _seen=per_tail[name], **kwargs):
             before = calls[0]
@@ -125,7 +124,7 @@ def test_closure_failing_the_gregory_guard_spends_no_tail_quadrature(monkeypatch
     res = telescoping_sum(g, 50, max_terms=1 << 10)
     assert res.diagnostics.notes["strategy"] == "died-out"
     assert per_tail["em_tail"] and set(per_tail["em_tail"]) == {1}
-    assert per_tail["_gregory"] and set(per_tail["_gregory"]) == {0}
+    assert per_tail["gregory_tail"] and set(per_tail["gregory_tail"]) == {0}
 
 
 class TestZetaShortcut:
@@ -199,7 +198,7 @@ class TestArrayBlocks:
 
     @pytest.mark.parametrize("text,n", [
         ("1.2*sin(0.83*k)", 37), ("k*cos(1.7*k)", 64), ("0.9*k^2", 21),
-        ("1.4*cos(2.3*k)", 90), ("1.6005*log(k)", 50), ("0.7*sqrt(k)", 12),
+        ("1.4*cos(2.3*k)", 90),
     ])
     def test_non_decaying_families_match_a_scalar_closure(self, text, n):
         """The wrapper takes neither arrays nor jets, as a user's closure
@@ -210,6 +209,26 @@ class TestArrayBlocks:
         _assert_same_decisions(arr, sca, h, n)
         assert arr.diagnostics.nodes == 1024
         assert arr.diagnostics.notes["reason"] == "g does not decay"
+
+    @pytest.mark.parametrize("text,n", [("1.6005*log(k)", 50), ("0.7*sqrt(k)", 12)])
+    def test_growing_smooth_g_is_covered_on_either_path(self, text, n):
+        """log and sqrt grow, but each tail window is smooth: the array path
+        certifies them by Euler-Maclaurin.  A closure that rejects arrays
+        and jets certifies them by Gregory or refuses them, never uncovered."""
+        mp = pytest.importorskip("mpmath")
+        h = _effective(text, n)
+        c = float(text.split("*")[0])
+        fn = mp.log if "log" in text else mp.sqrt
+        want = _mp_sum(mp, lambda k: mp.mpf(c) * fn(k), n)
+        arr = telescoping_sum(h, n, max_terms=1 << 12)
+        assert arr.diagnostics.converged
+        assert arr.diagnostics.notes["strategy"] == "euler-maclaurin"
+        assert abs(arr.value - want) <= arr.error_estimate < 1e-10
+        sca = telescoping_sum(lambda x: complex(h(float(x))), n, max_terms=1 << 12)
+        if sca.diagnostics.converged:
+            assert abs(sca.value - want) <= sca.error_estimate < 1e-10
+        else:
+            assert sca.diagnostics.notes["reason"] == "g does not decay"
 
     @pytest.mark.parametrize("text,n", [
         ("1.2*sin(0.83*k)/k^0.05", 37), ("cos(1.7*k)/k^0.1", 64),
@@ -315,18 +334,17 @@ class TestCarriedValues:
         assert res.diagnostics.nodes == 1 << 17
         assert calls[0] <= (1 << 17) + 50 + 4 * self._CHECKPOINTS + 2
 
-    def test_flat_g_is_not_called_again(self):
-        """The does-g-decay check reads g(N + depth) from the carried
-        values, so an array-capable g only ever receives arrays."""
-        args = []
-
+    def test_flat_g_is_summed_in_the_window(self):
+        """The died-out check reads g(N + depth) from the carried values: a
+        flat g whose differences vanish is not taken for died out, and the
+        first checkpoint's window holds N*c."""
         def flat(x):
-            args.append(x)
             return 3.0 + 0.0 * x
 
         res = telescoping_sum(flat, 10)
-        assert "does not decay" in res.diagnostics.notes["reason"]
-        assert all(isinstance(x, np.ndarray) for x in args)
+        assert res.diagnostics.converged and res.diagnostics.nodes == 8
+        assert res.diagnostics.notes["strategy"] == "euler-maclaurin"
+        assert abs(res.value - 30.0) <= res.error_estimate < 1e-10
 
     def test_scalar_failure_names_the_first_k(self):
         """g(3000) is first needed as g(k+N) at k = 2990."""
@@ -434,8 +452,7 @@ def _telescope_record(text, n):
 class TestDecayCheck:
     """Past depth max(2N, 1024) the route refuses, non-converged with
     reason "g does not decay", once max |g(k+N)| over the values a
-    checkpoint evaluates has not fallen by 1% at two checkpoints in a row;
-    while that maximum grows, no tail integral is tried."""
+    checkpoint evaluates has not fallen by 1% at two checkpoints in a row."""
 
     _HEAVY = ("1.2*sin(1.1*k)", "k*cos(2.2*k)", "1.3*k^2", "0.9*cos(3.1*k)",
               "1.6*log(k)", "0.7*sqrt(k)")
@@ -450,7 +467,7 @@ class TestDecayCheck:
         """A power law at huge N samples g only near N, and a slow
         exponential still falls by more than 1% per checkpoint."""
         got = telescoping_sum(lambda x: x ** -2.0, 10 ** 9)
-        assert got.diagnostics.converged and got.diagnostics.nodes == 16
+        assert got.diagnostics.converged and got.diagnostics.nodes == 32
         rec = _telescope_record("exp(-0.001*k)", 100)
         assert not rec["flags"] and rec["diagnostics"]["nodes"] == 2048
 
@@ -467,16 +484,6 @@ class TestDecayCheck:
         rec = _telescope_record("1000 + 1/k^2", 10)
         assert rec["flags"] == ["non-converged"]
         assert rec["diagnostics"]["notes"]["reason"] == "g does not decay"
-
-    def test_rising_limit_stops_without_a_tail_integral(self, monkeypatch):
-        """1 - 1/k^2: |g(k+N)| rises toward 1, so after the first checkpoint,
-        which has no earlier maximum to compare with, no tail integral is
-        tried (one would miss N*1), and the run stops at 1,024 terms."""
-        calls = TestFailedTailIntegral._counted_em_tail(monkeypatch)
-        rec = _telescope_record("1 - 1/k^2", 10)
-        assert calls[0] == 1
-        assert rec["flags"] == ["non-converged"]
-        assert rec["diagnostics"]["nodes"] == 1024
 
 
 def _mp_sum(mp, term, n):
@@ -553,159 +560,89 @@ class TestGregoryTail:
         assert abs(got.value - want) <= got.error_estimate
 
 
-class TestFailedTailIntegral:
-    """A tail integral that failed is not tried again while the checkpoint
-    increments do not shrink; once they do, it is."""
+class TestPoles:
+    """A pole between lattice points lies inside the tail windows of the
+    early checkpoints, where the window integral fails or misses; past it
+    the route still certifies a covered sum, with jets and without."""
 
-    @staticmethod
-    def _counted_em_tail(monkeypatch):
-        calls = [0]
-        em_tail = telescope.em_tail
-
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return em_tail(*args, **kwargs)
-
-        monkeypatch.setattr(telescope, "em_tail", counted)
-        return calls
-
-    @pytest.mark.parametrize("text,n", [("1.6005*log(k)", 9), ("0.6627*sqrt(k)", 72)])
-    def test_growing_g_makes_no_tail_integral(self, monkeypatch, text, n):
-        """d decays like N/k or N/sqrt(k), and its tail integral diverges:
-        |g(k+N)| grows at every checkpoint, so none is tried, and the run
-        stops at 1,024 terms because g does not decay."""
-        calls = self._counted_em_tail(monkeypatch)
-        got = telescoping_sum(_effective(text, n), n)
-        assert calls[0] == 0
-        assert got.diagnostics.nodes == 1024
-        assert not got.diagnostics.converged
-        assert got.diagnostics.notes["reason"] == "g does not decay"
-        assert got.error_estimate == math.inf
-
-    @pytest.mark.parametrize("text,n", [("1.6005*log(k)", 9), ("0.6627*sqrt(k)", 72)])
-    def test_closure_without_jets_waits_for_shrinking_increments(self, monkeypatch, text, n):
-        """Without jets Gregory's tail integral is tried only once the
-        increments shrink.  Those of log and sqrt never do, so a closure
-        that rejects arrays is not called some 1e5 times on a tail integral
-        that cannot converge; the record is the array path's."""
-        integrals = self._counted_tail_integral(monkeypatch)
-        h = _effective(text, n)
-        sca = telescoping_sum(lambda x: complex(h(float(x))), n, max_terms=1 << 12)
-        assert integrals == []
-        arr = telescoping_sum(h, n, max_terms=1 << 12)
-        _assert_same_decisions(arr, sca, h, n)
-
-    @staticmethod
-    def _counted_tail_integral(monkeypatch):
-        """The start m and outcome of every tail integral taken."""
-        integrals = []
-        tail_integral = eulermaclaurin._tail_integral
-
-        def counted(f, m, quad_tol):
-            try:
-                quad = tail_integral(f, m, quad_tol)
-            except DomainError:
-                integrals.append((m, "failed"))
-                raise
-            integrals.append((m, "converged"))
-            return quad
-
-        monkeypatch.setattr(eulermaclaurin, "_tail_integral", counted)
-        return integrals
-
-    def test_pole_past_a_skipped_checkpoint_is_integrated_once(self, monkeypatch):
-        """1/(k-40.5)^2 at N=25: at 32 the correction term alone is above
-        tol, so the integral that would cross the pole is not taken; the one
-        from 64, past the pole, certifies the sum."""
+    @pytest.mark.parametrize("pole,n", [(40.5, 10), (40.5, 25), (40.5, 40),
+                                        (50.5, 25), (50.5, 40)])
+    def test_covered_on_either_path(self, pole, n):
         mp = pytest.importorskip("mpmath")
-        calls = self._counted_em_tail(monkeypatch)
-        integrals = self._counted_tail_integral(monkeypatch)
-        got = telescoping_sum(_effective("1/(k-40.5)^2", 25), 25)
-        assert calls[0] == 2
-        assert integrals == [(64.0, "converged")]
-        assert got.diagnostics.converged
-        assert got.diagnostics.notes["strategy"] == "euler-maclaurin"
-        assert got.diagnostics.nodes == 64
-        want = _mp_sum(mp, lambda k: 1 / (k - mp.mpf(40.5)) ** 2, 25)
-        assert abs(got.value - want) <= got.error_estimate < 1e-10
+        want = _mp_sum(mp, lambda k: 1 / (k - mp.mpf(pole)) ** 2, n)
+        for g in (_effective(f"1/(k-{pole})^2", n), lambda x: 1 / (complex(x) - pole) ** 2):
+            got = telescoping_sum(g, n)
+            assert got.diagnostics.converged
+            assert abs(got.value - want) <= got.error_estimate < 1e-10
 
-    def test_pole_in_the_tail_is_retried_once_the_increments_shrink(self, monkeypatch):
-        """1/(k-50.5)^2 at N=40: the tail integral from 32, whose correction
-        term is below tol, crosses the pole and fails, while |g(k+N)| falls
-        past it; the block past 32 does not shrink, so 64 is not tried, and
-        the integral from 128 certifies the sum."""
-        mp = pytest.importorskip("mpmath")
-        integrals = self._counted_tail_integral(monkeypatch)
-        got = telescoping_sum(_effective("1/(k-50.5)^2", 40), 40)
-        assert integrals == [(32.0, "failed"), (128.0, "converged")]
-        assert got.diagnostics.converged
-        assert got.diagnostics.notes["strategy"] == "euler-maclaurin"
-        assert got.diagnostics.nodes == 128
-        want = _mp_sum(mp, lambda k: 1 / (k - mp.mpf(50.5)) ** 2, 40)
-        assert abs(got.value - want) <= got.error_estimate < 1e-10
 
-    def test_pole_met_while_g_grows_is_integrated_once_past_it(self, monkeypatch):
-        """1/(k-40.5)^2 at N=10: the checkpoint at 32 meets the pole among
-        its g(k+N), which grow there, so its tail integral counts as failed
-        untried; 64 is skipped as before, and the one integral, from 128,
-        certifies the sum the retry did."""
-        calls = self._counted_em_tail(monkeypatch)
-        got = telescoping_sum(_effective("1/(k-40.5)^2", 10), 10)
-        assert calls[0] == 1
-        assert got.diagnostics.converged
-        assert got.diagnostics.nodes == 128
-        assert got.value == 0.008331549911444542
+def _counted_windows(monkeypatch):
+    """The (a, b) of every window integral that telescoping_sum takes; the
+    semi-infinite tail integral must not be reached at all."""
+    windows = []
+    integrate_finite = quadrature.integrate_finite
+
+    def counted(f, a, b, **kwargs):
+        windows.append((a, b))
+        return integrate_finite(f, a, b, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("semi-infinite tail integral taken")
+
+    monkeypatch.setattr(quadrature, "integrate_finite", counted)
+    monkeypatch.setattr(eulermaclaurin, "_tail_integral", forbidden)
+    monkeypatch.setattr(eulermaclaurin, "integrate_semi_infinite", forbidden)
+    monkeypatch.setattr(quadrature, "integrate_semi_infinite", forbidden)
+    return windows
 
 
 class TestSkippedTailIntegral:
-    """A checkpoint whose first omitted Euler-Maclaurin term alone is at
-    least tol cannot certify, so it takes no tail integral; the records are
-    those of a run that integrated at every checkpoint."""
+    """A checkpoint whose doubled first omitted Euler-Maclaurin term alone
+    is at least tol cannot certify, so it takes no window integral, except
+    the last, whose tail the result reports."""
 
-    # (summand, N, max_terms, value, estimate, depth, converged), as computed
-    # with a tail integral at every checkpoint
-    _PINNED = [("1/k^2", 100, 1 << 17, 1.6349839000966762, 8.872064510602898e-11, 16, True),
+    # (summand, N, max_terms, value, estimate, depth, converged); each value
+    # lies within its estimate of the 40-digit sum
+    _PINNED = [("1/k^2", 100, 1 << 17, 1.6349839001842008, 1.4005397857399914e-12, 32, True),
                ("1.9544*exp(-0.6654*k)", 17, 1 << 17, 2.0675354754628708,
-                8.750644481034056e-15, 32, True),
-               ("1/k^2", 100, 8, 1.6349838890715904, 1.1353868310143208e-08, 8, False),
+                9.539595516349073e-15, 32, True),
+               ("1/k^2", 100, 8, 1.6349838890715904, 2.2706636373775363e-08, 8, False),
                ("1.9544*exp(-0.6654*k)", 17, 16, 2.0675354752645463,
-                2.0083818981853521e-10, 16, False)]
+                4.0105388982887746e-10, 16, False)]
 
     @staticmethod
     def _correction(h, n, m):
-        """|B_6 d^(5)(m)/6!| for d(t) = h(t) - h(t+N)."""
+        """2 |B_6 d^(5)(m)/6!| for d(t) = h(t) - h(t+N)."""
         t = jets.Jet.variable(m, 5)
-        return abs(float(bernoulli(6)) * (h(t) - h(t + n)).derivative(5) / math.factorial(6))
+        return 2 * abs(float(bernoulli(6)) * (h(t) - h(t + n)).derivative(5) / math.factorial(6))
 
     @pytest.mark.parametrize("text,n,max_terms,value,estimate,depth,converged", _PINNED)
     def test_integrals_only_where_they_can_certify(self, monkeypatch, text, n, max_terms,
                                                    value, estimate, depth, converged):
-        """Depth 8 never integrates, except as the last checkpoint, whose
-        tail the result reports; no other integral starts where the
-        correction term is at least tol."""
-        integrals = TestFailedTailIntegral._counted_tail_integral(monkeypatch)
+        mp = pytest.importorskip("mpmath")
+        c, a = {"1/k^2": (1.0, None), "1.9544*exp(-0.6654*k)": (1.9544, 0.6654)}[text]
+        want = _mp_sum(mp, (lambda k: 1 / k ** 2) if a is None
+                       else (lambda k: mp.mpf(c) * mp.exp(-mp.mpf(a) * k)), n)
+        windows = _counted_windows(monkeypatch)
         h = _effective(text, n)
         got = telescoping_sum(h, n, max_terms=max_terms)
-        starts = [m for m, _ in integrals]
-        last = float(depth)
-        assert starts and starts[-1] == last
-        assert all(self._correction(h, n, m) < 1e-10 for m in starts[:-1])
-        assert 8.0 not in starts or max_terms == 8
+        assert windows == [(float(depth), float(depth + n))]
         if converged:
-            assert self._correction(h, n, last) < 1e-10
-        else:
-            assert starts == [last]  # the last checkpoint integrates regardless
+            assert self._correction(h, n, depth) < 1e-10
+        assert all(self._correction(h, n, m) >= 1e-10 for m in (8, 16, 32) if m < depth)
         assert got.value == value
         assert got.error_estimate == estimate
         assert got.diagnostics.nodes == depth
         assert got.diagnostics.converged is converged
         assert got.diagnostics.notes == {"strategy": "euler-maclaurin", "tail_bound": estimate}
+        assert abs(got.value - want) <= got.error_estimate
 
 
 @pytest.mark.parametrize("c,a,n", [(1.9544, 0.6654, 17), (1.3092, 0.6152, 39)])
 def test_em_tail_bound_carries_the_quadrature_error(c, a, n):
     """Two eval-all records whose deviation exceeded the Euler-Maclaurin
-    term alone; the tail integral's own error estimate covers them."""
+    term alone; twice the term, plus the window integral's own error
+    estimate, covers them."""
     mp = pytest.importorskip("mpmath")
     rec = cli.run(f"{c}*exp(-{a}*k)", n, method="telescope")["results"][1]
     want = _mp_sum(mp, lambda k: c * mp.exp(-mp.mpf(a) * k), n)
@@ -725,15 +662,13 @@ def _pinned(value, estimate, nodes, strategy, converged=True, imag="0x0.0p+0"):
             {"strategy": strategy, "tail_bound": estimate})
 
 
-class TestDeferredGregoryTail:
-    """Below max_terms, a checkpoint whose doubled Gregory term alone is at
-    least tol defers its tail integral.  A later checkpoint takes it only
-    where the record can need it: a 30-node screen usually shows that the
-    two estimates disagree by tol.  The last checkpoint always takes it.
-    The records are those of a run that integrated at every checkpoint."""
+class TestGregoryWindow:
+    """Without jets every checkpoint whose differences shrink like
+    derivatives takes Gregory's estimate with one window integral; the
+    records are pinned, and each lies within its estimate of the 40-digit
+    sum."""
 
     _LORENTZIANS = TestGregoryTail._LORENTZIANS
-    # the records with a Gregory tail integral at every checkpoint
     _LORENTZ_RECORDS = [
         ("0x1.a9f3925116a33p-1", "0x1.2104000000000p-38"),
         ("0x1.febc3ad3190e9p-1", "0x1.7863000000000p-37"),
@@ -741,109 +676,110 @@ class TestDeferredGregoryTail:
         ("0x1.338d2fd47d9b0p+1", "0x1.ba1c000000000p-36"),
         ("0x1.34447b1d5e4ebp+0", "0x1.7ca0000000000p-36"),
         ("0x1.eb22b7646b72dp-1", "0x1.01d9000000000p-36"),
-        ("0x1.112bc426c8286p+0", "0x1.ca94000000000p-37"),
+        ("0x1.112bc426c8286p+0", "0x1.ca96000000000p-37"),
         ("0x1.82b2827689990p-1", "0x1.ffeb000000000p-37"),
         ("0x1.c9c0ca61db66ap+0", "0x1.e66c000000000p-36"),
         ("0x1.5bbdaca5c0680p+0", "0x1.23c7000000000p-36"),
     ]
 
-    @staticmethod
-    def _counted(monkeypatch):
-        """The starts of the semi-infinite tail integrals and the finite
-        windows (a, b, nodes) taken."""
-        tails, windows = [], []
-        tail_integral = eulermaclaurin._tail_integral
-        integrate_finite = quadrature.integrate_finite
-
-        def counted_tail(f, m, quad_tol):
-            tails.append(m)
-            return tail_integral(f, m, quad_tol)
-
-        def counted_window(f, a, b, **kwargs):
-            quad = integrate_finite(f, a, b, **kwargs)
-            windows.append((a, b, quad.nodes_used))
-            return quad
-
-        monkeypatch.setattr(eulermaclaurin, "_tail_integral", counted_tail)
-        monkeypatch.setattr(quadrature, "integrate_finite", counted_window)
-        return tails, windows
-
     @pytest.mark.parametrize("item,record", list(zip(_LORENTZIANS, _LORENTZ_RECORDS)))
     def test_scalar_lorentzians(self, monkeypatch, item, record):
-        """Depths 32 and 64 defer; 128 integrates and screens 64 with a
-        window over [64, 128]; 256 integrates and certifies against 128.
-        Integrating at every checkpoint takes four tail integrals."""
+        """One window [M, M+N] per checkpoint, 8 to 256."""
+        mp = pytest.importorskip("mpmath")
         c, a2, n = item
-        tails, windows = self._counted(monkeypatch)
+        windows = _counted_windows(monkeypatch)
         got = telescoping_sum(lambda x: c / (complex(x) * complex(x) + a2), n, tol=1e-10)
         assert _bytes(got) == _pinned(*record, 256, "gregory")
-        assert tails == [128.0, 256.0]
-        assert windows == [(64.0, 128.0, 30)]
+        assert windows == [(float(m), float(m + n)) for m in (8, 16, 32, 64, 128, 256)]
+        want = _mp_sum(mp, lambda k: mp.mpf(c) / (k * k + mp.mpf(a2)), n)
+        assert abs(got.value - want) <= got.error_estimate
 
-    # (pole, N, value, estimate, depth) with every tail integral taken
+    # (pole, N, value, estimate, depth)
     _POLES = [(40.5, 25, "0x1.55245cb51e31fp-5", "0x1.6f92400000000p-34", 256),
               (40.5, 40, "0x1.3a3a3878163e3p+2", "0x1.b3ce000000000p-34", 256),
-              (50.5, 25, "0x1.479a84c998f3fp-6", "0x1.9bd0000000000p-41", 512),
+              (50.5, 25, "0x1.479a84c998f3fp-6", "0x1.9bd0800000000p-41", 512),
               (50.5, 40, "0x1.4757b3794a021p-4", "0x1.159d000000000p-40", 512)]
 
     @pytest.mark.parametrize("pole,n,value,estimate,depth", _POLES)
     def test_scalar_poles(self, pole, n, value, estimate, depth):
+        mp = pytest.importorskip("mpmath")
         got = telescoping_sum(lambda x: 1 / (complex(x) - pole) ** 2, n)
         assert _bytes(got) == _pinned(value, estimate, depth, "gregory")
+        want = _mp_sum(mp, lambda k: 1 / (k - mp.mpf(pole)) ** 2, n)
+        assert abs(got.value - want) <= got.error_estimate
 
-    # (max_terms, record) for log(1+1/k) at N=10; below 32 no Gregory
-    # estimate is tried, and 32 defers, so the last checkpoint of 64 takes
-    # both integrals and reports its own bound, not a screen's
+    # (max_terms, record) for log(1+1/k) at N=10: depth 8 has no comparator
+    # and extrapolates; from 16 on a Gregory estimate is the last one's
     _LOGS = [(8, _pinned("0x1.a6930584f0e54p+0", "inf", 8, "extrapolation", False)),
-             (16, _pinned("0x1.ef6df82ec646bp+0", "inf", 16, "extrapolation", False)),
-             (64, _pinned("0x1.32ee3b6fd0c1bp+1", "0x1.5896e76000000p-24", 64, "gregory",
-                          False))]
+             (16, _pinned("0x1.32ee2ee84772cp+1", "0x1.408709a4e0000p-16", 16, "gregory",
+                          False)),
+             (64, _pinned("0x1.32ee3b6fd0c5ep+1", "0x1.589c222000000p-24", 64, "gregory",
+                          False)),
+             (1 << 17, _pinned("0x1.32ee3b77f35cep+1", "0x1.5bb8000000000p-38", 512,
+                               "gregory"))]
 
     @pytest.mark.parametrize("max_terms,record", _LOGS)
     def test_scalar_log_at_the_last_checkpoint(self, monkeypatch, max_terms, record):
-        tails, windows = self._counted(monkeypatch)
+        mp = pytest.importorskip("mpmath")
+        windows = _counted_windows(monkeypatch)
         got = telescoping_sum(lambda x: cmath.log(1 + 1 / complex(x)), 10, max_terms=max_terms)
         assert _bytes(got) == record
-        assert windows == []
-        assert tails == ([64.0, 32.0] if max_terms == 64 else [])
+        assert windows == [(float(m), float(m + 10)) for m in (8, 16, 32, 64, 128, 256, 512)
+                           if m <= got.diagnostics.nodes]
+        want = _mp_sum(mp, lambda k: mp.log(1 + 1 / k), 10)
+        assert abs(got.value - want) <= got.error_estimate
 
-    # the first seed-7 Lorentzian with extrapolation patched to certify at
-    # depth 64, where the Gregory estimate is deferred and has a comparator
-    _CORNER = {
-        # both integrals converge: the Gregory bound stands, 64 does not certify
-        "none": _pinned("0x1.a9f3925116a33p-1", "0x1.2104000000000p-38", 256, "gregory"),
-        # 64's own integral fails
-        "from 64": _pinned("0x1.a92414d47f0c2p-1", "0x1.b7cdfd9d7bdbbp-35", 64,
-                           "extrapolation"),
-        # 32's integral, the comparator's, fails
-        "only 32": _pinned("0x1.a92414d47f0c2p-1", "0x1.b7cdfd9d7bdbbp-35", 64,
-                           "extrapolation"),
-    }
 
-    @pytest.mark.parametrize("failing", sorted(_CORNER))
-    def test_deferred_estimate_where_extrapolation_would_certify(self, monkeypatch, failing):
-        """A run that integrates at every checkpoint extrapolates at 64
-        exactly when its integral or 32's fails, so 64 takes both before it
-        trusts the extrapolation; the records are pinned under the same
-        patches."""
-        fails = {"none": lambda m: False, "from 64": lambda m: m >= 64,
-                 "only 32": lambda m: m == 32}[failing]
-        tail_integral = eulermaclaurin._tail_integral
-        aitken_tail = telescope._aitken_tail
-        taken = []
+def test_window_tail_spends_few_g_calls(monkeypatch):
+    """The scalar-closure Lorentzians of TestGregoryTail take 8,280 calls
+    of g in all: six windows of one finite quadrature each, never a
+    semi-infinite tail integral (15,240 calls when the tail was the
+    integral of d over (M, inf))."""
+    _counted_windows(monkeypatch)
+    calls = [0]
+    for c, a2, n in TestGregoryTail._LORENTZIANS:
+        def g(x, c=c, a2=a2):
+            calls[0] += 1
+            return c / (complex(x) * complex(x) + a2)
 
-        def patched_tail(f, m, quad_tol):
-            taken.append(m)
-            if fails(m):
-                raise DomainError(f"tail integral from {m} patched to fail")
-            return tail_integral(f, m, quad_tol)
+        assert telescoping_sum(g, n, tol=1e-10).diagnostics.converged
+    assert calls[0] <= 9_000
 
-        def patched_aitken(partials):
-            return (0j, 5e-11) if len(partials) == 4 else aitken_tail(partials)
 
-        monkeypatch.setattr(eulermaclaurin, "_tail_integral", patched_tail)
-        monkeypatch.setattr(telescope, "_aitken_tail", patched_aitken)
-        c, a2, n = self._LORENTZIANS[0]
-        got = telescoping_sum(lambda x: c / (complex(x) * complex(x) + a2), n, tol=1e-10)
-        assert _bytes(got) == self._CORNER[failing]
-        assert taken[:2] == ([64.0] if failing == "from 64" else [64.0, 32.0])
+# (summand, N, tol): converged within its estimate of the 40-digit sum, or
+# flagged.  The covered group had come back certified and wrong, or flagged;
+# x**-2.0 goes through telescoping_sum, the rest through cli.run
+_REFEREE = [("2 - exp(-k)", 10, 1e-10, "covered"), ("1 - 1/k^2", 10, 1e-6, "covered"),
+            ("log(1+1/k)", 25, 1e-10, "covered"), ("log(1+1/k)", 200, 1e-12, "covered"),
+            *[("1/k^0.5", n, 1e-10, "covered") for n in (25, 50, 100, 150)],
+            ("log(k)", 50, 1e-10, "covered"), ("0.6627*sqrt(k)", 72, 1e-10, "covered"),
+            ("x**-2.0", 10 ** 9, 1e-10, "covered"),
+            ("1000 + 1/k^2", 10, 1e-10, "flagged"), ("1.3*k^2", 31, 1e-10, "flagged"),
+            ("sin(1.1*k)", 50, 1e-10, "flagged"), ("k*exp(-k/2000)", 10, 1e-10, "flagged")]
+
+
+@pytest.mark.parametrize("text,n,tol,outcome", _REFEREE)
+def test_window_records_against_mpmath(text, n, tol, outcome):
+    mp = pytest.importorskip("mpmath")
+    if text == "x**-2.0":
+        got = telescoping_sum(lambda x: x ** -2.0, n, tol=tol)
+        value, estimate, flags = got.value, got.error_estimate, got.flags
+        with mp.workdps(40):
+            want = complex(mp.zeta(2) - mp.zeta(2, n + 1))
+    else:
+        rec = cli.run(text, n, method="telescope", tol=tol)["results"][1]
+        value = complex(rec["value"]["re"], rec["value"]["im"])
+        estimate, flags = rec["error_estimate"], rec["flags"]
+        terms = {"2 - exp(-k)": lambda k: 2 - mp.exp(-k), "1 - 1/k^2": lambda k: 1 - 1 / k ** 2,
+                 "log(1+1/k)": lambda k: mp.log(1 + 1 / k), "1/k^0.5": lambda k: 1 / mp.sqrt(k),
+                 "log(k)": mp.log, "0.6627*sqrt(k)": lambda k: mp.mpf(0.6627) * mp.sqrt(k),
+                 "1000 + 1/k^2": lambda k: 1000 + 1 / k ** 2,
+                 "1.3*k^2": lambda k: mp.mpf(1.3) * k ** 2,
+                 "sin(1.1*k)": lambda k: mp.sin(mp.mpf(1.1) * k),
+                 "k*exp(-k/2000)": lambda k: k * mp.exp(-k / 2000)}
+        want = _mp_sum(mp, terms[text], n)
+    if outcome == "flagged":
+        assert flags == ["non-converged"]
+    else:
+        assert not flags
+        assert abs(value - want) <= estimate
