@@ -31,8 +31,9 @@ def active() -> str:
 
 def summation_factor(t, n: int, variant, alpha: complex, beta: complex):
     """The kernel Phi(t) of a :class:`finsum.series.Variant` at a complex
-    scalar, a jet or a complex grid: w = alpha*t (+ beta), the comb of -w,
-    and the shift factor exp(-beta*t)."""
+    scalar, a jet, a complex grid or, with alpha and beta real, a float64
+    grid: w = alpha*t (+ beta), the comb of -w, and the shift factor
+    exp(-beta*t)."""
     w = alpha * t
     if variant.is_exp_factor:
         w = w + beta
@@ -47,7 +48,15 @@ def summation_factor(t, n: int, variant, alpha: complex, beta: complex):
 
 
 def phi_grid(t: np.ndarray, n: int, variant, alpha: complex, beta: complex) -> np.ndarray:
-    """Variant kernel Phi(t) on a grid of real abscissas t >= 0."""
+    """Variant kernel Phi(t) on a grid of real abscissas t >= 0.
+
+    With alpha and beta real the comb is real on real t and is evaluated in
+    float64; a complex alpha or beta keeps the complex128 grid.
+    """
+    alpha, beta = complex(alpha), complex(beta)
+    if alpha.imag == 0.0 and beta.imag == 0.0:
+        return summation_factor(np.asarray(t, dtype=np.float64), n, variant,
+                                alpha.real, beta.real)
     return summation_factor(np.asarray(t, dtype=np.complex128), n, variant, alpha, beta)
 
 

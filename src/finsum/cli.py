@@ -46,6 +46,7 @@ METHODS = ("oracle", "laplace", "fourier", "telescope", "euler-maclaurin",
 # summand still fails the whole run.
 _ROUTE_ERRORS = (CapabilityError, RecognitionError, DomainError,
                  PreconditionError, EvaluationError)
+_EPS = 2.220446049250313e-16
 
 
 # -- per-route runners -------------------------------------------------------
@@ -79,9 +80,12 @@ def _run_em(spec: SeriesSpec, tol: float) -> SumResult:
     h = effective_term(spec)
     n = spec.n_terms
     if n == 1:
-        # a one-point lattice needs no correction terms at all
-        return SumResult(value=complex(h(1.0)), method="euler-maclaurin",
-                         error_estimate=0.0, diagnostics=Diagnostics(nodes=1))
+        # a one-point lattice needs no correction terms at all; the estimate
+        # is the oracle's charge for the rounding of one term
+        value = complex(h(1.0))
+        return SumResult(value=value, method="euler-maclaurin",
+                         error_estimate=2.0 * _EPS * abs(value),
+                         diagnostics=Diagnostics(nodes=1))
     job = EMJob(h, 1.0, float(n), n - 1)
     return em_sum(job, quad_tol=min(tol, 1e-13))
 

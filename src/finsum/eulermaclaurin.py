@@ -107,7 +107,9 @@ def _derivatives(job: EMJob, xs: list[float], order: int) -> Callable:
             scalars = [jet.derivative(j) for j in range(order + 1)]
         except _NO_JET as e:
             def refuse(i, j, e=e):
-                raise _cannot_differentiate(xs[0], j, e) from None
+                # the cause tells a g that rejects every jet (TypeError,
+                # AttributeError) from one that fails at this point
+                raise _cannot_differentiate(xs[0], j, e) from e
             return refuse
         return lambda i, j: scalars[j]
     x = np.array(xs, dtype=np.complex128)

@@ -333,10 +333,11 @@ def exp_power_sum(z, n: int):
     removable point z = 0 (|z| < 1e-6 with |z|*n small) a degree-4 series in
     z with Faulhaber coefficients is used; at z = 0 exactly the limit is n.
     Arrays must have Re(z) <= 0; there the series serves a mask of the
-    elements, and a pole z = 2*pi*i*m (m != 0) raises PoleError.
+    elements, and a pole z = 2*pi*i*m (m != 0) raises PoleError.  A float64
+    array gives float64 values, any other array complex128.
     """
     if isinstance(z, np.ndarray):
-        out = np.empty(z.shape, dtype=np.complex128)
+        out = np.empty(z.shape, dtype=np.float64 if z.dtype == np.float64 else np.complex128)
         az = np.abs(z)
         small = (az < _SERIES_CUTOFF) & (az * n <= _SERIES_N_CUTOFF)
         if np.any(small):

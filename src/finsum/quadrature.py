@@ -14,20 +14,23 @@ the initial mesh with interior ``points`` where the integrand's scale lies
 that scale, the error control is unchanged.  Endpoints are never sampled:
 every Kronrod node is interior, which is what lets the half-line transform
 skip t = 0.  Integrands are complex-valued; they are evaluated on 1-D arrays
-of abscissas (each frontend detects scalar-only callables once and wraps
-them).
+of abscissas.  No call is spent on probing: the first round's batch decides
+whether f takes arrays, and an f that does not is evaluated point by point
+from then on (:func:`_array_form`).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationError
+from .errors import EvaluationError, FinsumError
 
 # 15-point Kronrod abscissas/weights with the embedded 7-point Gauss rule.
 _XGK = np.array([
@@ -60,6 +63,10 @@ _ROUND_CAP = 256
 # no error estimate can certify below roundoff on the accumulated value, so
 # the absolute tolerance is floored at this multiple of |integral|
 _REL_FLOOR = 50.0 * 2.220446049250313e-16
+# the outermost Kronrod node lies 0.0043 widths inside its panel, and the
+# rounding of mid + half*x is at most eps*max(|a|, |b|); panels wider than
+# this multiple of eps*max(|a|, |b|) (234 would do) keep every node interior
+_NARROW = 1024 * 2.220446049250313e-16
 
 
 @dataclass
@@ -70,40 +77,71 @@ class QuadratureResult:
     converged: bool
 
 
-def _vectorize(f: Callable, probes: np.ndarray) -> Callable:
-    """Return an array-in/array-out version of f, wrapping scalar callables."""
-    try:
-        out = f(probes)
-    except Exception:
-        out = None
-    if isinstance(out, np.ndarray) and out.shape == probes.shape:
-        return f
+def _pointwise(f: Callable) -> Callable:
+    """f on a 1-D array of abscissas, one complex(f(x)) per point: the array
+    form of a callable that takes scalars only."""
     return lambda xs: np.array([complex(f(x)) for x in xs.tolist()])
 
 
-def _gk_panels(f: Callable, a: np.ndarray, b: np.ndarray):
+def _array_form(f: Callable, xs: np.ndarray) -> tuple[Callable, np.ndarray]:
+    """(form, values): the array form of f, decided by its first batch xs,
+    and its values there.
+
+    The form is f itself when f(xs) is an ndarray of the batch's shape, and
+    :func:`_pointwise` of f on any other result or on an exception that is
+    not a FinsumError; a FinsumError is the integrand's own and propagates.
+    """
+    try:
+        out = f(xs)
+    except FinsumError:
+        raise
+    except Exception:
+        out = None
+    if isinstance(out, np.ndarray) and out.shape == xs.shape:
+        return f, out
+    form = _pointwise(f)
+    return form, form(xs)
+
+
+def _first_batch(f: Callable) -> Callable:
+    """f in array form, settled by :func:`_array_form` at the first call."""
+    form = None
+
+    def batch(xs):
+        nonlocal form
+        if form is None:
+            form, out = _array_form(f, xs)
+            return out
+        return form(xs)
+
+    return batch
+
+
+def _gk_panels(f: Callable, a: np.ndarray, b: np.ndarray, clamp: bool):
     """Kronrod values and error estimates on the panels [a[i], b[i]].
 
-    All 15 * len(a) nodes go to f in one flat array.
+    All 15 * len(a) nodes go to f in one flat array.  ``clamp`` is set when
+    a panel may be so narrow that its outermost nodes round onto its ends.
+    The caller holds the floating-point error state.
     """
     width = b - a
     half = 0.5 * width
     mid = 0.5 * (a + b)
-    # keep every node strictly interior even on few-ulp panels, where
-    # mid + half*x can round onto a (possibly singular) panel boundary
-    xs = np.minimum(np.maximum(mid[:, None] + half[:, None] * _XGK,
-                               np.nextafter(a, b)[:, None]), np.nextafter(b, a)[:, None])
-    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        ys = np.asarray(f(xs.ravel()), dtype=np.complex128).reshape(xs.shape)
-        finite = np.isfinite(ys)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise EvaluationError("integrand is not finite", at=f"t={xs.flat[bad]!r}")
-        sums = half[:, None] * (ys @ _W_KG)
-        resk = sums[:, 0]
-        raw = np.abs(resk - sums[:, 1])
-        resasc = half * (np.abs(ys - (resk / width)[:, None]) @ _WGK)
-        scaled = resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5)
+    xs = mid[:, None] + half[:, None] * _XGK
+    if clamp:
+        # keep every node strictly interior, off a (possibly singular) end;
+        # a no-op on nodes that are interior already
+        xs = np.minimum(np.maximum(xs, np.nextafter(a, b)[:, None]), np.nextafter(b, a)[:, None])
+    ys = np.asarray(f(xs.ravel()), dtype=np.complex128).reshape(xs.shape)
+    finite = np.isfinite(ys)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise EvaluationError("integrand is not finite", at=f"t={xs.flat[bad]!r}")
+    sums = half[:, None] * (ys @ _W_KG)
+    resk = sums[:, 0]
+    raw = np.abs(resk - sums[:, 1])
+    resasc = half * (np.abs(ys - (resk / width)[:, None]) @ _WGK)
+    scaled = resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5)
     # raw == 0 gives scaled == 0 == raw already; resasc == 0 would give nan
     return resk, np.where(resasc != 0.0, scaled, raw)
 
@@ -117,69 +155,90 @@ def _adaptive(f: Callable, cuts: list[float], tol: float, budget: int) -> Quadra
     evaluates all their children in one call.
     """
     min_width = _MIN_WIDTH_FRACTION * (cuts[-1] - cuts[0])
-    heap: list = []   # (-err, tiebreak, a, b, value, err)
-    done: list = []   # (a, b, value, err) panels at minimum width, accepted as-is
-    counter = 0
+    narrow = _NARROW * max(abs(cuts[0]), abs(cuts[-1]))
+    # panel i is [lo[i], hi[i]] with Kronrod value vals[i] and error errs[i];
+    # live[i] turns False when it is split.  The live panels not on the heap
+    # are those accepted as-is at minimum width.
+    lo: list = []
+    hi: list = []
+    vals: list = []
+    errs: list = []
+    live: list = []
+    heap: list = []   # (-errs[i], i); the index breaks ties in push order
     nodes = 0
     err_total = 0.0
     done_err = 0.0    # error frozen into accepted panels; a floor on err_total
     value_run = 0j    # running integral, for the roundoff floor on tol
     stuck = False
 
-    def push(lo: list, hi: list):
-        """Evaluate the panels [lo[i], hi[i]] and add them to the heap."""
-        nonlocal counter, nodes, err_total, value_run
-        vals, errs = _gk_panels(f, np.array(lo), np.array(hi))
-        vals, errs = vals.tolist(), errs.tolist()
-        nodes += 15 * len(lo)
-        for a, b, val, err in zip(lo, hi, vals, errs):
-            heapq.heappush(heap, (-err, counter, a, b, val, err))
-            counter += 1
-        err_total += math.fsum(errs)
-        value_run += sum(vals)
+    def push(a: list, b: list, narrowest: float):
+        """Evaluate the panels [a[i], b[i]], none narrower than
+        ``narrowest``, and add them to the heap."""
+        nonlocal nodes, err_total, value_run
+        v, e = _gk_panels(f, np.array(a), np.array(b), narrowest <= narrow)
+        v, e = v.tolist(), e.tolist()
+        first = len(errs)
+        lo.extend(a)
+        hi.extend(b)
+        vals.extend(v)
+        errs.extend(e)
+        live.extend([True] * len(e))
+        for i, err in enumerate(e, first):
+            heapq.heappush(heap, (-err, i))
+        nodes += 15 * len(e)
+        err_total += math.fsum(e)
+        value_run += sum(v)
 
-    # the initial mesh goes in slices the size of one full round's children
-    lo, hi, width = cuts[:-1], cuts[1:], 2 * _ROUND_CAP
-    for i in range(0, len(lo), width):
-        push(lo[i:i + width], hi[i:i + width])
-    while not stuck and heap:
-        target = max(tol, _REL_FLOOR * abs(value_run))
-        if err_total <= target:
-            # the running total carries rounding from the early, large
-            # errors; confirm on the exact sum before stopping
-            err_total = math.fsum([p[5] for p in heap] + [p[3] for p in done])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        # the initial mesh goes in slices the size of one full round's children
+        a, b, width = cuts[:-1], cuts[1:], 2 * _ROUND_CAP
+        for i in range(0, len(a), width):
+            push(a[i:i + width], b[i:i + width],
+                 min(map(operator.sub, b[i:i + width], a[i:i + width])))
+        while not stuck and heap:
+            target = max(tol, _REL_FLOOR * abs(value_run))
             if err_total <= target:
-                break
-        if nodes + 30 > budget:
-            break
-        cap = min(_ROUND_CAP, (budget - nodes) // 30)
-        split = []
-        shed = 0.0
-        while heap and len(split) < cap and shed < err_total - target:
-            _, _, a, b, val, err = heapq.heappop(heap)
-            if (b - a) <= min_width:
-                done.append((a, b, val, err))
-                done_err += err
-                stuck = done_err > tol   # the floor alone exceeds tol: unreachable
-                if stuck:
+                # the running total carries rounding from the early, large
+                # errors; confirm on the exact sum before stopping
+                err_total = math.fsum(compress(errs, live))
+                if err_total <= target:
                     break
-                continue
-            split.append((a, b, val, err))
-            shed += err
-        if not split:
-            break
-        mid = [0.5 * (p[0] + p[1]) for p in split]
-        err_total -= shed
-        value_run -= sum(p[2] for p in split)
-        push([p[0] for p in split] + mid, mid + [p[1] for p in split])
+            if nodes + 30 > budget:
+                break
+            cap = min(_ROUND_CAP, (budget - nodes) // 30)
+            split = []
+            shed = 0.0
+            narrowest = math.inf   # of the split panels
+            while heap and len(split) < cap and shed < err_total - target:
+                i = heapq.heappop(heap)[1]
+                w = hi[i] - lo[i]
+                if w <= min_width:
+                    done_err += errs[i]
+                    stuck = done_err > tol   # the floor alone exceeds tol: unreachable
+                    if stuck:
+                        break
+                    continue
+                split.append(i)
+                live[i] = False
+                shed += errs[i]
+                if w < narrowest:
+                    narrowest = w
+            if not split:
+                break
+            a = [lo[i] for i in split]
+            b = [hi[i] for i in split]
+            mid = [0.5 * (x + y) for x, y in zip(a, b)]
+            err_total -= shed
+            value_run -= sum([vals[i] for i in split])
+            # a child is half its parent, give or take an ulp
+            push(a + mid, mid + b, 0.49 * narrowest)
 
-    vals = [p[4] for p in heap] + [p[2] for p in done]
-    errs = [p[5] for p in heap] + [p[3] for p in done]
-    value = complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
+    kept = list(compress(vals, live))
+    value = complex(math.fsum(v.real for v in kept), math.fsum(v.imag for v in kept))
     # the rule-disagreement estimate is blind to accumulation roundoff, so
     # the reported estimate is floored at roundoff on the panel magnitudes
-    floor = _REL_FLOOR * math.fsum(abs(v) for v in vals)
-    err_total = max(math.fsum(errs), floor)
+    floor = _REL_FLOOR * math.fsum(map(abs, kept))
+    err_total = max(math.fsum(compress(errs, live)), floor)
     return QuadratureResult(value=value, abs_error_estimate=err_total,
                             nodes_used=nodes,
                             converged=err_total <= max(tol, floor))
@@ -203,8 +262,10 @@ def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-10,
     ``points`` are interior breakpoints of the initial mesh."""
     if not (b > a):
         raise EvaluationError(f"integration interval is empty: [{a}, {b}]")
-    f = _vectorize(f, np.array([a + 0.382 * (b - a), a + 0.618 * (b - a)]))
-    return _adaptive(f, _mesh([a, 0.5 * (a + b), b], points), tol, budget)
+    cuts = [a, 0.5 * (a + b), b]
+    if np.size(points):
+        cuts = _mesh(cuts, points)
+    return _adaptive(_first_batch(f), cuts, tol, budget)
 
 
 def integrate_semi_infinite(f: Callable, tol: float = 1e-10,
@@ -215,17 +276,14 @@ def integrate_semi_infinite(f: Callable, tol: float = 1e-10,
     the transformed integrand.  t = 0 is never requested.  ``points`` are
     interior breakpoints of the initial mesh, given in t.
     """
-    g = _vectorize(f, np.array([0.5, 1.5]))
-    with np.errstate(invalid="ignore", divide="ignore"):   # t <= 0, t = inf map outside (0, 1)
-        ts = np.asarray(points, dtype=np.float64)
-        cuts = _mesh([0.0, 0.5, 0.9, 0.99, 1.0], ts / (1.0 + ts))
+    g = _first_batch(f)
+    cuts = [0.0, 0.5, 0.9, 0.99, 1.0]
+    if np.size(points):
+        with np.errstate(invalid="ignore", divide="ignore"):   # t <= 0, t = inf map outside (0, 1)
+            ts = np.asarray(points, dtype=np.float64)
+            cuts = _mesh(cuts, ts / (1.0 + ts))
 
     def fu(us: np.ndarray) -> np.ndarray:
-        ts = us / (1.0 - us)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            vals = np.asarray(g(ts), dtype=np.complex128)
-            out = vals / (1.0 - us) ** 2
-        return out
+        return np.asarray(g(us / (1.0 - us)), dtype=np.complex128) / (1.0 - us) ** 2
 
     return _adaptive(fu, cuts, tol, budget)
-

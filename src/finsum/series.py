@@ -207,20 +207,30 @@ def _probe_vectorized(g: Callable, dtype=np.complex128) -> bool:
     return bool(np.all(np.abs(np.asarray(out, dtype=complex) - ref) <= 1e-12 * scale))
 
 
+def _parsed(g: Callable) -> bool:
+    """True for a closure of :func:`finsum.expr.as_function`: its array and
+    scalar values come from one evaluator, so no probe need compare them."""
+    return getattr(g, "node", None) is not None
+
+
 def _real_lattice(spec: SeriesSpec):
     """The weighted terms on a float64 lattice, or None when alpha or a beta
-    the variant uses is complex, or g raises there, gives the wrong shape or
-    any non-finite term."""
+    the variant uses is complex, or g raises there, gives no array of the
+    lattice's shape or any non-finite term.  A closure other than a parsed
+    one must first pass the probe."""
     beta_used = spec.variant.is_shifted or spec.variant.is_exp_factor
     if (spec.alpha.imag != 0.0 or (beta_used and spec.beta.imag != 0.0)
-            or not _probe_vectorized(spec.g, np.float64)):
+            or not (_parsed(spec.g) or _probe_vectorized(spec.g, np.float64))):
         return None
     ks = np.arange(1, spec.n_terms + 1, dtype=np.float64)
     try:
         with np.errstate(all="ignore"):
             args = spec.alpha.real * ks + (spec.beta.real if spec.variant.is_shifted else 0.0)
-            terms = np.asarray(spec.g(args)) * term_weight(spec, ks)
-            finite = terms.shape == ks.shape and bool(np.all(np.isfinite(terms)))
+            vals = spec.g(args)
+            if not (isinstance(vals, np.ndarray) and vals.shape == ks.shape):
+                return None
+            terms = vals * term_weight(spec, ks)
+            finite = bool(np.all(np.isfinite(terms)))
     except Exception:
         return None
     return terms if finite else None
@@ -230,26 +240,32 @@ def _complex_terms(spec: SeriesSpec) -> np.ndarray:
     """The weighted terms on a complex128 lattice, or one by one when g does
     not take arrays; EvaluationError names the first failing index.
 
-    For g that rejects arrays the variant is resolved once per series, and
-    the terms are formed in one pass of g over the arguments, each value
-    weighted by the operations of :func:`term_argument` and
-    :func:`term_weight` in their order, so the terms are the same bits; one
-    numpy check then covers their finiteness.  On any exception or
-    non-finite term, :func:`_term_loop` replays the series term by term, so
-    that the error names the first failing index."""
+    A parsed closure goes to the lattice unprobed, any other g once it
+    passes the probe.  A g that raises there or gives no array of the
+    lattice's shape is taken to reject arrays: the variant is resolved once
+    per series, and the terms are formed in one pass of g over the
+    arguments, each value weighted by the operations of
+    :func:`term_argument` and :func:`term_weight` in their order, so the
+    terms are the same bits; one numpy check then covers their finiteness.
+    On any exception or non-finite term, :func:`_term_loop` replays the
+    series term by term, so that the error names the first failing index."""
     n = spec.n_terms
-    if _probe_vectorized(spec.g):
+    if _parsed(spec.g) or _probe_vectorized(spec.g):
         ks = np.arange(1, n + 1, dtype=np.complex128)
         with np.errstate(all="ignore"):  # a non-finite term is reported below
             args = spec.alpha * ks + (spec.beta if spec.variant.is_shifted else 0.0)
-            vals = np.asarray(spec.g(args), dtype=np.complex128)
-            weights = np.asarray(term_weight(spec, np.arange(1, n + 1)), dtype=np.complex128)
-            terms = vals * weights
-        finite = np.isfinite(terms.real) & np.isfinite(terms.imag)
-        if not np.all(finite):
-            k_bad = int(np.argmin(finite)) + 1
-            raise EvaluationError("series term is not finite", at=f"k={k_bad}")
-        return terms
+            try:
+                vals = spec.g(args)
+            except Exception:
+                vals = None  # the term loop below names the failing k
+            if isinstance(vals, np.ndarray) and vals.shape == ks.shape:
+                weights = np.asarray(term_weight(spec, np.arange(1, n + 1)), dtype=np.complex128)
+                terms = np.asarray(vals, dtype=np.complex128) * weights
+                finite = np.isfinite(terms.real) & np.isfinite(terms.imag)
+                if not np.all(finite):
+                    k_bad = int(np.argmin(finite)) + 1
+                    raise EvaluationError("series term is not finite", at=f"k={k_bad}")
+                return terms
     g, alpha, variant = spec.g, spec.alpha, spec.variant
     shift = spec.beta if variant.is_shifted else None
     damping = -spec.beta if variant.is_exp_factor else None
@@ -299,8 +315,12 @@ def direct_sum(spec: SeriesSpec) -> SumResult:
     g runs on a float64 lattice when alpha is real and beta real or unused.
     Otherwise, or when g raises there, gives the wrong shape or a non-finite
     term, the complex128 lattice (or a loop, for g that rejects arrays)
-    gives the terms and names a failing k.  Neumaier summation reduces them;
-    the estimate bounds the rounding accumulation by eps * sum(|terms|).
+    gives the terms and names a failing k.  A parsed closure (one of
+    :func:`finsum.expr.as_function`) goes straight to a lattice, so it is
+    called once per lattice; any other g is first probed at k = 1, 2, its
+    array values checked against its scalar ones.  Neumaier summation
+    reduces the terms; the estimate bounds the rounding accumulation by
+    eps * sum(|terms|).
     """
     t0 = time.perf_counter_ns()
     terms = _real_lattice(spec)

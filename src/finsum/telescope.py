@@ -61,7 +61,7 @@ import numpy as np
 from .errors import CapabilityError, DomainError, EvaluationError
 from . import quadrature
 from .eulermaclaurin import em_tail, gregory_tail
-from .quadrature import _vectorize
+from .quadrature import _array_form
 from .series import Diagnostics, SumResult, check_count
 from .special import hurwitz_zeta, riemann_zeta
 
@@ -79,15 +79,18 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
     max_terms = check_count(max_terms, "max_terms")
     quad_tol = min(tol, 1e-12)
 
-    with np.errstate(all="ignore"):
-        gv = _vectorize(g, np.array([1.0, 2.0]))
+    gv = None  # g in array form, decided by the first block
 
     def d(t):
         return g(t) - g(t + n_terms)
 
     def g_new(points, lo, hi):
         """g at the points that k = lo..hi meets for the first time."""
+        nonlocal gv
         try:
+            if gv is None:
+                gv, out = _array_form(g, points)
+                return np.asarray(out)
             return np.asarray(gv(points))
         except Exception:
             if gv is not g:
@@ -173,6 +176,7 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
     previous = None  # the previous checkpoint's Gregory estimate of the sum
     high = math.inf  # max |g(k+N)| over the values the checkpoint evaluated
     stalled = 0  # checkpoints in a row at which that did not fall by 1%
+    takes_jets = True  # until em_tail finds that g rejects jets
 
     while True:
         # the checkpoint's differences and the window d(m..m+3) past it
@@ -215,12 +219,17 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
             # (tail None), and the last checkpoint, whose tail the result
             # reports, always integrates
             try:
-                try:
-                    need = tol if m < max_terms else math.inf
-                    tail, tail_bound = em_tail(d, float(depth), _EM_ORDER, quad_tol=quad_tol,
-                                               need=need, integral=window_integral)
-                    strategy = "euler-maclaurin"
-                except CapabilityError:
+                if takes_jets:
+                    try:
+                        need = tol if m < max_terms else math.inf
+                        tail, tail_bound = em_tail(d, float(depth), _EM_ORDER, quad_tol=quad_tol,
+                                                   need=need, integral=window_integral)
+                        strategy = "euler-maclaurin"
+                    except CapabilityError as exc:
+                        # a g that rejects jets rejects them at every
+                        # checkpoint; a ZeroDivisionError depends on the point
+                        takes_jets = not isinstance(exc.__cause__, (TypeError, AttributeError))
+                if strategy != "euler-maclaurin":
                     # no jets: Gregory's formula on the window instead
                     tail, tail_bound = gregory_tail(d, float(depth), vals[depth - 1:depth + 3],
                                                     quad_tol, integral=window_integral)

@@ -116,19 +116,16 @@ def _phi_reference(mp, t, n, variant, alpha, beta):
     return total
 
 
-# ids number the variants in declaration order
-@pytest.mark.parametrize("variant", list(Variant), ids=range(len(Variant)))
-@pytest.mark.parametrize("n", [10, 210])
-def test_phi_grid_keeps_relative_accuracy_on_the_tail(variant, n):
+def _check_phi_tail(variant, n, alpha, beta):
     """Phi(t) to relative 1e-13 for t up to 700/Re(alpha), where it falls
     to about 1e-304.  Points whose true value is below the normal double
     range, reached on the shifted variants, carry no relative accuracy and
     are skipped."""
     mp = pytest.importorskip("mpmath")
-    alpha, beta = 0.569 + 0.2j, 0.5 + 0.3j
     ts = np.concatenate([np.geomspace(1e-9, 700.0 / alpha.real, 36),
                          np.linspace(1.0, 700.0 / alpha.real, 16)])
     got = backend.phi_grid(ts, n, variant, alpha, beta)
+    assert got.dtype == (np.float64 if alpha.imag == beta.imag == 0.0 else np.complex128)
     checked = 0
     with mp.workdps(30):
         for t, value in zip(ts.tolist(), got.tolist()):
@@ -138,6 +135,22 @@ def test_phi_grid_keeps_relative_accuracy_on_the_tail(variant, n):
             checked += 1
             assert float(abs(mp.mpc(value) - want) / abs(want)) <= 1e-13, (t, value)
     assert checked >= 36
+
+
+# ids number the variants in declaration order
+@pytest.mark.parametrize("variant", list(Variant), ids=range(len(Variant)))
+@pytest.mark.parametrize("n", [10, 210])
+def test_phi_grid_keeps_relative_accuracy_on_the_tail(variant, n):
+    """The complex128 comb, at complex alpha and beta."""
+    _check_phi_tail(variant, n, 0.569 + 0.2j, 0.5 + 0.3j)
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=range(len(Variant)))
+@pytest.mark.parametrize("n", [10, 210])
+def test_phi_grid_keeps_relative_accuracy_on_the_tail_in_float64(variant, n):
+    """The float64 comb, at real alpha and beta: the lattice of the
+    pinned reproducer below."""
+    _check_phi_tail(variant, n, 0.569 + 0j, 0.5 + 0j)
 
 
 def test_pinned_tail_reproducer_converges():

@@ -68,6 +68,22 @@ class TestRunApi:
         em = by_name["euler-maclaurin"]
         assert em["abs_err_vs_oracle"] <= em["error_estimate"]
 
+    def test_one_term_euler_maclaurin_estimate_covers_the_referee(self):
+        """At N = 1 the route returns h(1) itself, whose rounding it must
+        still charge: 2 eps |h(1)|, as the oracle does.  The 50-digit sum
+        of the same doubles sits 2.9e-17 away."""
+        mp = pytest.importorskip("mpmath")
+        report = cli.run("1.0897*sin(0.078809*k)", 1, method="euler-maclaurin",
+                         alpha=1.7573)
+        rec = report["results"][1]
+        assert rec["method"] == "euler-maclaurin" and rec["flags"] == []
+        value = rec["value"]["re"]
+        assert rec["error_estimate"] == 2.0 * np.finfo(float).eps * abs(value)
+        with mp.workdps(50):
+            ref = mp.mpf(1.0897) * mp.sin(mp.mpf(0.078809) * mp.mpf(1.7573))
+            deviation = float(abs(mp.mpf(value) - ref))
+        assert 0.0 < deviation <= rec["error_estimate"]
+
     def test_closed_form_requires_standard_variant(self):
         report = cli.run("exp(-0.5*k)", 4, method="closed-form",
                          variant=Variant.ALTERNATING)

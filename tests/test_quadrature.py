@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from finsum import quadrature
-from finsum.errors import EvaluationError
+from finsum.errors import EvaluationError, PoleError
 from finsum.expr import as_function, parse_expression
 from finsum.fourier import sum_via_fourier
 from finsum.kernels import recognize_pair
@@ -172,7 +172,8 @@ def test_batched_rounds_match_the_one_panel_loop(name, monkeypatch):
 
 
 def test_scalar_closure_is_probed_once():
-    """Only the frontend probes f; the panel loop takes its wrapper as is."""
+    """The first batch is the only call spent on finding that f rejects
+    arrays; every node after it goes to f one point at a time."""
     calls = []
 
     def f(t):
@@ -181,7 +182,79 @@ def test_scalar_closure_is_probed_once():
 
     q = integrate_semi_infinite(f)
     assert complex(q.value) == pytest.approx(1.0, rel=1e-12)
-    assert len(calls) == q.nodes_used + 1     # + the probe that failed
+    assert len(calls) == q.nodes_used + 1     # + the first batch, refused
+    assert isinstance(calls[0], np.ndarray) and calls[0].size == 4 * 15
+
+
+@pytest.mark.parametrize("integrate, kw", [(integrate_semi_infinite, {}),
+                                           (integrate_finite, {"a": 0.0, "b": 3.0})])
+def test_array_integrand_is_called_once_per_round(integrate, kw, monkeypatch):
+    """No call is spent on a probe: f sees one batch per round of panels,
+    and the nodes it is given are exactly the nodes reported."""
+    sizes, rounds = [], []
+    panels = quadrature._gk_panels
+
+    def counted_panels(f, a, b, clamp):
+        rounds.append(len(a))
+        return panels(f, a, b, clamp)
+
+    def f(t):
+        sizes.append(t.size)
+        return np.exp(-t) * np.cos(3.0 * t)
+
+    monkeypatch.setattr(quadrature, "_gk_panels", counted_panels)
+    q = integrate(f, tol=1e-12, **kw)
+    assert q.converged and len(rounds) > 1
+    assert sizes == [15 * n for n in rounds]
+    assert sum(sizes) == q.nodes_used
+
+
+def test_finsum_error_from_the_first_batch_propagates():
+    """A FinsumError is the integrand's own (a pole of the summation
+    factor, say), not a sign that f rejects arrays: it ends the integral
+    rather than being replayed one point at a time."""
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        raise PoleError("pole on the path", pole=0.5)
+
+    with pytest.raises(PoleError):
+        integrate_finite(f, 0.0, 1.0)
+    assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
+
+
+@pytest.mark.parametrize("result", [lambda t: 1.0, lambda t: np.ones(3),
+                                    lambda t: [1.0] * t.size])
+def test_first_batch_without_an_array_of_its_shape_goes_point_by_point(result):
+    """Anything but an ndarray of the batch's shape switches f to the
+    per-point wrapper, which calls it with scalars."""
+    seen = []
+
+    def f(t):
+        seen.append(type(t))
+        return result(t) if isinstance(t, np.ndarray) else math.cos(t)
+
+    q = integrate_finite(f, 0.0, 1.0, tol=1e-12)
+    assert complex(q.value) == pytest.approx(math.sin(1.0), rel=1e-12)
+    assert seen[0] is np.ndarray and set(seen[1:]) == {float}
+    assert len(seen) == q.nodes_used + 1
+
+
+def test_nodes_stay_inside_panels_a_few_ulps_wide():
+    """(t-1)^(-1/2) on [1, 2] drives panels down to a few ulps of 1, where
+    mid + half*x rounds onto the panel's end; the nodes are kept strictly
+    inside, so the singular end is never sampled."""
+    seen = []
+
+    def f(t):
+        seen.append(t.copy())
+        return 1.0 / np.sqrt(t - 1.0)
+
+    q = integrate_finite(f, 1.0, 2.0, tol=1e-12)
+    nodes = np.concatenate(seen)
+    assert nodes.min() > 1.0 and nodes.max() < 2.0
+    assert abs(q.value - 2.0) < 1e-7
 
 
 @pytest.mark.parametrize("value", [None, np.array([0.5])])
@@ -194,17 +267,21 @@ def test_scalar_wrapper_converts_each_value_as_complex_does(value):
             raise TypeError("scalar arguments only")
         return value
 
-    wrapped = quadrature._vectorize(f, np.array([0.5, 1.5]))
+    wrapped = quadrature._pointwise(f)
     assert wrapped is not f
     with pytest.raises(TypeError):
         complex(value)
     with pytest.raises(TypeError):
         wrapped(np.array([0.25, 0.75]))
     with pytest.raises(TypeError):
+        quadrature._array_form(f, np.array([0.25, 0.75]))
+    with pytest.raises(TypeError):
         integrate_finite(f, 0.0, 1.0)
-    ok = quadrature._vectorize(lambda t: complex(1.0, float(t)), np.array([0.5, 1.5]))
-    got = ok(np.array([0.25, 0.75]))
+    scalar = lambda t: complex(1.0, float(t))       # noqa: E731
+    ok, got = quadrature._array_form(scalar, np.array([0.25, 0.75]))
+    assert ok is not scalar
     assert got.dtype == np.complex128 and got.tolist() == [1 + 0.25j, 1 + 0.75j]
+    assert ok(np.array([0.5])).tolist() == [1 + 0.5j]
 
 
 # -- caller breakpoints on the initial mesh
@@ -256,8 +333,7 @@ def test_initial_mesh_goes_to_f_in_round_sized_slices():
     points = np.linspace(0.0, 1.0, 1301)[1:-1]       # 1300 panels; 1/2 is among them
     q = integrate_finite(f, 0.0, 1.0, tol=1.0, points=points)
     slice_nodes = 15 * 2 * quadrature._ROUND_CAP
-    assert sizes[0] == 2                               # the frontend's probe
-    assert sizes[1:] == [slice_nodes, slice_nodes, 15 * 1300 - 2 * slice_nodes]
+    assert sizes == [slice_nodes, slice_nodes, 15 * 1300 - 2 * slice_nodes]
     assert q.nodes_used == 15 * 1300
     assert complex(q.value) == pytest.approx(math.sin(1.0), rel=1e-14)
 

@@ -194,6 +194,36 @@ class TestRealLattice:
         assert rec["error_estimate"] == float.fromhex(est)
         assert rec["flags"] == [] and rec["diagnostics"]["nodes"] == 40
 
+    @pytest.mark.parametrize("alpha, beta", [(1.3, 0j), (1.3 + 0.2j, 0j)])
+    def test_parsed_closure_is_called_once(self, alpha, beta):
+        """A parsed closure is not probed: the oracle calls it once, on the
+        float64 lattice or, with complex alpha, on the complex one."""
+        g = as_function(parse_expression("1/(k^2+1)"))
+        calls = []
+
+        def counted(k):
+            calls.append(k)
+            return g(k)
+
+        counted.node = g.node
+        got = direct_sum(SeriesSpec(counted, 50, alpha=alpha, beta=beta))
+        want = direct_sum(SeriesSpec(g, 50, alpha=alpha, beta=beta))
+        assert len(calls) == 1 and calls[0].shape == (50,)
+        assert (got.value, got.error_estimate) == (want.value, want.error_estimate)
+
+    def test_library_closure_disagreeing_with_itself_falls_back(self):
+        """A closure that is not parsed keeps the probe and its scalar
+        cross-check: array values that disagree with its scalar ones send
+        the oracle to the per-term loop, which takes the scalar values."""
+        def g(k):
+            if isinstance(k, np.ndarray):
+                return np.zeros(k.shape)        # wrong on arrays
+            return 1.0 / complex(k) ** 2
+
+        got = direct_sum(SeriesSpec(g, 40))
+        assert series._real_lattice(SeriesSpec(g, 40)) is None
+        assert got.value == _loop([1.0 / complex(k) ** 2 for k in range(1, 41)])
+
     def test_complex_beta_keeps_the_complex_lattice(self):
         spec = _spec("1/(k^2+1)", 40, alpha=1.5, variant=Variant.EXP_FACTOR, beta=0.2 + 0.3j)
         assert series._real_lattice(spec) is None

@@ -127,6 +127,46 @@ def test_closure_failing_the_gregory_guard_spends_no_tail_quadrature(monkeypatch
     assert per_tail["gregory_tail"] and set(per_tail["gregory_tail"]) == {0}
 
 
+class TestJetRefusal:
+    """A g that rejects jets with TypeError or AttributeError rejects them
+    at every checkpoint, so em_tail is asked once per run and Gregory's
+    formula serves the rest; a ZeroDivisionError depends on the point and
+    sends the next checkpoint back to em_tail."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        seen = {"em_tail": 0, "gregory_tail": 0}
+        for name in seen:
+            def counted(*args, _tail=getattr(telescope, name), _name=name, **kwargs):
+                seen[_name] += 1
+                return _tail(*args, **kwargs)
+            monkeypatch.setattr(telescope, name, counted)
+        return seen
+
+    @pytest.mark.parametrize("error", [TypeError, AttributeError])
+    def test_rejected_jets_are_asked_for_once(self, error, monkeypatch):
+        def g(x):
+            if isinstance(x, jets.Jet):
+                raise error("no jets")
+            return 0.651 / (complex(x) * complex(x) + 0.3516)
+
+        seen = self._counted(monkeypatch)
+        res = telescoping_sum(g, 12, tol=1e-10)
+        assert res.diagnostics.notes["strategy"] == "gregory"
+        assert seen["em_tail"] == 1 and seen["gregory_tail"] >= 2
+
+    def test_zero_division_is_tried_again(self, monkeypatch):
+        def g(x):
+            if isinstance(x, jets.Jet):
+                raise ZeroDivisionError("jet at a pole")
+            return 0.651 / (complex(x) * complex(x) + 0.3516)
+
+        seen = self._counted(monkeypatch)
+        res = telescoping_sum(g, 12, tol=1e-10)
+        assert res.diagnostics.notes["strategy"] == "gregory"
+        assert seen["gregory_tail"] >= 2 and seen["em_tail"] == seen["gregory_tail"]
+
+
 class TestZetaShortcut:
     @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("n", [1, 10, 1000])
