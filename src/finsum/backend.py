@@ -4,24 +4,25 @@ Callers look these functions up as ``backend.<name>`` at call time, so a
 wrapper installed on the module attribute sees every call.  ``phi_grid``
 and ``dirichlet_grid`` are reached only with grids; the laplace spike path
 evaluates ``summation_factor`` at a scalar or a jet without them.  The comb
-behind both lives in :mod:`finsum.jets`.
+behind both lives in :mod:`finsum.jets`.  ``neumaier_sum`` is the oracle's
+compensated reduction: ``math.fsum`` on short arrays, one error-free
+extraction per component on long ones.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from . import jets
 
-# lane count of the tiled compensated sum
-_LANES = 1024
-# arrays up to this length go straight to math.fsum: past one row the row
-# loop's fixed cost, an fsum over 2 * _LANES column sums and carries, is
-# larger than one fsum over the terms until about 3,000 terms
-_FSUM_MAX = 2 * _LANES
+# arrays up to this length go straight to math.fsum, correctly rounded;
+# past it one error-free extraction per component is faster
+_FSUM_MAX = 2048
+# a component whose sum of magnitudes reaches this is scaled by 2^-64 first,
+# so that the extraction constant 2^(e+1) and sigma + p stay finite
+_HUGE = 2.0 ** 1020
 
 
 def active() -> str:
@@ -84,12 +85,13 @@ def neumaier_sum(x: np.ndarray) -> complex:
     """Compensated sum of a float64 (one component) or complex array (two).
 
     Up to ``_FSUM_MAX`` terms each component is one ``math.fsum``, correctly
-    rounded.  Longer arrays are cut into rows of ``_LANES`` terms and
-    accumulated down the rows with TwoSum, a running sum and an error carry
-    per column; the column sums and carries then go through ``math.fsum``.
-    The carries are only summed in floating point, so the result can differ
-    from ``math.fsum`` by rounding on terms of order eps times the carried
-    errors, far below ``eps * sum(|x|)``.
+    rounded.  Longer components take one error-free extraction (Rump, Ogita
+    and Oishi, "Accurate floating-point summation, part I", SISC 31, 2008):
+    see :func:`_extracted_sum`.  Before its final rounding the result is
+    within about 1e-25 of ``sum(|x|)`` of the exact sum at 1e5 terms, far
+    inside the oracle's charge of ``2 * eps * sum(|x|)``.  The name stays
+    from the Neumaier loop that came before, because callers and tracing
+    wrappers look the function up by it.
     """
     x = np.asarray(x)
     parts = 2 if np.iscomplexobj(x) else 1
@@ -97,25 +99,34 @@ def neumaier_sum(x: np.ndarray) -> complex:
     flat = flat.ravel().view(np.float64)  # re, im interleaved when complex
     if flat.size <= parts * _FSUM_MAX:
         return complex(*(math.fsum(flat[i::parts].tolist()) for i in range(parts)))
-    width = parts * _LANES
-    rows = flat[:flat.size // width * width].reshape(-1, width)
-    last = np.zeros(width)
-    last[:flat.size - rows.size] = flat[rows.size:]
-    total = rows[0].copy()
-    carry = np.zeros(width)
-    s, bp, err = np.empty(width), np.empty(width), np.empty(width)
-    for row in itertools.chain(rows[1:], (last,)):
-        # TwoSum: the two parts added to carry are the rounding error of s
-        np.add(total, row, out=s)
-        np.subtract(s, total, out=bp)
-        np.subtract(s, bp, out=err)
-        np.subtract(total, err, out=err)
-        carry += err
-        np.subtract(row, bp, out=err)
-        carry += err
-        total, s = s, total
-    cols = np.concatenate((total, carry)).reshape(-1, parts)
-    return complex(*(math.fsum(cols[:, i].tolist()) for i in range(parts)))
+    buf = np.empty(flat.size // parts)
+    return complex(*(_extracted_sum(np.ascontiguousarray(flat[i::parts]), buf)
+                     for i in range(parts)))
+
+
+def _extracted_sum(p: np.ndarray, buf: np.ndarray) -> float:
+    """sum(p) by one ExtractVector step; buf is scratch of p's length.
+
+    With b = sum(|p|) < 2^e and sigma = 2^(e+1), q = (sigma + p) - sigma and
+    p - q are exact, every q is a multiple of 2^-53 sigma and every partial
+    sum of q stays below sigma, so ``np.sum(q)`` is exact in any order.  The
+    only roundings are in the last addition and in the pairwise sum of the
+    small parts p - q, each at most eps * b, which errs by about
+    log2(N) * N * eps^2 * b.
+    """
+    np.abs(p, out=buf)
+    b = float(np.sum(buf))
+    if not math.isfinite(b):
+        return math.fsum(p.tolist())
+    scale = 1.0
+    if b >= _HUGE:
+        p, b, scale = p * 2.0 ** -64, b * 2.0 ** -64, 2.0 ** 64
+    sigma = math.ldexp(1.0, math.frexp(b)[1] + 1)
+    np.add(p, sigma, out=buf)
+    buf -= sigma
+    high = float(np.sum(buf))
+    np.subtract(p, buf, out=buf)
+    return (high + float(np.sum(buf))) * scale
 
 
 def hurwitz_head(s: float, a: float, m: int) -> float:

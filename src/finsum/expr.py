@@ -272,13 +272,12 @@ def evaluate(node: Node, k):
 def as_function(node: Node):
     """A closure k -> value that accepts scalars, arrays and jets.
 
-    The source tree stays reachable as ``.node`` and its rendered text as
-    ``.expression``, so recognizers can work from the closure alone.
+    The source tree stays reachable as ``.node``, so recognizers can work
+    from the closure alone.
     """
     def g(k):
         return evaluate(node, k)
     g.node = node
-    g.expression = pretty(node)
     return g
 
 

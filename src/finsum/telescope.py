@@ -43,7 +43,10 @@ be certified to an absolute tol of 1e-10.  The refusal is a non-converged result
 with an infinite estimate and notes["reason"] "g does not decay", not a
 CapabilityError.  A g whose magnitude still rises past that depth is refused
 as well, though its sum may be computable: k*exp(-k/2000) at N=10 peaks at
-k=2000; the direct sum serves such g.
+k=2000; the direct sum serves such g.  A checkpoint whose own Gregory bound
+already meets tol is not refused, since only its disagreement with the
+previous estimate is left to settle: closures of sqrt(k) and log(k) that
+reject arrays and jets certify at the next checkpoint, 2,048.
 
 Every other exit names itself in notes["strategy"]: the tail that certified
 or last bounded the sum (euler-maclaurin, gregory, extrapolation), or
@@ -205,6 +208,7 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
             break
 
         gregory = None  # this checkpoint's Gregory estimate of the sum
+        settled = False  # whether that estimate's own bound met tol
         strategy = "extrapolation"
         if max(window) > 0.25 * peak:
             # the differences are still at full strength (oscillatory or
@@ -234,6 +238,7 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
                     tail, tail_bound = gregory_tail(d, float(depth), vals[depth - 1:depth + 3],
                                                     quad_tol, integral=window_integral)
                     gregory = partial + tail
+                    settled = tail_bound < tol
             except (CapabilityError, EvaluationError):
                 pass  # neither tail serves, or g fails on the window
             if gregory is not None and previous is not None:
@@ -248,9 +253,10 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
         if tail_bound < tol:
             converged = True
             break
-        if stalled >= 2 and depth >= max(2 * n_terms, _DECAY_DEPTH):
+        if stalled >= 2 and depth >= max(2 * n_terms, _DECAY_DEPTH) and not settled:
             # below depth 2N the g(k+N) sample g only near N, where a slow
-            # decay can look flat (x**-2 at N = 1e9)
+            # decay can look flat (x**-2 at N = 1e9); a Gregory estimate
+            # whose own bound met tol waits for the next one to agree
             return _does_not_decay(partial, depth)
         if m >= max_terms:
             break

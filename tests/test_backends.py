@@ -3,6 +3,7 @@ kernel at its removable point, one end-to-end run through them, and which
 requests reach the grid factors."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,14 +27,12 @@ def _ill_conditioned(rng, n):
 
 
 class TestNeumaierSum:
-    @pytest.mark.parametrize("n", [0, 1, 7, backend._LANES, backend._FSUM_MAX])
+    @pytest.mark.parametrize("n", [0, 1, 7, 1024, backend._FSUM_MAX])
     def test_equals_fsum_up_to_lane_width(self, n):
         x = _ill_conditioned(np.random.default_rng(13 + n), n)
         assert backend.neumaier_sum(x) == _fsum(x)
 
-    @pytest.mark.parametrize("n", [backend._LANES + 1, 2 * backend._LANES,
-                                   backend._FSUM_MAX + 1, 3 * backend._LANES - 5,
-                                   100_000])
+    @pytest.mark.parametrize("n", [1025, 2048, backend._FSUM_MAX + 1, 3067, 100_000])
     def test_within_accumulation_bound_beyond_lane_width(self, n):
         for seed in range(5):
             x = _ill_conditioned(np.random.default_rng(seed), n)
@@ -42,10 +41,10 @@ class TestNeumaierSum:
             assert abs(got.real - ref.real) <= bound
             assert abs(got.imag - ref.imag) <= bound
 
-    @pytest.mark.parametrize("reps", [1, backend._LANES])
+    @pytest.mark.parametrize("reps", [1, 1024])
     def test_compensation_beats_naive_accumulation(self, reps):
-        """[1e16, 1, -1e16, 1] sums to 2 only with the carry kept, short
-        and tiled past the lane width."""
+        """[1e16, 1, -1e16, 1] sums to 2 only with the low parts kept, short
+        and tiled past the fsum path."""
         x = np.tile(np.array([1e16, 1.0, -1e16, 1.0], dtype=np.complex128), reps)
         assert backend.neumaier_sum(x) == 2.0 * reps
         assert backend.neumaier_sum(1j * x) == 2j * reps
@@ -59,14 +58,14 @@ class TestNeumaierSumReal:
     def _wide(rng, n):
         return rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
 
-    @pytest.mark.parametrize("n", [0, 1, 7, backend._LANES, backend._FSUM_MAX])
+    @pytest.mark.parametrize("n", [0, 1, 7, 1024, backend._FSUM_MAX])
     def test_equals_fsum_up_to_lane_width(self, n):
         x = self._wide(np.random.default_rng(31 + n), n)
         got = backend.neumaier_sum(x)
         assert got == math.fsum(x.tolist())
         assert got.imag == 0.0
 
-    @pytest.mark.parametrize("n", [backend._LANES + 1, backend._FSUM_MAX + 1, 100_000])
+    @pytest.mark.parametrize("n", [1025, backend._FSUM_MAX + 1, 100_000])
     def test_within_accumulation_bound_beyond_lane_width(self, n):
         for seed in range(5):
             x = self._wide(np.random.default_rng(seed), n)
@@ -74,12 +73,62 @@ class TestNeumaierSumReal:
             assert abs(got.real - math.fsum(x.tolist())) <= 2.0 * _EPS * float(np.sum(np.abs(x)))
             assert got.imag == 0.0
 
-    @pytest.mark.parametrize("n", [1, 7, backend._LANES, backend._LANES + 1,
-                                   backend._FSUM_MAX, backend._FSUM_MAX + 1,
-                                   3 * backend._LANES - 5, 100_000])
+    @pytest.mark.parametrize("n", [1, 7, 1024, 1025, backend._FSUM_MAX,
+                                   backend._FSUM_MAX + 1, 3067, 100_000])
     def test_equals_the_complex_sum_of_the_same_terms(self, n):
         x = self._wide(np.random.default_rng(7 * n), n)
         assert backend.neumaier_sum(x) == backend.neumaier_sum(x + 0j)
+
+
+class TestExtraction:
+    """Past _FSUM_MAX terms each component is one error-free extraction:
+    within one ulp of the exact sum, and exact on the edge cases."""
+
+    @staticmethod
+    def _assert_within_ulp(got, x):
+        for part, comp in ((got.real, x.real), (got.imag, np.imag(x))):
+            exact = sum(map(Fraction, comp.tolist()), Fraction(0))
+            assert abs(Fraction(part) - exact) <= math.ulp(float(exact))
+
+    @pytest.mark.parametrize("n", [2049, 100_000])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ill_conditioned_within_one_ulp(self, n, seed):
+        x = _ill_conditioned(np.random.default_rng(seed), n)
+        self._assert_within_ulp(backend.neumaier_sum(x), x)
+        self._assert_within_ulp(backend.neumaier_sum(x.real), x.real)
+
+    @pytest.mark.parametrize("n", [2049, 100_000])
+    def test_decaying_terms_within_one_ulp(self, n):
+        k = np.arange(1, n + 1, dtype=np.float64)
+        x = np.cos(1.1 * k) / k ** 1.5
+        self._assert_within_ulp(backend.neumaier_sum(x), x)
+        z = x * np.exp(0.3j * k)
+        self._assert_within_ulp(backend.neumaier_sum(z), z)
+
+    def test_all_zeros(self):
+        assert backend.neumaier_sum(np.zeros(3000)) == 0.0
+        assert backend.neumaier_sum(np.zeros(3000, dtype=np.complex128)) == 0j
+
+    def test_subnormal_terms_are_exact(self):
+        x = np.full(3000, 5e-324)
+        x[::3] = -2.5e-322
+        got = backend.neumaier_sum(x)
+        assert got.real == float(sum(map(Fraction, x.tolist()), Fraction(0)))
+        assert got.real != 0.0
+
+    def test_huge_magnitudes_take_the_scaled_path(self):
+        """sum |x| >= 2^1020: the terms are scaled by 2^-64 and back."""
+        x = np.full(4000, 2.0 ** 1012)
+        x[1::2] = -(2.0 ** 1012) + 2.0 ** 960
+        assert float(np.sum(np.abs(x))) >= 2.0 ** 1020
+        assert backend.neumaier_sum(x) == 2000 * 2.0 ** 960
+        self._assert_within_ulp(backend.neumaier_sum(x * (1.0 + 0.5j)), x * (1.0 + 0.5j))
+
+    def test_zero_imaginary_part_gives_exact_zero(self):
+        x = _ill_conditioned(np.random.default_rng(5), 5000).real + 0j
+        got = backend.neumaier_sum(x)
+        assert math.copysign(1.0, got.imag) == 1.0 and got.imag == 0.0
+        assert got.real == backend.neumaier_sum(x.real).real
 
 
 def test_phi_grid_includes_origin():

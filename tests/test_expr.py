@@ -98,7 +98,7 @@ class TestEvaluation:
     def test_as_function_keeps_source(self):
         fn = ex.as_function(ex.parse_expression("1/k"))
         assert fn(4.0) == 0.25
-        assert fn.expression == "1/k"
+        assert ex.pretty(fn.node) == "1/k"
 
 
 class TestStructureHelpers:

@@ -211,6 +211,35 @@ class TestRealLattice:
         assert len(calls) == 1 and calls[0].shape == (50,)
         assert (got.value, got.error_estimate) == (want.value, want.error_estimate)
 
+    @pytest.mark.parametrize("variant, beta", [
+        (Variant.ALTERNATING, 0.0), (Variant.EXP_FACTOR, 0.21),
+        (Variant.EXP_FACTOR_ALTERNATING, 0.21)])
+    def test_g_writing_into_its_argument_leaves_the_weights(self, variant, beta):
+        """At alpha = 1 g receives the index lattice itself; the weights are
+        formed before g runs, so a g that writes into it changes none."""
+        def g(k):
+            out = 1.0 / (k * k + 1.0)
+            if isinstance(k, np.ndarray):
+                k += 1.0
+            return out
+
+        g.node = as_function(parse_expression("1/(k^2+1)")).node  # skips the probe
+        spec = SeriesSpec(g, 40, variant=variant, beta=beta)
+        assert series._real_lattice(spec).dtype == np.float64
+        got = direct_sum(spec)
+        want = _loop([complex(term_weight(spec, k)) / (k * k + 1.0) for k in range(1, 41)])
+        assert abs(got.value - want) <= got.error_estimate
+
+    def test_integer_terms_keep_a_float_estimate(self):
+        """A g that returns integers gives unweighted terms in its own
+        dtype; their magnitudes are still summed in float64."""
+        def g(k):
+            return np.full(np.shape(k), 2 ** 62) if np.ndim(k) else 2 ** 62
+
+        got = direct_sum(SeriesSpec(g, 4))
+        assert got.value == 2.0 ** 64
+        assert got.error_estimate == 2.0 * 2.220446049250313e-16 * 2.0 ** 64
+
     def test_library_closure_disagreeing_with_itself_falls_back(self):
         """A closure that is not parsed keeps the probe and its scalar
         cross-check: array values that disagree with its scalar ones send

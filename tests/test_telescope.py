@@ -823,3 +823,30 @@ def test_window_records_against_mpmath(text, n, tol, outcome):
     else:
         assert not flags
         assert abs(value - want) <= estimate
+
+
+class TestGrowingScalarClosures:
+    """Closures that reject arrays and jets.  A growing g whose Gregory
+    estimate meets tol on its own bound at depth 1,024 is not refused there
+    and certifies at 2,048, once the next estimate agrees; g that grow like
+    k^2, oscillate or tend to a constant are still refused."""
+
+    @pytest.mark.parametrize("c,fn,mp_fn,n", [(0.6627, cmath.sqrt, "sqrt", 72),
+                                              (1.6005, cmath.log, "log", 50)])
+    def test_gregory_finishes_a_growing_g(self, c, fn, mp_fn, n):
+        mp = pytest.importorskip("mpmath")
+        got = telescoping_sum(lambda x: c * fn(complex(x)), n)
+        assert got.diagnostics.converged
+        assert got.diagnostics.notes["strategy"] == "gregory"
+        assert got.diagnostics.nodes == 2048
+        want = _mp_sum(mp, lambda k: mp.mpf(c) * getattr(mp, mp_fn)(k), n)
+        assert abs(got.value - want) <= got.error_estimate < 1e-10
+
+    @pytest.mark.parametrize("g,n", [(lambda x: 1.3 * complex(x) ** 2, 31),
+                                     (lambda x: cmath.sin(1.1 * complex(x)), 50),
+                                     (lambda x: 1000 + 1 / complex(x) ** 2, 10)],
+                             ids=["1.3*k^2", "sin(1.1*k)", "1000 + 1/k^2"])
+    def test_still_refused(self, g, n):
+        got = telescoping_sum(g, n)
+        assert got.flags == ["non-converged"]
+        assert got.diagnostics.notes["reason"] == "g does not decay"
