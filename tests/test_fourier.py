@@ -1,7 +1,10 @@
 """Transform-route tests: lattice factor, pair table, full sums."""
 
 import cmath
+import importlib.util
+import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -149,6 +152,39 @@ class TestFoldedTransform:
                                    _poisson_sum(pair, self.GRID, 40), rtol=1e-13, atol=0)
 
 
+class TestEvenness:
+    """The route integrates over [0, pi] only, which is exact because every
+    ``periodic`` in the table is even."""
+
+    # 0, pi, the half-lobes pi*(j/N) of the mesh at N = 200 and N = 7, and
+    # points off the lobes
+    GRID = np.concatenate(([0.0, math.pi], math.pi * (np.arange(1, 200) / 200),
+                           math.pi * (np.arange(1, 7) / 7), np.linspace(0.01, 3.1, 23)))
+
+    def _both_sides(self, text):
+        pair = recognize_fourier(text)
+        plus = np.asarray(pair.periodic(self.GRID), dtype=complex)
+        minus = np.asarray(pair.periodic(-self.GRID), dtype=complex)
+        return plus, minus
+
+    @pytest.mark.parametrize("a", [1e-3, 0.1, 1.0, 50.0, 300.0])
+    def test_lorentzian_is_exactly_even(self, a):
+        plus, minus = self._both_sides(f"1/(k^2+{a * a!r})")
+        assert np.array_equal(plus, minus)
+
+    @pytest.mark.parametrize("a", [1e-3, 0.2, 1.0, 25.0, 100.0])
+    def test_gaussian_is_even_to_a_few_ulp(self, a):
+        # the theta sum adds the same shifted terms in the opposite order
+        plus, minus = self._both_sides(f"exp(-{a!r}*k^2)")
+        assert np.all(plus.imag == 0.0) and np.all(minus.imag == 0.0)
+        np.testing.assert_array_max_ulp(plus.real, minus.real, maxulp=4)
+
+    def test_combination_is_even_to_a_few_ulp(self):
+        plus, minus = self._both_sides("1.5*exp(-0.2*k^2) + 2/(k^2+0.25)")
+        assert np.all(plus.imag == 0.0) and np.all(minus.imag == 0.0)
+        np.testing.assert_array_max_ulp(plus.real, minus.real, maxulp=4)
+
+
 class TestTransformSums:
     def test_narrow_lorentzian_converges(self):
         """Over one period nothing is truncated: the narrow Lorentzian that
@@ -163,11 +199,28 @@ class TestTransformSums:
         assert dev <= got.error_estimate
         assert got.diagnostics.nodes < 100_000
 
-    def test_lorentzian_node_count(self):
-        got = sum_via_fourier("1/(k^2+4)", 200, tol=1e-10)
-        assert got.diagnostics.converged
-        assert got.diagnostics.nodes < 12_000
+    @pytest.mark.parametrize("n, nodes", [(200, 3_000), (201, 3_030)])
+    def test_lorentzian_node_count(self, n, nodes, monkeypatch):
+        """One Kronrod panel per half-lobe of [0, pi], all accepted in the
+        first round (the full period took twice the nodes).  The cuts
+        pi*(j/N) put the cut of j = N/2 exactly on the midpoint pi/2 that
+        integrate_finite adds, so even N leaves no sliver panel; odd N has
+        one extra panel, split at pi/2.  The lattice factor is only ever
+        evaluated inside (0, pi)."""
+        seen = []
+        grid = backend.dirichlet_grid
 
+        def recorder(alpha, n_terms):
+            seen.append(np.array(alpha, dtype=float))
+            return grid(alpha, n_terms)
+
+        monkeypatch.setattr(backend, "dirichlet_grid", recorder)
+        got = sum_via_fourier("1/(k^2+4)", n, tol=1e-10)
+        assert got.diagnostics.converged
+        assert got.diagnostics.nodes == nodes
+        abscissas = np.concatenate(seen)
+        assert abscissas.size == nodes
+        assert abscissas.min() > 0.0 and abscissas.max() < math.pi
 
     def test_stops_on_the_exact_error_total(self):
         """The quadrature's running error total drifts by rounding on the
@@ -182,7 +235,7 @@ class TestTransformSums:
         got = sum_via_fourier("exp(-k^2)", n, tol=1e-10)
         want = math.fsum(math.exp(-float(k * k)) for k in range(1, n + 1))
         assert abs(got.value.real - want) <= 1e-7 * max(abs(want), 1e-3)
-        assert abs(got.value.imag) <= 1e-9
+        assert got.value.imag == 0.0
         assert got.diagnostics.converged
 
     @pytest.mark.parametrize("n", [1, 2, 5, 10])
@@ -216,3 +269,40 @@ class TestTransformSums:
     def test_rejects_bad_length(self):
         with pytest.raises(PreconditionError):
             sum_via_fourier("exp(-k^2)", 0)
+
+
+def _load_referee():
+    """perfbench/referee.py as a module: mpmath alone, independent of finsum."""
+    pytest.importorskip("mpmath")
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "referee.py"
+    spec = importlib.util.spec_from_file_location("perfbench_referee", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRefereeCorpus:
+    """Every unflagged fourier record covers its deviation from a 50-digit
+    referee, and a real summand gives an imaginary part of exactly 0."""
+
+    EXPRS = ("1.3*exp(-0.2*k^2)", "0.8/(k^2+2.5)",
+             "1.5*exp(-0.2*k^2) + 2/(k^2+0.25)", "1/(k^2+0.01)")
+
+    @pytest.mark.parametrize("text", EXPRS)
+    def test_records_cover_the_referee(self, text):
+        referee = _load_referee()
+        mpmath = pytest.importorskip("mpmath")
+        uncovered = []
+        for n, alpha in itertools.product((1, 2, 3, 48, 201, 400, 30_000), (1.0, 0.7299)):
+            want = referee.series(text, n, alpha)
+            for tol in (1e-8, 1e-12):
+                rec = cli.run(text, n, method="fourier", alpha=alpha, tol=tol)["results"][1]
+                assert rec["method"] == "fourier" and "error" not in rec
+                assert rec["value"]["im"] == 0.0
+                if rec["flags"]:
+                    continue
+                with mpmath.workdps(referee.DPS):
+                    dev = float(abs(mpmath.mpf(rec["value"]["re"]) - want))
+                if dev > rec["error_estimate"]:
+                    uncovered.append((n, alpha, tol, dev, rec["error_estimate"]))
+        assert not uncovered
