@@ -3,14 +3,15 @@
 The lattice sum of f over a, a+h, ..., b is the integral plus endpoint
 corrections weighted by even-index Bernoulli numbers; the first omitted
 correction bounds the remainder.  Derivatives are taken by jet arithmetic,
-one jet for every point a sum needs, unless the caller supplies them
-analytically.  ``em_tail`` is the one-sided
-version, the tail past m; the telescoping route hands it the integral of its
-finite window in place of the semi-infinite one, and passes its tolerance
-as ``need`` so that no integral is taken where the correction term alone
-already misses it.  ``gregory_tail`` finishes the same tail for an f that
-jets cannot differentiate, with forward differences of four lattice values
-in place of the derivatives (Gregory's formula).
+one jet over every point a sum needs, unless the caller supplies them
+analytically.  ``em_tail`` is the one-sided version, the sum past m, from
+one scalar jet at m; its caller supplies the integral that stands in for
+the one past m.  The telescoping route passes the integral of g over its
+finite window [m, m+N], for f(x) = g(x) - g(x+N), and its tolerance as
+``need``, so that no integral is taken where the correction term alone
+already misses it.  ``gregory_tail`` finishes the same window for an f
+that jets cannot differentiate, with forward differences of four lattice
+values in place of the derivatives (Gregory's formula).
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .errors import (CapabilityError, DomainError, EvaluationError,
-                     PreconditionError)
-from .quadrature import integrate_finite, integrate_semi_infinite
+from .errors import CapabilityError, PreconditionError
+from .quadrature import integrate_finite
 from .series import Diagnostics, SumResult, check_count
 from .special import bernoulli
 
@@ -87,31 +87,17 @@ def _derivative_at(job: EMJob, x: float, order: int) -> complex:
 def _derivatives(job: EMJob, xs: list[float], order: int) -> Callable:
     """at(i, j) -> f^(j)(xs[i]), for j up to order, from one jet of that order.
 
-    One point takes a scalar jet: its coefficients are those of the
-    lower-order jets the per-point path would take, and an f that rejects
-    it is refused at the first order asked for, as there.  More points take
-    one jet over the array of them (numpy in place of cmath for the value
-    parts).  With derivative= given, when f raises on that batch or when
-    any derivative it gives is not finite, at() takes the per-point path
-    instead, call for call in the caller's order, so that its errors and
-    its overflow behaviour are the ones reported.
+    The jet is over the array of points (numpy in place of cmath for the
+    value parts).  With derivative= given, when f raises on that batch or
+    when any derivative it gives is not finite, at() takes the per-point
+    path instead, call for call in the caller's order, so that its errors
+    and its overflow behaviour are the ones reported.
     """
     def per_point(i, j):
         return _derivative_at(job, xs[i], j)
 
     if job.derivative is not None:
         return per_point
-    if len(xs) == 1:
-        try:
-            jet = job.f(jets.Jet.variable(complex(xs[0]), order))
-            scalars = [jet.derivative(j) for j in range(order + 1)]
-        except _NO_JET as e:
-            def refuse(i, j, e=e):
-                # the cause tells a g that rejects every jet (TypeError,
-                # AttributeError) from one that fails at this point
-                raise _cannot_differentiate(xs[0], j, e) from e
-            return refuse
-        return lambda i, j: scalars[j]
     x = np.array(xs, dtype=np.complex128)
     try:
         with np.errstate(all="ignore"):
@@ -154,34 +140,21 @@ def em_sum(job: EMJob, quad_tol: float = 1e-13) -> SumResult:
                      error_estimate=error, diagnostics=diag)
 
 
-def _tail_integral(f: Callable, m: float, quad_tol: float):
-    """integral_m^inf f, or DomainError when it fails to evaluate or converge."""
-    try:
-        quad = integrate_semi_infinite(lambda u: f(u + m), tol=quad_tol)
-    except EvaluationError as e:
-        raise DomainError(f"tail integral of f from {m} failed to evaluate "
-                          f"({e}); is the tail integrable?") from e
-    if not quad.converged:
-        raise DomainError(f"tail integral of f from {m} did not converge; "
-                          "is the tail integrable?")
-    return quad
-
-
-def em_tail(f: Callable, m: float, n: int = 3, quad_tol: float = 1e-13,
-            need: float = math.inf, integral: Callable | None = None):
+def em_tail(f: Callable, m: float, n: int = 3, need: float = math.inf, *,
+            integral: Callable):
     """(value, bound) with value approximating Sigma_{j>=1} f(m + j).
 
-    value = integral_m^inf f - f(m)/2 - Sigma_{k=1}^{n-1} B_2k f^(2k-1)(m)/(2k)!
-    and bound is twice the magnitude of the first omitted correction term,
+    integral is called with no arguments for the QuadratureResult that
+    stands in for integral_m^inf f, and
+
+        value = integral - f(m)/2 - Sigma_{k=1}^{n-1} B_2k f^(2k-1)(m)/(2k)!
+
+    bound is twice the magnitude of the first omitted correction term,
     |B_2n f^(2n-1)(m)/(2n)!|, plus the quadrature's error estimate: on a
     damped oscillation f = e^{-ax}, Im a > Re a > 0, the remainder exceeds
-    that term by about 1/(1 - (|a|/2pi)^2).  Needs f and its derivatives to
-    vanish at infinity.
-
-    integral, when given, is called with no arguments for the
-    QuadratureResult that stands in for integral_m^inf f.  The telescoping
-    route passes the integral of g over the window [m, m+N], for f(x) =
-    g(x) - g(x+N), which makes value Euler-Maclaurin for the window's sum.
+    that term by about 1/(1 - (|a|/2pi)^2).  For f(x) = g(x) - g(x+N) and
+    the integral of g over the window [m, m+N], value is Euler-Maclaurin for
+    Sigma_{k=m+1}^{m+N} g(k), and no decay of g is needed.
 
     need is the bound the caller could use: when it is finite and the
     doubled correction term alone is already at least need, no bound this
@@ -191,36 +164,42 @@ def em_tail(f: Callable, m: float, n: int = 3, quad_tol: float = 1e-13,
     n = check_count(n, "correction order")
     # derivatives first: an f that jets cannot differentiate is refused
     # before any quadrature is spent on it
-    at = _derivatives(EMJob(f, m, m + 1.0, 1, n), [m], 2 * n - 1)
-    corrections = [float(bernoulli(2 * k)) * at(0, 2 * k - 1)
-                   / math.factorial(2 * k) for k in range(1, n)]
-    b2n = float(bernoulli(2 * n))
-    bound = _SAFETY * abs(b2n * at(0, 2 * n - 1) / math.factorial(2 * n))
+    try:
+        jet = f(jets.Jet.variable(complex(m), 2 * n - 1))
+        odd = [jet.derivative(2 * k - 1) for k in range(1, n + 1)]
+    except _NO_JET as e:
+        # the cause tells a g that rejects every jet (TypeError,
+        # AttributeError) from one that fails at this point
+        raise _cannot_differentiate(m, 1, e) from e
+    corrections = [float(bernoulli(2 * k)) * odd[k - 1] / math.factorial(2 * k)
+                   for k in range(1, n)]
+    bound = _SAFETY * abs(float(bernoulli(2 * n)) * odd[-1] / math.factorial(2 * n))
     if need < math.inf and bound >= need:
         return None, bound
-    quad = _tail_integral(f, m, quad_tol) if integral is None else integral()
+    quad = integral()
     value = quad.value - 0.5 * complex(f(m))
     for c in corrections:
         value -= c
     return value, bound + quad.abs_error_estimate
 
 
-def gregory_tail(f: Callable, m: float, lattice, quad_tol: float = 1e-13,
-                 integral: Callable | None = None):
+def gregory_tail(m: float, lattice, *, integral: Callable):
     """(value, bound) with value approximating Sigma_{j>=1} f(m + j), no derivatives.
 
     Gregory's formula: Euler-Maclaurin with the derivatives at m replaced by
     forward differences of lattice = f(m), f(m+1), f(m+2), f(m+3),
 
-        value = integral_m^inf f - f(m)/2 - Delta f(m)/12 + Delta^2 f(m)/24,
+        value = integral - f(m)/2 - Delta f(m)/12 + Delta^2 f(m)/24,
 
     and bound is twice the first omitted term, 19/720 |Delta^3 f(m)|, plus
     the quadrature's error estimate (Davis & Rabinowitz, Methods of
-    Numerical Integration, on Gregory's rule).  The differences stand in for
-    derivatives only while they shrink, so CapabilityError is raised, before
-    any quadrature, unless each term of f(m)/2, Delta f/12, Delta^2 f/24,
-    19 Delta^3 f/720 is at most a quarter of the one before it.  integral
-    stands in for integral_m^inf f as in em_tail.
+    Numerical Integration, on Gregory's rule).  integral stands in for
+    integral_m^inf f as in em_tail, so for f(x) = g(x) - g(x+N) and the
+    integral of g over [m, m+N], value is Gregory's sum of g over
+    m+1..m+N.  The differences stand in for derivatives only while they
+    shrink, so CapabilityError is raised, before integral is called, unless
+    each term of f(m)/2, Delta f/12, Delta^2 f/24, 19 Delta^3 f/720 is at
+    most a quarter of the one before it.
     """
     f0, f1, f2, f3 = (complex(v) for v in lattice)
     d1 = f1 - f0
@@ -230,6 +209,6 @@ def gregory_tail(f: Callable, m: float, lattice, quad_tol: float = 1e-13,
     if any(later > _GREGORY_RATIO * earlier for earlier, later in zip(terms, terms[1:])):
         raise CapabilityError(f"forward differences of f at {m} do not shrink "
                               "fast enough to stand in for derivatives")
-    quad = _tail_integral(f, m, quad_tol) if integral is None else integral()
+    quad = integral()
     value = quad.value - 0.5 * f0 - d1 / 12 + d2 / 24
     return value, _SAFETY * terms[3] + quad.abs_error_estimate

@@ -42,7 +42,7 @@ from .series import Diagnostics, SumResult, check_count
 from .stable import TWO_PI, reduce_angle
 
 _LOG_EPS = -math.log(np.finfo(float).eps)
-_MESH_PANELS = 10_000   # on [0, pi]: 1.5e5 nodes, under a sixth of the node budget
+_MESH_PANELS = 10_000   # on [0, pi]: 1.5e5 nodes, under a sixth of quadrature._BUDGET
 
 
 class DirichletForm(str, Enum):

@@ -58,6 +58,8 @@ _W_KG[:, 0] = _WGK
 _W_KG[1::2, 1] = _WG
 
 _MIN_WIDTH_FRACTION = 1e-15
+# most nodes one integral may spend; the bisection stops short of it
+_BUDGET = 10 ** 6
 # most panels bisected in one round; bounds the memory of one batched call
 _ROUND_CAP = 256
 # no error estimate can certify below roundoff on the accumulated value, so
@@ -257,7 +259,7 @@ def _mesh(cuts: list[float], points) -> list[float]:
 
 
 def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-10,
-                     budget: int = 10 ** 6, points=()) -> QuadratureResult:
+                     points=()) -> QuadratureResult:
     """Adaptive integral of f over [a, b] to absolute tolerance tol;
     ``points`` are interior breakpoints of the initial mesh."""
     if not (b > a):
@@ -265,11 +267,10 @@ def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-10,
     cuts = [a, 0.5 * (a + b), b]
     if np.size(points):
         cuts = _mesh(cuts, points)
-    return _adaptive(_first_batch(f), cuts, tol, budget)
+    return _adaptive(_first_batch(f), cuts, tol, _BUDGET)
 
 
-def integrate_semi_infinite(f: Callable, tol: float = 1e-10,
-                            budget: int = 10 ** 6, points=()) -> QuadratureResult:
+def integrate_semi_infinite(f: Callable, tol: float = 1e-10, points=()) -> QuadratureResult:
     """Adaptive integral of f over (0, inf) to absolute tolerance tol.
 
     Maps t = u/(1-u) onto u in (0, 1); the Jacobian 1/(1-u)^2 is folded into
@@ -286,4 +287,4 @@ def integrate_semi_infinite(f: Callable, tol: float = 1e-10,
     def fu(us: np.ndarray) -> np.ndarray:
         return np.asarray(g(us / (1.0 - us)), dtype=np.complex128) / (1.0 - us) ** 2
 
-    return _adaptive(fu, cuts, tol, budget)
+    return _adaptive(fu, cuts, tol, _BUDGET)

@@ -226,8 +226,8 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
                 if takes_jets:
                     try:
                         need = tol if m < max_terms else math.inf
-                        tail, tail_bound = em_tail(d, float(depth), _EM_ORDER, quad_tol=quad_tol,
-                                                   need=need, integral=window_integral)
+                        tail, tail_bound = em_tail(d, float(depth), _EM_ORDER, need=need,
+                                                   integral=window_integral)
                         strategy = "euler-maclaurin"
                     except CapabilityError as exc:
                         # a g that rejects jets rejects them at every
@@ -235,8 +235,8 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
                         takes_jets = not isinstance(exc.__cause__, (TypeError, AttributeError))
                 if strategy != "euler-maclaurin":
                     # no jets: Gregory's formula on the window instead
-                    tail, tail_bound = gregory_tail(d, float(depth), vals[depth - 1:depth + 3],
-                                                    quad_tol, integral=window_integral)
+                    tail, tail_bound = gregory_tail(float(depth), vals[depth - 1:depth + 3],
+                                                    integral=window_integral)
                     gregory = partial + tail
                     settled = tail_bound < tol
             except (CapabilityError, EvaluationError):

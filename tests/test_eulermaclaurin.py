@@ -6,12 +6,28 @@ import math
 import numpy as np
 import pytest
 
-from finsum import cli, eulermaclaurin, jets
-from finsum.errors import CapabilityError, DomainError, PreconditionError
+from finsum import cli, jets
+from finsum.errors import CapabilityError, PreconditionError
 from finsum.eulermaclaurin import EMJob, em_sum, em_tail, gregory_tail
 from finsum.expr import as_function, parse_expression
-from finsum.quadrature import integrate_finite
+from finsum.quadrature import integrate_finite, integrate_semi_infinite
 from finsum.special import hurwitz_zeta
+
+
+def _semi_infinite(f, m):
+    """integral= for em_tail and gregory_tail: integral_m^inf f."""
+    return lambda: integrate_semi_infinite(lambda u: f(u + m), tol=1e-13)
+
+
+def _counted(f, m):
+    """_semi_infinite(f, m), and the list of the m of each of its calls."""
+    calls = []
+    integral = _semi_infinite(f, m)
+
+    def counted():
+        calls.append(m)
+        return integral()
+    return counted, calls
 
 
 class TestPolynomialExactness:
@@ -138,7 +154,7 @@ class TestOneJet:
     @pytest.mark.parametrize("n", [1, 3])
     def test_em_tail_calls_f_on_one_jet_of_order_2n_minus_1(self, n):
         g, seen = self._counted(lambda x: x ** (-2.0))
-        em_tail(g, 8.0, n=n)
+        em_tail(g, 8.0, n=n, integral=_semi_infinite(g, 8.0))
         assert [(jet.order, jet.value) for jet in seen] == [(2 * n - 1, 8.0)]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -201,49 +217,50 @@ class TestTailEstimator:
     def test_power_tail_matches_hurwitz(self):
         """Sigma_{j>=1} (m+j)^(-s) is the Hurwitz zeta at m+1."""
         for s, m in ((2.0, 8.0), (3.0, 8.0), (2.5, 16.0)):
-            value, bound = em_tail(lambda x: x ** (-s), m, n=3)
+            f = lambda x: x ** (-s)  # noqa: E731
+            value, bound = em_tail(f, m, n=3, integral=_semi_infinite(f, m))
             want = hurwitz_zeta(s, m + 1.0)
             assert abs(value - want) <= max(bound, 1e-13), (s, m)
             assert abs(value - want) < 1e-6
 
     def test_geometric_tail(self):
         m = 6.0
-        value, bound = em_tail(lambda x: jets.exp(-x), m, n=3)
+        f = lambda x: jets.exp(-x)  # noqa: E731
+        value, bound = em_tail(f, m, n=3, integral=_semi_infinite(f, m))
         want = math.exp(-m) / (math.e - 1.0)
         assert abs(value - want) <= max(bound, 1e-15)
 
     def test_bound_shrinks_with_depth(self):
-        _, near = em_tail(lambda x: x ** (-2.0), 4.0, n=3)
-        _, far = em_tail(lambda x: x ** (-2.0), 64.0, n=3)
+        f = lambda x: x ** (-2.0)  # noqa: E731
+        _, near = em_tail(f, 4.0, n=3, integral=_semi_infinite(f, 4.0))
+        _, far = em_tail(f, 64.0, n=3, integral=_semi_infinite(f, 64.0))
         assert far < near
 
-    def test_non_integrable_tail_is_refused(self):
-        with pytest.raises(DomainError, match="integrable"):
-            em_tail(lambda x: 1.0 / x, 2.0, n=2)
-
-    def test_need_skips_the_integral_only_where_the_term_misses_it(self, monkeypatch):
+    def test_need_skips_the_integral_only_where_the_term_misses_it(self):
         """With need at or below the first omitted term, (None, that term)
-        comes back and no tail integral is taken; above it, or at the
-        default inf (1/x at 2.0 integrates and fails), em_tail is as always."""
-        integrals = []
-        tail_integral = eulermaclaurin._tail_integral
-
-        def counted(f, m, quad_tol):
-            integrals.append(m)
-            return tail_integral(f, m, quad_tol)
-
-        monkeypatch.setattr(eulermaclaurin, "_tail_integral", counted)
-        f = lambda x: x ** (-2.0)
-        _, term = em_tail(f, 8.0, n=3, need=1e-300)
-        assert integrals == []
-        assert em_tail(f, 8.0, n=3, need=term) == (None, term)
-        assert integrals == []
-        full = em_tail(f, 8.0, n=3)
-        assert em_tail(f, 8.0, n=3, need=term * (1 + 1e-12)) == full
+        comes back and integral is not called; above it, or at the default
+        inf, em_tail is as always."""
+        f = lambda x: x ** (-2.0)  # noqa: E731
+        integral, calls = _counted(f, 8.0)
+        _, term = em_tail(f, 8.0, n=3, need=1e-300, integral=integral)
+        assert calls == []
+        assert em_tail(f, 8.0, n=3, need=term, integral=integral) == (None, term)
+        assert calls == []
+        full = em_tail(f, 8.0, n=3, integral=integral)
+        assert em_tail(f, 8.0, n=3, need=term * (1 + 1e-12), integral=integral) == full
         assert full[1] >= term
-        assert integrals == [8.0, 8.0]
-        with pytest.raises(DomainError, match="integrable"):
-            em_tail(lambda x: 1.0 / x, 2.0, n=2, need=math.inf)
+        assert calls == [8.0, 8.0]
+
+    def test_rejected_jet_is_refused_before_the_integral(self):
+        """A closure that rejects jets is refused at order 1, with the
+        TypeError as the cause (the telescope reads it), and integral is
+        not called."""
+        f = lambda x: 1.0 / complex(x) ** 2  # noqa: E731
+        integral, calls = _counted(f, 8.0)
+        with pytest.raises(CapabilityError, match="to order 1") as info:
+            em_tail(f, 8.0, n=3, integral=integral)
+        assert isinstance(info.value.__cause__, TypeError)
+        assert calls == []
 
     def test_bound_is_twice_the_first_omitted_term(self):
         """On a damped oscillation e^{-ax}, Im a > Re a > 0, the remainder
@@ -252,17 +269,12 @@ class TestTailEstimator:
         a, m = 0.2 - 2.0j, 6.0
         f = lambda x: jets.exp(-a * x)  # noqa: E731
         term = abs(a ** 5 * cmath.exp(-a * m)) / 42 / math.factorial(6)
-        assert em_tail(f, m, n=3, need=1e-300)[1] == pytest.approx(2 * term, rel=1e-12)
-        value, bound = em_tail(f, m, n=3)
+        integral = _semi_infinite(f, m)
+        assert em_tail(f, m, n=3, need=1e-300, integral=integral)[1] == \
+            pytest.approx(2 * term, rel=1e-12)
+        value, bound = em_tail(f, m, n=3, integral=integral)
         want = cmath.exp(-a * m) / (cmath.exp(a) - 1.0)
         assert term < abs(value - want) <= bound
-
-    def test_decay_slower_than_inverse_square_is_refused(self):
-        """x^(-1.5) is summable but its compactified tail integrand is
-        endpoint-singular, which the half-line rule does not serve; the
-        route must refuse rather than return an uncertified number."""
-        with pytest.raises(DomainError, match="integrable"):
-            em_tail(lambda x: x ** (-1.5), 16.0, n=3)
 
 
 class TestGregoryTail:
@@ -276,7 +288,8 @@ class TestGregoryTail:
         def f(x):
             return 1.0 / (complex(x) ** 2 + 1.0)      # rejects jets
 
-        value, bound = gregory_tail(f, m, [f(m + i) for i in range(4)])
+        value, bound = gregory_tail(m, [f(m + i) for i in range(4)],
+                                    integral=_semi_infinite(f, m))
         with mp.workdps(30):
             want = complex(mp.nsum(lambda j: 1 / ((64 + j) ** 2 + 1), [1, mp.inf]))
         assert abs(value - want) <= bound < 2e-9
@@ -284,20 +297,19 @@ class TestGregoryTail:
     def test_differences_that_do_not_shrink_are_refused_first(self):
         """An oscillation near the Nyquist angle: each difference doubles the
         last, so no Gregory term is below a quarter of its predecessor; the
-        refusal comes before f is called at all."""
-        def f(x):
+        refusal comes before integral is called."""
+        def integral():
             raise AssertionError("no quadrature on a refused tail")
 
         lattice = [math.exp(-0.3 * k) * math.cos(3.0 * k) for k in range(16, 20)]
         with pytest.raises(CapabilityError, match="forward differences"):
-            gregory_tail(f, 16.0, lattice)
+            gregory_tail(16.0, lattice, integral=integral)
 
-    def test_given_integral_makes_it_a_window_sum(self, monkeypatch):
+    def test_given_integral_makes_it_a_window_sum(self):
         """For f(x) = g(x) - g(x+N), the integral of g over [m, m+N] in place
         of the semi-infinite one turns either tail into the sum of g over
-        m+1..m+N; no semi-infinite integral is taken."""
+        m+1..m+N."""
         mp = pytest.importorskip("mpmath")
-        monkeypatch.setattr(eulermaclaurin, "_tail_integral", None)
         m, n = 16.0, 40
         g = lambda x: 1.0 / (x * x + 1.0)  # noqa: E731
         f = lambda x: g(x) - g(x + n)  # noqa: E731
@@ -306,8 +318,7 @@ class TestGregoryTail:
         value, bound = em_tail(f, m, integral=window)
         assert abs(value - want) <= bound < 1e-9
         scalar = lambda x: f(complex(x))  # noqa: E731
-        value, bound = gregory_tail(scalar, m, [scalar(m + i) for i in range(4)],
-                                    integral=window)
+        value, bound = gregory_tail(m, [scalar(m + i) for i in range(4)], integral=window)
         assert abs(value - want) <= bound < 1e-5
 
 
@@ -322,4 +333,5 @@ class TestValidation:
         with pytest.raises(PreconditionError):
             EMJob(lambda x: x, 0.0, 1.0, 4, n=0)
         with pytest.raises(PreconditionError):
-            em_tail(lambda x: x ** (-2.0), 4.0, n=0)
+            em_tail(lambda x: x ** (-2.0), 4.0, n=0,
+                    integral=_semi_infinite(lambda x: x ** (-2.0), 4.0))

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from finsum import cli, eulermaclaurin, jets, quadrature, telescope
+from finsum import cli, jets, quadrature, telescope
 from finsum import expr as ex
 from finsum.errors import DomainError, EvaluationError, PreconditionError
 from finsum.series import SeriesSpec, effective_term
@@ -630,8 +630,6 @@ def _counted_windows(monkeypatch):
         raise AssertionError("semi-infinite tail integral taken")
 
     monkeypatch.setattr(quadrature, "integrate_finite", counted)
-    monkeypatch.setattr(eulermaclaurin, "_tail_integral", forbidden)
-    monkeypatch.setattr(eulermaclaurin, "integrate_semi_infinite", forbidden)
     monkeypatch.setattr(quadrature, "integrate_semi_infinite", forbidden)
     return windows
 

@@ -17,6 +17,7 @@ from finsum.identities import eval_identity
 from finsum.kernels import recognize_pair
 from finsum.laplace import (VariantKernel, delta_type_b, phi, type_b_sum,
                             zeta_expansion_sum)
+from finsum.quadrature import integrate_semi_infinite
 from finsum.series import SeriesSpec, Variant, antidifference_sum, direct_sum
 from finsum.telescope import telescoping_sum, zeta_power_sum
 
@@ -27,6 +28,11 @@ _LORENTZ = recognize_pair("1/(k^2+1)").kernel
 def _delta_type_b(n):
     comb, closed_form = delta_type_b(0.5, n)
     return comb.atoms, closed_form(1.2)
+
+
+def _tail_integral():
+    """The integral of x^-2 past 4, for em_tail's entry."""
+    return integrate_semi_infinite(lambda u: (u + 4.0) ** -2.0)
 
 
 ENTRIES = {
@@ -43,7 +49,7 @@ ENTRIES = {
     "eval_identity": lambda n: eval_identity("sine", {"theta": 1.0}, n),
     "antidifference_sum": lambda n: antidifference_sum(lambda k: k * k, n).value,
     "EMJob": lambda n: em_sum(EMJob(lambda x: x ** -2.0, 1.0, 5.0, n)).value,
-    "em_tail": lambda n: em_tail(lambda x: x ** -2.0, 4.0, n),
+    "em_tail": lambda n: em_tail(lambda x: x ** -2.0, 4.0, n, integral=_tail_integral),
 }
 
 
