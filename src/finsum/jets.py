@@ -318,8 +318,12 @@ def _faulhaber(z, n: int):
 
 
 def _check_grid_pole(den: np.ndarray, z: np.ndarray, what: str) -> None:
-    """PoleError naming the first z whose comb denominator den vanishes."""
-    bad = np.abs(den) < _POLE_EPS
+    """PoleError naming the first z whose comb denominator den vanishes.
+
+    The test is relative to |z|: den = expm1(z) ~ z at the removable point
+    z = 0, which a long comb reaches off its series branch, while every
+    true pole lies at |z| >= pi."""
+    bad = np.abs(den) < _POLE_EPS * np.abs(z)
     if np.any(bad):
         raise PoleError(f"{what} pole on the integration path",
                         pole=complex(z[np.argmax(bad)]))

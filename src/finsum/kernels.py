@@ -57,12 +57,16 @@ class DeltaTerm:
 @dataclass(frozen=True)
 class SmoothTerm:
     """Density fn(t) on t >= 0 with |fn(t)| <= C * exp(growth_bound * t)
-    and fn(t) ~ t^endpoint_exponent as t -> 0."""
+    and fn(t) ~ t^endpoint_exponent as t -> 0.  ``frequency`` is the
+    angular frequency w of a density that oscillates like sin(w t) or
+    cos(w t) (0 for one that does not); the laplace route cuts its initial
+    mesh every two periods of it."""
 
     fn: Callable
     growth_bound: float = 0.0
     label: str = ""
     endpoint_exponent: float = 0.0
+    frequency: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -305,10 +309,12 @@ def _term_kernel(coeff: complex, factors: dict) -> tuple[Kernel, str]:
         a, _ = lorentz[0]
         if kpow == 0:
             fn = (lambda t, c=coeff, a=a: c * np.sin(a * t) / a)
-            return Kernel(smooth=(SmoothTerm(fn, 0.0, f"lorentzian(a={a})"),)), "smooth:lorentzian"
+            term = SmoothTerm(fn, 0.0, f"lorentzian(a={a})", frequency=abs(a))
+            return Kernel(smooth=(term,)), "smooth:lorentzian"
         if kpow == 1:
             fn = (lambda t, c=coeff, a=a: c * np.cos(a * t))
-            return Kernel(smooth=(SmoothTerm(fn, 0.0, f"k-lorentzian(a={a})"),)), "smooth:k-lorentzian"
+            term = SmoothTerm(fn, 0.0, f"k-lorentzian(a={a})", frequency=abs(a))
+            return Kernel(smooth=(term,)), "smooth:k-lorentzian"
         raise _Unrecognized(f"k^{kpow} over a Lorentzian is not in the catalog")
 
     if trig:

@@ -112,6 +112,7 @@ class TestSmoothRecognition:
         np.testing.assert_allclose(np.asarray(s.fn(ts), dtype=complex),
                                    np.sin(2 * ts) / 2, rtol=1e-13)
         assert s.growth_bound == 0.0
+        assert s.frequency == 2.0
 
     def test_k_lorentzian_density(self):
         """k/(k^2+a^2) has density cos(a t)."""
@@ -120,6 +121,7 @@ class TestSmoothRecognition:
         ts = np.linspace(0.1, 5.0, 9)
         np.testing.assert_allclose(np.asarray(s.fn(ts), dtype=complex),
                                    np.cos(3 * ts), rtol=1e-13)
+        assert s.frequency == 3.0
 
     def test_power_density(self):
         """k^{-s} has density t^{s-1}/Gamma(s)."""
@@ -128,6 +130,7 @@ class TestSmoothRecognition:
         ts = np.linspace(0.5, 4.0, 7)
         np.testing.assert_allclose(np.asarray(s.fn(ts), dtype=complex),
                                    ts**2 / 2.0, rtol=1e-13)
+        assert s.frequency == 0.0
 
     def test_harmonic_density_is_flat(self):
         rec = recognize_pair("1/k")

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from finsum import cli
+from finsum import cli, quadrature
 from finsum.errors import CapabilityError, PoleError, PreconditionError
 from finsum.kernels import Kernel, SmoothTerm, recognize_pair
 from finsum.laplace import (VariantKernel, delta_type_b, phi, phi_derivative,
@@ -176,6 +176,79 @@ class TestInitialMesh:
         rec = self._check("1/k^0.5", lambda x: 1 / mpmath.sqrt(x), n, 1.0, "standard", 0.0, 1e-10)
         assert rec["diagnostics"]["nodes"] < 5_000
 
+    def test_two_periods_per_panel(self):
+        """With rungs on the decay length alone, the panel t in [341.7, 410.1]
+        held 31 periods of sin(2.81 t), where Gauss and Kronrod agree by
+        aliasing: deviation 3.0e-8 against an estimate of 9.7e-9."""
+        mpf = pytest.importorskip("mpmath").mpf
+        self._check("1.6/k^3.2+1.6/(k^2+7.9)",
+                    lambda x: mpf(1.6) / x ** mpf(3.2) + mpf(1.6) / (x * x + mpf(7.9)),
+                    10, 0.05, "standard", 0.0, 1e-8)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.9])
+    def test_fast_lorentzian_shifted_alternating(self, beta):
+        """sin(8 t)/8 against the shifted alternating factor: half-period
+        breakpoints were reported to leave this record uncovered."""
+        mpf = pytest.importorskip("mpmath").mpf
+        self._check("0.7/(k^2+64)", lambda x: mpf(0.7) / (x * x + 64),
+                    46, 0.5, "shifted-alternating", beta, 1e-8)
+
+    _CORPUS = (("1.2/(k^2+1)", lambda x, mpf: mpf(1.2) / (x * x + 1)),
+               ("k/(k^2+2.25)", lambda x, mpf: x / (x * x + mpf(2.25))),
+               ("0.9/k^3.5", lambda x, mpf: mpf(0.9) / x ** mpf(3.5)),
+               ("1.6/k^3.2+1.6/(k^2+7.9)",
+                lambda x, mpf: mpf(1.6) / x ** mpf(3.2) + mpf(1.6) / (x * x + mpf(7.9))))
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 2.0, 7.0])
+    @pytest.mark.parametrize("text, g", _CORPUS, ids=[t for t, _ in _CORPUS])
+    def test_corpus(self, text, g, alpha):
+        """Sixteen records per summand and alpha: four variants, N in
+        {10, 100}, tol 1e-8 and 1e-12; every one unflagged and covered."""
+        mpf = pytest.importorskip("mpmath").mpf
+        for variant, beta in (("standard", 0.0), ("alternating", 0.0),
+                              ("shifted-alternating", 0.4), ("exp-factor", 0.4)):
+            for n in (10, 100):
+                for tol in (1e-8, 1e-12):
+                    self._check(text, lambda x: g(x, mpf), n, alpha, variant, beta, tol)
+
+
+# quad-heavy-like laplace requests: (summand, N, alpha, variant, beta, tol)
+_ROUND_REQUESTS = (
+    ("1.3/k^2.4", 37, 0.7, "standard", 0.0, 1e-8),
+    ("0.9/(k^2+2.1)", 120, 1.4, "alternating", 0.0, 1e-10),
+    ("1.6/k^3.2+1.6/(k^2+7.9)", 210, 0.57, "shifted", 0.5, 1e-8),
+    ("1.1/k^1.3", 400, 1.9, "shifted-alternating", 0.3, 1e-10),
+    ("0.7/(k^2+0.36)", 12, 0.5, "exp-factor", 0.8, 1e-8),
+    ("1.2/k^1.9+1.2/(k^2+6.9)", 286, 0.87, "exp-factor-alternating", 0.6, 1e-10),
+    ("1.7/k^3.4", 150, 1.2, "exp-factor", 0.2, 1e-10),
+    ("1.5/(k^2+5.8)", 64, 0.6, "shifted-alternating", 0.9, 1e-8),
+    ("0.8/k^2.1+0.8/(k^2+1.2)", 18, 2.0, "alternating", 0.0, 1e-10),
+    ("1.9/(k^2+8.7)", 330, 0.8, "standard", 0.0, 1e-10),
+    ("0.6/k^1.6+0.6/(k^2+3.3)", 90, 1.1, "exp-factor-alternating", 0.3, 1e-8),
+    ("1.0/k^2.9", 250, 0.5, "shifted", 0.7, 1e-8),
+)
+
+
+def test_laplace_integrals_converge_on_the_initial_mesh(monkeypatch):
+    """A ratchet on the breakpoint ladder: integrand rounds (one batched
+    call each) per integral average at most 1.5 and never exceed 3.  Rungs
+    below t = 1 alone took a mean of 3.75 and up to 5 on these requests."""
+    rounds = []
+    panels = quadrature._gk_panels
+
+    def counted_panels(f, a, b, clamp):
+        rounds[-1] += 1
+        return panels(f, a, b, clamp)
+
+    monkeypatch.setattr(quadrature, "_gk_panels", counted_panels)
+    for text, n, alpha, variant, beta, tol in _ROUND_REQUESTS:
+        rec = recognize_pair(text)
+        rounds.append(0)
+        got = sum_via_integral(SeriesSpec(rec.g, n, alpha, variant, beta), rec.kernel, tol)
+        assert got.diagnostics.converged, text
+    assert sum(rounds) / len(rounds) <= 1.5, rounds
+    assert max(rounds) <= 3, rounds
+
 
 class TestSpikeSummands:
     def test_geometric_is_closed_form(self):
@@ -288,6 +361,20 @@ class TestPoleDetection:
         got = sum_via_integral(spec, rec.kernel)
         want = direct_sum(spec).value
         assert abs(got.value - want) <= 1e-11
+
+    @pytest.mark.parametrize("n", [10**11, 10**12])
+    def test_no_pole_at_the_removable_point_for_large_n(self, n):
+        """The ladder reaches t ~ 1/(4N), where the comb denominator
+        expm1(-t) fell below the absolute pole threshold 1e-12: PoleError
+        named a pole at z ~ -1e-13 on the real axis."""
+        mpmath = pytest.importorskip("mpmath")
+        rec = recognize_pair("1/k^2")
+        got = sum_via_integral(SeriesSpec(rec.g, n), rec.kernel, tol=1e-10)
+        with mpmath.workdps(40):
+            want = mpmath.zeta(2) - mpmath.zeta(2, n + 1)
+            dev = float(abs(mpmath.mpc(got.value.real, got.value.imag) - want))
+        assert got.diagnostics.converged
+        assert dev <= got.error_estimate
 
     def test_growth_must_stay_below_factor_decay(self):
         grow = Kernel(smooth=(SmoothTerm(fn=lambda t: np.exp(1.5 * t),
