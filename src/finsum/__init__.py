@@ -19,7 +19,7 @@ from .fourier import (DirichletForm, dirichlet_factor, recognize_fourier,
                       sum_via_fourier)
 from .identities import (VerificationReport, eval_identity, identity_names,
                          verify_all, verify_identity)
-from .kernels import Kernel, Recognition, laplace_of_kernel, recognize_pair
+from .kernels import Kernel, laplace_of_kernel, recognize_pair
 from .laplace import (DeltaComb, VariantKernel, delta_type_b, phi,
                       phi_derivative, sum_via_integral, type_b_sum,
                       zeta_expansion_sum)
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CapabilityError", "ConditioningWarning", "DeltaComb", "Diagnostics",
     "DirichletForm", "DomainError", "EMJob", "EvaluationError", "FinsumError",
-    "Kernel", "ParseError", "PoleError", "PreconditionError", "Recognition",
+    "Kernel", "ParseError", "PoleError", "PreconditionError",
     "RecognitionError", "SeriesSpec", "SumResult", "VariantKernel",
     "VerificationReport", "Variant", "active_backend", "antidifference_sum",
     "as_function", "bernoulli", "bernoulli_table", "delta_type_b",

@@ -26,12 +26,11 @@ import numpy as np
 from . import __version__
 from . import expr as ex
 from .errors import (CapabilityError, DomainError, EvaluationError,
-                     FinsumError, ParseError, PreconditionError,
-                     RecognitionError)
+                     FinsumError, ParseError, PreconditionError)
 from .eulermaclaurin import EMJob, em_sum
 from .fourier import recognize_fourier, sum_via_fourier
-from .identities import eval_identity, verify_all
-from .kernels import EXP, KPOW, _Unrecognized, linear_terms, recognize_pair
+from .identities import catalog_entry, eval_identity, verify_all
+from .kernels import decompose, recognize_pair
 from .laplace import sum_via_integral
 from .series import (Diagnostics, SeriesSpec, SumResult, Variant, direct_sum,
                      effective_term)
@@ -43,9 +42,10 @@ METHODS = ("oracle", "laplace", "fourier", "telescope", "euler-maclaurin",
 
 # a route that cannot handle the request records an error entry instead of
 # aborting the report; the oracle is computed outside this net, so a broken
-# summand still fails the whole run.
-_ROUTE_ERRORS = (CapabilityError, RecognitionError, DomainError,
-                 PreconditionError, EvaluationError)
+# summand still fails the whole run.  A summand without a decomposition
+# raises RecognitionError, a CapabilityError.
+_ROUTE_ERRORS = (CapabilityError, DomainError, PreconditionError,
+                 EvaluationError)
 _EPS = 2.220446049250313e-16
 
 
@@ -58,17 +58,27 @@ def _fold_scale(node: ex.Node, alpha: float) -> ex.Node:
     return ex.substitute_index(node, ex.Mul(ex.Num(alpha), ex.Var()))
 
 
-def _run_laplace(node: ex.Node, spec: SeriesSpec, tol: float) -> SumResult:
-    rec = recognize_pair(node)
-    return sum_via_integral(spec, rec.kernel, tol=tol)
+def _terms(node: ex.Node, found: dict, scale: float) -> list:
+    """decompose(g(scale*k)), made once per request and scale: ``found``
+    holds the request's decompositions.  A failed one is not kept, so each
+    route that asks reports it."""
+    terms = found.get(scale)
+    if terms is None:
+        terms = found[scale] = decompose(_fold_scale(node, scale))
+    return terms
 
 
-def _run_fourier(node: ex.Node, spec: SeriesSpec, tol: float) -> SumResult:
+def _run_laplace(node: ex.Node, found: dict, spec: SeriesSpec, tol: float) -> SumResult:
+    # the lattice scale enters through the summation factor, not the kernel
+    return sum_via_integral(spec, recognize_pair(_terms(node, found, 1.0)), tol=tol)
+
+
+def _run_fourier(node: ex.Node, found: dict, spec: SeriesSpec, tol: float) -> SumResult:
     if spec.variant is not Variant.STANDARD:
         raise CapabilityError("the transform route covers the standard variant only")
     if spec.alpha.imag != 0:
         raise CapabilityError("the transform route needs a real positive scale")
-    pair = recognize_fourier(_fold_scale(node, spec.alpha.real))
+    pair = recognize_fourier(_terms(node, found, spec.alpha.real))
     return sum_via_fourier(pair, spec.n_terms, tol=max(tol, 1e-12))
 
 
@@ -90,58 +100,18 @@ def _run_em(spec: SeriesSpec, tol: float) -> SumResult:
     return em_sum(job, quad_tol=min(tol, 1e-13))
 
 
-def _term_closed_form(factors: dict, n: int) -> complex:
-    live = {key: v for key, v in factors.items() if v != 0}
-    keys = set(live)
-    if not keys:
-        return complex(n)
-    trig = [key for key in keys if key[0] in ("sin", "cos")]
-    if len(trig) == 1:
-        key = trig[0]
-        kind, theta = key
-        if live[key] != 1:
-            raise CapabilityError("no closed form for powers of a trigonometric factor")
-        rest = keys - {key}
-        if kind == "cos":
-            if not rest:
-                return eval_identity("cosine", {"theta": theta}, n)
-            if rest == {KPOW} and live[KPOW] == 1:
-                return eval_identity("k-cosine", {"theta": theta}, n)
-            if rest == {EXP}:
-                c = live[EXP]
-                if c.imag == 0 and c.real < 0:
-                    return eval_identity("exp-cosine",
-                                         {"theta": theta, "beta": -c.real}, n)
-        elif kind == "sin" and not rest:
-            return eval_identity("sine", {"theta": theta}, n)
-        raise CapabilityError("no catalog entry for this trigonometric combination")
-    if keys == {EXP}:
-        c = live[EXP]
-        if c.imag == 0 and c.real < 0:
-            return eval_identity("geometric", {"a": -c.real, "alpha": 1.0}, n)
-        raise CapabilityError("the geometric closed form needs a real decaying exponent")
-    if keys == {KPOW}:
-        p = live[KPOW]
-        if p < -1:
-            return eval_identity("power", {"s": float(-p)}, n)
-        raise CapabilityError("the power closed form needs an exponent below -1")
-    raise CapabilityError("no catalog entry matches this term")
-
-
-def _run_closed_form(node: ex.Node, spec: SeriesSpec) -> SumResult:
+def _run_closed_form(node: ex.Node, found: dict, spec: SeriesSpec) -> SumResult:
     """Match the summand against the identity catalog, term by term."""
     if spec.variant is not Variant.STANDARD:
         raise CapabilityError("the identity catalog covers the standard variant only")
     if spec.alpha.imag != 0:
         raise CapabilityError("the identity catalog needs a real positive scale")
-    folded = _fold_scale(node, spec.alpha.real)
-    try:
-        terms = linear_terms(folded)
-    except _Unrecognized as exc:
-        raise CapabilityError(f"no closed form: {exc}") from None
+    terms = _terms(node, found, spec.alpha.real)
+    n = spec.n_terms
     total = 0j
     for coeff, factors in terms:
-        total += coeff * _term_closed_form(factors, spec.n_terms)
+        entry = catalog_entry(factors)
+        total += coeff * (complex(n) if entry is None else eval_identity(*entry, n))
     value = complex(total)
     return SumResult(value=value, method="closed-form",
                      error_estimate=4e-16 * max(1.0, abs(value)),
@@ -206,12 +176,13 @@ def run(text: str, n: int, method: str = "all", alpha: complex = 1 + 0j,
     records = [_success_record("oracle", oracle, oracle.value,
                                time.perf_counter_ns() - started)]
 
+    found: dict = {}   # decompositions of this request, by scale
     runners = {
-        "laplace": lambda: _run_laplace(node, spec, tol),
-        "fourier": lambda: _run_fourier(node, spec, tol),
+        "laplace": lambda: _run_laplace(node, found, spec, tol),
+        "fourier": lambda: _run_fourier(node, found, spec, tol),
         "telescope": lambda: _run_telescope(spec, tol),
         "euler-maclaurin": lambda: _run_em(spec, tol),
-        "closed-form": lambda: _run_closed_form(node, spec),
+        "closed-form": lambda: _run_closed_form(node, found, spec),
     }
     wanted = METHODS[1:] if method == "all" else [m for m in METHODS[1:] if m == method]
     for name in wanted:

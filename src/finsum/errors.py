@@ -25,7 +25,8 @@ class DomainError(FinsumError):
 
 
 class PoleError(DomainError):
-    """An evaluation point landed on (or within 1e-12 of) a kernel pole."""
+    """An evaluation point landed on (or within 1e-12 |z| of) a pole z of
+    a kernel; ``pole`` is that z when known."""
 
     def __init__(self, message: str, *, pole=None):
         if pole is not None:
@@ -42,8 +43,9 @@ class CapabilityError(FinsumError):
     """The request is well-formed but outside what this routine can do."""
 
 
-class RecognitionError(FinsumError):
-    """No catalog pattern matches the expression."""
+class RecognitionError(CapabilityError):
+    """The summand has no decomposition into transformable terms, or a term
+    has no entry in the catalog of the route that asked."""
 
 
 class ParseError(FinsumError):

@@ -19,7 +19,8 @@ resonances).
 The transform table is deliberately tiny -- Gaussian and Lorentzian families
 under the convention G(alpha) = integral g(x) exp(-i alpha x) dx, each with
 its folded transform in closed form -- plus their finite linear
-combinations.  The phase-free simplified lattice factor
+combinations.  It reads the terms of ``kernels.decompose``, as the Laplace
+catalog and the identity catalog do.  The phase-free simplified lattice factor
 sin(alpha*N/2)/sin(alpha/2) is kept alongside the exact one for side-by-side
 comparison; it drops the phase exp(i alpha (N+1)/2) and does not reproduce
 the sums, so nothing computes with it by default.
@@ -35,9 +36,8 @@ from typing import Callable
 import numpy as np
 
 from . import backend, quadrature
-from . import expr as ex
 from .errors import CapabilityError
-from .kernels import GAUSS, linear_terms, _Unrecognized
+from .kernels import GAUSS, decompose
 from .series import Diagnostics, SumResult, check_count
 from .stable import TWO_PI, reduce_angle
 
@@ -127,16 +127,10 @@ def _combine(pairs: list[FourierPair]) -> FourierPair:
 
 
 def recognize_fourier(expression) -> FourierPair:
-    """Look the expression up in the transform table (linear combinations allowed)."""
-    node = ex.parse_expression(expression) if isinstance(expression, str) else expression
-    try:
-        terms = linear_terms(node)
-    except _Unrecognized as e:
-        raise CapabilityError(f"no Fourier pair: {e.why}") from None
+    """Look the expression up in the transform table (linear combinations
+    allowed): text, a tree, or the terms ``kernels.decompose`` returned."""
     pairs = []
-    for coeff, factors in terms:
-        if coeff == 0:
-            continue
+    for coeff, factors in decompose(expression):
         lorentz = [(param, mult) for (kind, param), mult in factors.items()
                    if kind == "lorentz"]
         if set(factors) == {GAUSS} and not lorentz:

@@ -6,7 +6,9 @@ compensated direct sum, which is the ground truth everywhere in this
 package.  The trigonometric forms divide by sin(theta/2), so their exactness
 degrades in floating point as theta approaches 0 or 2*pi; evaluation inside
 the outer 0.1 margin emits a conditioning warning and the default grids stay
-out of it.
+out of it.  ``catalog_entry`` matches one term of ``kernels.decompose``
+to its entry, which is how the closed-form route sums a decomposed summand
+term by term.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .errors import ConditioningWarning, DomainError
+from .errors import CapabilityError, ConditioningWarning, DomainError
+from .kernels import EXP, KPOW
 from .series import SeriesSpec, check_count, direct_sum
 from .stable import TWO_PI, scaled_angle
 from .telescope import zeta_power_sum
@@ -219,6 +222,46 @@ def eval_identity(name: str, params: dict, n: int) -> complex:
     except (TypeError, ValueError):
         raise DomainError(f"identity {name!r} needs real parameters, got {params!r}") from None
     return ident.closed_form(values, n)
+
+
+def catalog_entry(factors: dict) -> tuple[str, dict] | None:
+    """(name, params) of the identity that sums one term's factors, a factor
+    dict of ``kernels.decompose``, over k = 1..N; None for the constant
+    term, whose sum is N.  CapabilityError when no entry matches."""
+    live = {key: v for key, v in factors.items() if v != 0}
+    keys = set(live)
+    if not keys:
+        return None
+    trig = [key for key in keys if key[0] in ("sin", "cos")]
+    if len(trig) == 1:
+        key = trig[0]
+        kind, theta = key
+        if live[key] != 1:
+            raise CapabilityError("no closed form for powers of a trigonometric factor")
+        rest = keys - {key}
+        if kind == "cos":
+            if not rest:
+                return "cosine", {"theta": theta}
+            if rest == {KPOW} and live[KPOW] == 1:
+                return "k-cosine", {"theta": theta}
+            if rest == {EXP}:
+                c = live[EXP]
+                if c.imag == 0 and c.real < 0:
+                    return "exp-cosine", {"theta": theta, "beta": -c.real}
+        elif kind == "sin" and not rest:
+            return "sine", {"theta": theta}
+        raise CapabilityError("no catalog entry for this trigonometric combination")
+    if keys == {EXP}:
+        c = live[EXP]
+        if c.imag == 0 and c.real < 0:
+            return "geometric", {"a": -c.real, "alpha": 1.0}
+        raise CapabilityError("the geometric closed form needs a real decaying exponent")
+    if keys == {KPOW}:
+        p = live[KPOW]
+        if p < -1:
+            return "power", {"s": float(-p)}
+        raise CapabilityError("the power closed form needs an exponent below -1")
+    raise CapabilityError("no catalog entry matches this term")
 
 
 _REL_PASS = 1e-11

@@ -317,16 +317,20 @@ def _faulhaber(z, n: int):
     return s0 + z * (s1 + z * (s2 / 2.0 + z * (s3 / 6.0 + z * (s4 / 24.0))))
 
 
-def _check_grid_pole(den: np.ndarray, z: np.ndarray, what: str) -> None:
-    """PoleError naming the first z whose comb denominator den vanishes.
+def _check_pole(den, z, what: str) -> None:
+    """PoleError naming the (first) z whose comb denominator den vanishes.
 
     The test is relative to |z|: den = expm1(z) ~ z at the removable point
     z = 0, which a long comb reaches off its series branch, while every
-    true pole lies at |z| >= pi."""
-    bad = np.abs(den) < _POLE_EPS * np.abs(z)
-    if np.any(bad):
-        raise PoleError(f"{what} pole on the integration path",
-                        pole=complex(z[np.argmax(bad)]))
+    true pole lies at |z| >= pi.  Scalars and jets are tested on their value
+    part with plain ``abs``, arrays elementwise."""
+    if isinstance(den, np.ndarray):
+        bad = np.abs(den) < _POLE_EPS * np.abs(z)
+        if np.any(bad):
+            raise PoleError(f"{what} pole on the integration path",
+                            pole=complex(z[np.argmax(bad)]))
+    elif abs(value_part(den)) < _POLE_EPS * abs(value_part(z)):
+        raise PoleError(f"{what} has a pole", pole=value_part(z))
 
 
 def exp_power_sum(z, n: int):
@@ -337,8 +341,9 @@ def exp_power_sum(z, n: int):
     removable point z = 0 (|z| < 1e-6 with |z|*n small) a degree-4 series in
     z with Faulhaber coefficients is used; at z = 0 exactly the limit is n.
     Arrays must have Re(z) <= 0; there the series serves a mask of the
-    elements, and a pole z = 2*pi*i*m (m != 0) raises PoleError.  A float64
-    array gives float64 values, any other array complex128.
+    elements.  A pole z = 2*pi*i*m (m != 0) raises PoleError on scalars,
+    jets and arrays alike.  A float64 array gives float64 values, any other
+    array complex128.
     """
     if isinstance(z, np.ndarray):
         out = np.empty(z.shape, dtype=np.float64 if z.dtype == np.float64 else np.complex128)
@@ -350,7 +355,7 @@ def exp_power_sum(z, n: int):
         if np.any(big):
             zb = z[big]
             den = expm1(zb)
-            _check_grid_pole(den, zb, "variant kernel")
+            _check_pole(den, zb, "variant kernel")
             out[big] = expm1(zb * n) * np.exp(zb) / den
         return out
     z0 = value_part(z)
@@ -358,22 +363,24 @@ def exp_power_sum(z, n: int):
     if az < _SERIES_CUTOFF and az * n <= _SERIES_N_CUTOFF:
         return _faulhaber(z, n)
     if z0.real <= 0.0:
-        return expm1(z * n) * exp(z) / expm1(z)
-    # Growing case: factor the dominant exponential out front.
-    return exp(z * n) * expm1(-z * n) / expm1(-z)
+        num, den = expm1(z * n) * exp(z), expm1(z)
+    else:
+        # Growing case: factor the dominant exponential out front.
+        num, den = exp(z * n) * expm1(-z * n), expm1(-z)
+    _check_pole(den, z, "variant kernel")
+    return num / den
 
 
 def alternating_exp_power_sum(z, n: int):
     """sum_{k=1}^{n} (-1)^(k+1) exp(z*k), stable for scalars, jets and arrays.
 
     Equals (1 - (-1)^n exp(n z)) * exp(z) / (1 + exp(z)); no removable point
-    (the value at z = 0 is 0 for even n, 1 for odd n).  On arrays a pole
+    (the value at z = 0 is 0 for even n, 1 for odd n).  A pole
     z = i*pi*(2m+1) raises PoleError.
     """
     ez = exp(z)
     den = 1.0 + ez
-    if isinstance(z, np.ndarray):
-        _check_grid_pole(den, z, "alternating kernel")
+    _check_pole(den, z, "alternating kernel")
     if n % 2 == 0:
         return -expm1(z * n) * ez / den
     return (2.0 + expm1(z * n)) * ez / den

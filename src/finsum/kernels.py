@@ -12,14 +12,18 @@ through quadrature.
 
 ``linear_terms`` normalizes an expression tree into a sum of terms, each a
 coefficient times a product of atomic factors in k (powers, exponentials,
-sines/cosines of theta*k, Lorentzian denominators, Gaussian exponents); the
-catalog in ``recognize_pair`` maps each term to its transform.
+sines/cosines of theta*k, Lorentzian denominators, Gaussian exponents).
+``decompose`` is its public face: it drops the zero terms and is the one
+place a summand without such a decomposition is refused.  Its terms are
+what every term-table route reads -- the catalog in ``recognize_pair``
+here, the Fourier pair table and the identity catalog -- so one request
+decomposes a summand once per lattice scale.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -76,13 +80,6 @@ class Kernel:
 
     def __add__(self, other: "Kernel") -> "Kernel":
         return Kernel(self.deltas + other.deltas, self.smooth + other.smooth)
-
-
-@dataclass(frozen=True)
-class Recognition:
-    g: Callable
-    kernel: Kernel
-    parts: tuple[str, ...] = field(default=())
 
 
 def laplace_of_kernel(kernel: Kernel, x: complex, tol: float = 1e-10) -> complex:
@@ -269,13 +266,36 @@ def linear_terms(node: ex.Node) -> list[tuple[complex, dict]]:
     raise _Unrecognized(f"no decomposition for {ex.pretty(node)!r}")
 
 
+def decompose(expression) -> list[tuple[complex, dict]]:
+    """The summand (text or tree) as [(coefficient, factors)], zero terms
+    dropped; a list of terms it returned before passes through.
+
+    Raises RecognitionError when the summand has no such decomposition.
+    """
+    if isinstance(expression, list):
+        return expression
+    node = ex.parse_expression(expression) if isinstance(expression, str) else expression
+    try:
+        terms = linear_terms(node)
+    except _Unrecognized as e:
+        raise RecognitionError(
+            f"cannot normalize summand: {e.why}; "
+            "the telescoping route or the direct oracle handles it") from None
+    return [(coeff, factors) for coeff, factors in terms if coeff != 0]
+
+
 # ---------------------------------------------------------------------------
 # the catalog
+
+def _no_transform(why: str) -> RecognitionError:
+    return RecognitionError(f"no transform for term: {why}; "
+                            "the telescoping route or the direct oracle handles it")
+
 
 def _as_order(p: float) -> int:
     n = round(p)
     if abs(p - n) > 1e-12 or not 0 <= n <= _MAX_DELTA_ORDER:
-        raise _Unrecognized(f"k-power {p} is not an integer order in 0..{_MAX_DELTA_ORDER}")
+        raise _no_transform(f"k-power {p} is not an integer order in 0..{_MAX_DELTA_ORDER}")
     return int(n)
 
 
@@ -291,9 +311,9 @@ def _trig_deltas(coeff: complex, kind: str, theta: float, shift: complex,
     return (DeltaTerm(half, lo, order), DeltaTerm(-half, hi, order))
 
 
-def _term_kernel(coeff: complex, factors: dict) -> tuple[Kernel, str]:
+def _term_kernel(coeff: complex, factors: dict) -> Kernel:
     if GAUSS in factors:
-        raise _Unrecognized(
+        raise _no_transform(
             "Gaussian factor exp(c*k^2) has no representation on this route; "
             "use the Fourier route")
     trig = [(kind, param, mult) for (kind, param), mult in factors.items()
@@ -305,67 +325,50 @@ def _term_kernel(coeff: complex, factors: dict) -> tuple[Kernel, str]:
 
     if lorentz:
         if trig or shift != 0 or len(lorentz) != 1 or lorentz[0][1] != 1:
-            raise _Unrecognized("Lorentzian factor only combines with a single power of k")
+            raise _no_transform("Lorentzian factor only combines with a single power of k")
         a, _ = lorentz[0]
         if kpow == 0:
             fn = (lambda t, c=coeff, a=a: c * np.sin(a * t) / a)
             term = SmoothTerm(fn, 0.0, f"lorentzian(a={a})", frequency=abs(a))
-            return Kernel(smooth=(term,)), "smooth:lorentzian"
+            return Kernel(smooth=(term,))
         if kpow == 1:
             fn = (lambda t, c=coeff, a=a: c * np.cos(a * t))
             term = SmoothTerm(fn, 0.0, f"k-lorentzian(a={a})", frequency=abs(a))
-            return Kernel(smooth=(term,)), "smooth:k-lorentzian"
-        raise _Unrecognized(f"k^{kpow} over a Lorentzian is not in the catalog")
+            return Kernel(smooth=(term,))
+        raise _no_transform(f"k^{kpow} over a Lorentzian is not in the catalog")
 
     if trig:
         if len(trig) != 1 or trig[0][2] != 1:
-            raise _Unrecognized("products or powers of trigonometric factors")
+            raise _no_transform("products or powers of trigonometric factors")
         kind, theta, _ = trig[0]
         if (-shift).real < -1e-12:
-            raise _Unrecognized(f"growing exponential factor exp({shift}*k)")
+            raise _no_transform(f"growing exponential factor exp({shift}*k)")
         order = _as_order(kpow)
-        return (Kernel(deltas=_trig_deltas(coeff, kind, theta, shift, order)),
-                f"delta:{'k-' * min(order, 1)}{kind}")
+        return Kernel(deltas=_trig_deltas(coeff, kind, theta, shift, order))
 
     if shift != 0:
         if (-shift).real < -1e-12:
-            raise _Unrecognized(f"growing exponential factor exp({shift}*k)")
+            raise _no_transform(f"growing exponential factor exp({shift}*k)")
         order = _as_order(kpow)
-        return (Kernel(deltas=(DeltaTerm(coeff, -shift, order),)),
-                "delta:exponential")
+        return Kernel(deltas=(DeltaTerm(coeff, -shift, order),))
 
     if kpow < 0:
         s = -kpow
         fn = (lambda t, c=coeff, s=s: c * t ** (s - 1.0) / gamma_fn(s))
-        return Kernel(smooth=(SmoothTerm(fn, 0.0, f"power(s={s})", s - 1.0),)), "smooth:power"
+        return Kernel(smooth=(SmoothTerm(fn, 0.0, f"power(s={s})", s - 1.0),))
     order = _as_order(kpow)
-    return Kernel(deltas=(DeltaTerm(coeff, 0j, order),)), "delta:monomial"
+    return Kernel(deltas=(DeltaTerm(coeff, 0j, order),))
 
 
-def recognize_pair(expression) -> Recognition:
-    """Build the transform pair for an expression (text or tree) in k.
+def recognize_pair(expression) -> Kernel:
+    """The density of an expression in k: text, a tree, or the terms
+    ``decompose`` returned for it.
 
-    Raises RecognitionError when some term has no entry in the catalog; the
-    telescoping route and the direct oracle handle general summands.
+    Raises RecognitionError when the expression has no decomposition or
+    some term has no entry in the catalog; the telescoping route and the
+    direct oracle handle general summands.
     """
-    node = ex.parse_expression(expression) if isinstance(expression, str) else expression
-    try:
-        terms = linear_terms(node)
-    except _Unrecognized as e:
-        raise RecognitionError(
-            f"cannot normalize summand: {e.why}; "
-            "the telescoping route or the direct oracle handles it") from None
     kernel = Kernel()
-    parts = []
-    for coeff, factors in terms:
-        if coeff == 0:
-            continue
-        try:
-            piece, label = _term_kernel(coeff, factors)
-        except _Unrecognized as e:
-            raise RecognitionError(
-                f"no transform for term: {e.why}; "
-                "the telescoping route or the direct oracle handles it") from None
-        kernel = kernel + piece
-        parts.append(label)
-    return Recognition(g=ex.as_function(node), kernel=kernel, parts=tuple(parts))
+    for coeff, factors in decompose(expression):
+        kernel = kernel + _term_kernel(coeff, factors)
+    return kernel

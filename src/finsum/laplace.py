@@ -6,7 +6,8 @@ built from the geometric sum of exp(-alpha*k*t).  Spike components of G hit
 the factor in closed form through its derivatives; smooth components go
 through adaptive quadrature with the factor evaluated in expm1-stabilized
 form on the whole grid.  Both evaluate ``backend.summation_factor`` (the
-grid through ``backend.phi_grid``); this module adds the pole check in t.
+grid through ``backend.phi_grid``), whose comb in :mod:`finsum.jets`
+raises PoleError where its denominator vanishes.
 
 Also here: the dual family that evaluates Sigma G(x/k)/k directly
 (``type_b_sum`` and its spike counterpart ``delta_type_b``), and the
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend, jets
-from .errors import CapabilityError, PoleError, PreconditionError
-from .jets import _POLE_EPS
+from .errors import CapabilityError, PreconditionError
 from .kernels import Kernel
 from .quadrature import integrate_semi_infinite
 from .series import (Diagnostics, SeriesSpec, SumResult, Variant,
@@ -64,43 +64,16 @@ class VariantKernel:
             object.__setattr__(self, name, value)
 
 
-def _check_pole(vk: VariantKernel | SeriesSpec, t: complex) -> None:
-    """Reject t whose exponent w = alpha*t (+ beta) lies within _POLE_EPS of
-    a zero of the kernel denominator.
-
-    Non-alternating kernels: exp(w) = 1 at w = 2*pi*i*m; the m = 0 point is
-    removable and served by the series branch, so only m != 0 counts.
-    Alternating kernels: exp(w) = -1 at w = i*pi*(2m+1), every m.
-    """
-    shift = vk.beta if vk.variant.is_exp_factor else 0.0
-    w = vk.alpha * t + shift
-    if vk.variant.is_alternating:
-        m = round((w.imag / math.pi - 1.0) / 2.0)
-        pole_w = complex(0.0, math.pi * (2 * m + 1))
-    else:
-        m = round(w.imag / TWO_PI)
-        if m == 0:
-            return
-        pole_w = complex(0.0, TWO_PI * m)
-    if abs(w - pole_w) < _POLE_EPS:
-        pole_t = (pole_w - shift) / vk.alpha
-        raise PoleError(
-            f"summation factor has a pole at t = {pole_t} "
-            f"(denominator exponent {pole_w})", pole=pole_t)
-
-
 def phi(vk: VariantKernel | SeriesSpec, t) -> complex:
     """The summation factor at complex t (removable point at t=0 included)."""
-    t = complex(t)
-    _check_pole(vk, t)
-    return complex(backend.summation_factor(t, vk.n_terms, vk.variant, vk.alpha, vk.beta))
+    return complex(backend.summation_factor(complex(t), vk.n_terms, vk.variant,
+                                            vk.alpha, vk.beta))
 
 
 def phi_derivative(vk: VariantKernel | SeriesSpec, t, order: int) -> complex:
     """d^order/dt^order of the summation factor, by jet arithmetic."""
     if not 1 <= order <= _MAX_DERIV:
         raise PreconditionError(f"derivative order {order} outside 1..{_MAX_DERIV}")
-    _check_pole(vk, complex(t))
     jet = jets.Jet.variable(complex(t), order)
     return backend.summation_factor(jet, vk.n_terms, vk.variant, vk.alpha,
                                     vk.beta).derivative(order)

@@ -4,11 +4,17 @@ Each ``(module, attribute)`` of its ``HOOKS`` must resolve on the imported
 finsum module, except the stale hooks listed below.  The test fails on a
 newly unresolved hook, and on a listed one that resolves again or leaves
 ``HOOKS``, so the list can only shrink and a moved entry point cannot
-silently drop its spans.  Reads spans.py without importing it."""
+silently drop its spans.  Every ``finsum.cli`` hook must also be called by
+``method="all"`` requests: a name ``cli.py`` still imports but no longer
+calls would resolve and yet record nothing.  Reads spans.py without
+importing it."""
 
 import ast
+import collections
 import importlib
 import pathlib
+
+from finsum import cli
 
 _ROOT = pathlib.Path(__file__).resolve().parent.parent
 # fourier integrates its periodic factor over [0, pi] with integrate_finite;
@@ -35,3 +41,21 @@ def test_only_the_listed_hooks_are_unresolved():
                   if not hasattr(importlib.import_module(module), attr)}
     assert unresolved - _STALE == set(), "hooks that no longer resolve"
     assert _STALE - unresolved == set(), "listed hooks that resolve again or left HOOKS"
+
+
+def test_every_cli_hook_is_called(monkeypatch):
+    names = sorted({attr for module, attr in _hooks() if module == "finsum.cli"})
+    calls = collections.Counter()
+
+    def counted(attr, fn):
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for attr in names:
+        monkeypatch.setattr(cli, attr, counted(attr, getattr(cli, attr)))
+    for text in ("exp(-0.5*k)", "1/(k^2+1)"):
+        cli.run(text, 10, method="all")
+    assert len(names) == 14
+    assert [attr for attr in names if not calls[attr]] == []

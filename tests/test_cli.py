@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from finsum import cli
+from finsum import cli, kernels
 from finsum.series import Variant
 
 _RUNNER = ("-c", "import sys; from finsum.cli import main; sys.exit(main(sys.argv[1:]))")
@@ -98,6 +98,66 @@ class TestRunApi:
                              "error_estimate", "flags", "diagnostics"]
         assert list(rec["diagnostics"]) == ["nodes", "truncation_index",
                                             "converged", "notes", "runtime_ns"]
+
+
+def _count_decompositions(monkeypatch) -> list:
+    """Record the tree of every top-level ``kernels.linear_terms`` call; its
+    recursive calls go through the same module attribute and are skipped."""
+    calls = []
+    depth = [0]
+    linear_terms = kernels.linear_terms
+
+    def counted(node):
+        if depth[0] == 0:
+            calls.append(node)
+        depth[0] += 1
+        try:
+            return linear_terms(node)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(kernels, "linear_terms", counted)
+    return calls
+
+
+class TestOneDecomposition:
+    """laplace, fourier and closed-form read one decomposition per lattice
+    scale of a request: laplace asks for scale 1, the other two for Re alpha."""
+
+    @pytest.mark.parametrize("alpha, want", [(1.0, 1), (1.3, 2)])
+    def test_all_routes_share_it(self, monkeypatch, alpha, want):
+        calls = _count_decompositions(monkeypatch)
+        report = cli.run("1.2*sin(1.3*k) + exp(-0.5*k)", 10, method="all", alpha=alpha)
+        assert len(calls) == want
+        by_name = {r["method"]: r for r in report["results"]}
+        for name in ("laplace", "closed-form"):
+            assert by_name[name]["flags"] == [], name
+
+    @pytest.mark.parametrize("method", ["laplace", "fourier", "closed-form"])
+    def test_single_route_decomposes_once(self, monkeypatch, method):
+        calls = _count_decompositions(monkeypatch)
+        cli.run("1.5/(k^2+2.25)", 10, method=method, alpha=1.3)
+        assert len(calls) == 1
+
+    def test_telescope_does_not_decompose(self, monkeypatch):
+        calls = _count_decompositions(monkeypatch)
+        cli.run("1/k^2", 10, method="telescope")
+        assert calls == []
+
+    def test_no_decomposition_is_one_refusal(self):
+        report = cli.run("1.6*log(k)", 10, method="all")
+        by_name = {r["method"]: r for r in report["results"]}
+        errors = {by_name[name]["error"] for name in ("laplace", "fourier", "closed-form")}
+        assert errors == {"cannot normalize summand: log(k) has no integral representation "
+                          "here; the telescoping route or the direct oracle handles it"}
+
+    @pytest.mark.parametrize("text", ["1/k^2 + 0*sqrt(k)", "0*k^0.5 + exp(-0.5*k)"])
+    def test_zero_terms_leave_the_closed_form(self, text):
+        """A term with coefficient 0 used to reach the identity catalog,
+        which refused k^0.5 ("needs an exponent below -1")."""
+        _, rec = cli.run(text, 10, method="closed-form")["results"]
+        assert rec["flags"] == []
+        assert rec["abs_err_vs_oracle"] <= 1e-12
 
 
 class TestReports:

@@ -13,6 +13,7 @@ from finsum import backend, cli
 from finsum.errors import CapabilityError, PreconditionError
 from finsum.fourier import (DirichletForm, dirichlet_factor, recognize_fourier,
                             sum_via_fourier)
+from finsum.kernels import decompose
 from finsum.series import SeriesSpec, direct_sum
 
 
@@ -117,6 +118,14 @@ class TestPairTable:
     def test_outside_the_table(self, text):
         with pytest.raises(CapabilityError):
             recognize_fourier(text)
+
+    def test_reads_the_terms(self):
+        """Text and its decomposition give the same pair."""
+        text = "1.5*exp(-0.2*k^2) + 2/(k^2+0.25)"
+        from_text, from_terms = recognize_fourier(text), recognize_fourier(decompose(text))
+        assert from_text.label == from_terms.label
+        al = np.linspace(0.0, math.pi, 9)
+        np.testing.assert_array_equal(from_text.periodic(al), from_terms.periodic(al))
 
 
 def _poisson_sum(pair, al, width):

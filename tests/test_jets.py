@@ -306,3 +306,28 @@ class TestCombOnArrays:
         with pytest.raises(PoleError) as info:
             alternating_exp_power_sum(z, 6)
         assert info.value.pole == pytest.approx(1j * math.pi)
+
+
+class TestCombPolesOffTheGrid:
+    """Scalars and jets meet the same pole test as grids."""
+
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_pole_at_a_scalar_or_jet_raises(self, order):
+        """Off the grid the comb tests the value part of its denominator,
+        relative to |z|, and names z; either side of the pole, since the
+        growing branch (Re z > 0) divides by expm1(-z)."""
+        for z in (2j * math.pi, 1e-13 - 4j * math.pi):
+            arg = Jet.variable(z, order) if order else z
+            with pytest.raises(PoleError, match="variant kernel has a pole") as info:
+                exp_power_sum(arg, 5)
+            assert info.value.pole == z
+        arg = Jet.variable(-1j * math.pi, order) if order else -1j * math.pi
+        with pytest.raises(PoleError, match="alternating kernel has a pole") as info:
+            alternating_exp_power_sum(arg, 6)
+        assert info.value.pole == -1j * math.pi
+
+    def test_removable_point_off_the_series_is_no_pole(self):
+        """z = -1e-13 at n = 1e11 takes the closed form, where expm1(z) ~ z
+        lies below an absolute 1e-12 but not below 1e-12 |z|."""
+        got = exp_power_sum(-1e-13, 10**11)
+        assert got == pytest.approx(-math.expm1(-1e-2) / 1e-13, rel=1e-9)

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from finsum import expr as ex
-from finsum.errors import RecognitionError
-from finsum.kernels import (EXP, KPOW, DeltaTerm, Kernel, SmoothTerm,
+from finsum.errors import CapabilityError, RecognitionError
+from finsum.kernels import (EXP, KPOW, DeltaTerm, Kernel, SmoothTerm, decompose,
                             laplace_of_kernel, linear_terms, recognize_pair)
 
 
@@ -22,7 +22,7 @@ def _check_round_trip(text, xs=(0.5, 1.0, 2.0, 3.7), tol=1e-9):
     rec = recognize_pair(node)
     for x in xs:
         want = complex(ex.evaluate(node, x))
-        got = laplace_of_kernel(rec.kernel, x)
+        got = laplace_of_kernel(rec, x)
         assert got == pytest.approx(want, rel=tol, abs=tol), (text, x)
 
 
@@ -57,43 +57,43 @@ class TestLinearTerms:
 class TestDeltaRecognition:
     def test_exponential_spike(self):
         rec = recognize_pair("exp(-0.7*k)")
-        assert len(rec.kernel.deltas) == 1
-        d = rec.kernel.deltas[0]
+        assert len(rec.deltas) == 1
+        d = rec.deltas[0]
         assert d.location == pytest.approx(0.7)
         assert d.weight == 1
         assert d.deriv_order == 0
-        assert rec.kernel.smooth == ()
+        assert rec.smooth == ()
 
     def test_sine_splits_into_conjugate_pair(self):
         rec = recognize_pair("sin(1.3*k)")
-        locs = sorted((d.location for d in rec.kernel.deltas),
+        locs = sorted((d.location for d in rec.deltas),
                       key=lambda z: z.imag)
         assert locs[0] == pytest.approx(-1.3j)
         assert locs[1] == pytest.approx(+1.3j)
-        weights = {d.location: d.weight for d in rec.kernel.deltas}
+        weights = {d.location: d.weight for d in rec.deltas}
         assert weights[locs[0]] == pytest.approx(1 / 2j)
         assert weights[locs[1]] == pytest.approx(-1 / 2j)
 
     def test_damped_cosine_shifts_locations(self):
         rec = recognize_pair("exp(-0.4*k)*cos(2*k)")
-        locs = sorted((d.location for d in rec.kernel.deltas),
+        locs = sorted((d.location for d in rec.deltas),
                       key=lambda z: z.imag)
         assert locs[0] == pytest.approx(0.4 - 2j)
         assert locs[1] == pytest.approx(0.4 + 2j)
 
     def test_k_factor_raises_derivative_order(self):
         rec = recognize_pair("k*cos(2.2*k)")
-        assert {d.deriv_order for d in rec.kernel.deltas} == {1}
+        assert {d.deriv_order for d in rec.deltas} == {1}
 
     def test_monomial_is_a_derivative_spike_at_zero(self):
         rec = recognize_pair("k^2")
-        [d] = rec.kernel.deltas
+        [d] = rec.deltas
         assert d.location == 0
         assert d.deriv_order == 2
 
     def test_constant_is_an_order_zero_spike_at_zero(self):
         rec = recognize_pair("3")
-        [d] = rec.kernel.deltas
+        [d] = rec.deltas
         assert (d.location, d.deriv_order) == (0, 0)
         assert d.weight == 3
 
@@ -106,8 +106,8 @@ class TestSmoothRecognition:
     def test_lorentzian_density(self):
         """1/(k^2+a^2) has density sin(a t)/a."""
         rec = recognize_pair("1/(k^2+4)")
-        assert rec.kernel.deltas == ()
-        [s] = rec.kernel.smooth
+        assert rec.deltas == ()
+        [s] = rec.smooth
         ts = np.linspace(0.1, 5.0, 9)
         np.testing.assert_allclose(np.asarray(s.fn(ts), dtype=complex),
                                    np.sin(2 * ts) / 2, rtol=1e-13)
@@ -117,7 +117,7 @@ class TestSmoothRecognition:
     def test_k_lorentzian_density(self):
         """k/(k^2+a^2) has density cos(a t)."""
         rec = recognize_pair("k/(k^2+9)")
-        [s] = rec.kernel.smooth
+        [s] = rec.smooth
         ts = np.linspace(0.1, 5.0, 9)
         np.testing.assert_allclose(np.asarray(s.fn(ts), dtype=complex),
                                    np.cos(3 * ts), rtol=1e-13)
@@ -126,7 +126,7 @@ class TestSmoothRecognition:
     def test_power_density(self):
         """k^{-s} has density t^{s-1}/Gamma(s)."""
         rec = recognize_pair("1/k^3")
-        [s] = rec.kernel.smooth
+        [s] = rec.smooth
         ts = np.linspace(0.5, 4.0, 7)
         np.testing.assert_allclose(np.asarray(s.fn(ts), dtype=complex),
                                    ts**2 / 2.0, rtol=1e-13)
@@ -134,7 +134,7 @@ class TestSmoothRecognition:
 
     def test_harmonic_density_is_flat(self):
         rec = recognize_pair("1/k")
-        [s] = rec.kernel.smooth
+        [s] = rec.smooth
         np.testing.assert_allclose(np.asarray(s.fn(np.array([0.3, 2.0])),
                                               dtype=complex), 1.0, rtol=1e-14)
 
@@ -145,8 +145,8 @@ class TestSmoothRecognition:
 
     def test_mixed_summand_keeps_both_parts(self):
         rec = recognize_pair("sin(0.5*k) + 1/(k^2+1)")
-        assert len(rec.kernel.deltas) == 2
-        assert len(rec.kernel.smooth) == 1
+        assert len(rec.deltas) == 2
+        assert len(rec.smooth) == 1
 
 
 class TestRejection:
@@ -164,6 +164,31 @@ class TestRejection:
     def test_error_names_the_alternatives(self):
         with pytest.raises(RecognitionError, match="telescoping|oracle"):
             recognize_pair("log(k)")
+
+
+class TestDecompose:
+    def test_drops_zero_terms(self):
+        assert decompose("1/k^2 + 0*sqrt(k)") == [(1 + 0j, {KPOW: -2.0})]
+
+    def test_terms_pass_through(self):
+        terms = decompose("exp(-0.7*k)")
+        assert decompose(terms) is terms
+
+    def test_refusal_is_a_capability_error(self):
+        assert issubclass(RecognitionError, CapabilityError)
+        with pytest.raises(RecognitionError, match="cannot normalize summand"):
+            decompose("log(k)")
+
+    @pytest.mark.parametrize("text", ["sin(0.5*k) + 1/(k^2+1)", "k*cos(2.2*k)",
+                                      "1/k^1.5 + exp(-0.3*k)"])
+    def test_recognize_pair_reads_the_terms(self, text):
+        """Text and its decomposition give the same kernel."""
+        from_text, from_terms = recognize_pair(text), recognize_pair(decompose(text))
+        assert from_text.deltas == from_terms.deltas
+        assert [s.label for s in from_text.smooth] == [s.label for s in from_terms.smooth]
+        t = np.linspace(0.1, 5.0, 7)
+        for a, b in zip(from_text.smooth, from_terms.smooth):
+            np.testing.assert_array_equal(a.fn(t), b.fn(t))
 
 
 class TestKernelAlgebra:

@@ -126,7 +126,7 @@ def _reference_adaptive(f, cuts, tol, budget):
 def _laplace(text, variant):
     spec = SeriesSpec(as_function(parse_expression(text)), 10, alpha=1.3,
                       variant=variant, beta=0.6)
-    res = sum_via_integral(spec, recognize_pair(text).kernel, tol=1e-10)
+    res = sum_via_integral(spec, recognize_pair(text), tol=1e-10)
     return res.value, res.error_estimate, res.diagnostics.nodes, res.diagnostics.converged
 
 

@@ -22,7 +22,7 @@ from finsum.series import SeriesSpec, Variant, antidifference_sum, direct_sum
 from finsum.telescope import telescoping_sum, zeta_power_sum
 
 N = 4
-_LORENTZ = recognize_pair("1/(k^2+1)").kernel
+_LORENTZ = recognize_pair("1/(k^2+1)")
 
 
 def _delta_type_b(n):
