@@ -4,9 +4,10 @@ Callers look these functions up as ``backend.<name>`` at call time, so a
 wrapper installed on the module attribute sees every call.  ``phi_grid``
 and ``dirichlet_grid`` are reached only with grids; the laplace spike path
 evaluates ``summation_factor`` at a scalar or a jet without them.  The comb
-behind both lives in :mod:`finsum.jets`.  ``neumaier_sum`` is the oracle's
-compensated reduction: ``math.fsum`` on short arrays, one error-free
-extraction per component on long ones.
+behind both lives in :mod:`finsum.jets`.  ``partial_sums`` is the one
+compensated reduction: ``math.fsum`` on short sums, one error-free
+extraction on long ones.  The oracle applies it to each block of its
+lattice, and ``neumaier_sum`` to a whole array.
 """
 
 from __future__ import annotations
@@ -17,9 +18,12 @@ import numpy as np
 
 from . import jets
 
-# arrays up to this length go straight to math.fsum, correctly rounded;
-# past it one error-free extraction per component is faster
-_FSUM_MAX = 2048
+# sums up to this length go straight to math.fsum, correctly rounded; past
+# it one error-free extraction per component is faster.  Measured on a
+# 2-CPU x86-64 host (numpy 2.4) with sum(|p|) in hand, as in the oracle:
+# fsum 2.4 / 3.0 / 5.0 / 48 us at 128 / 160 / 256 / 2,048 terms, the
+# extraction 2.9 / 2.9 / 3.0 / 5 us
+_FSUM_MAX = 160
 # a component whose sum of magnitudes reaches this is scaled by 2^-64 first,
 # so that the extraction constant 2^(e+1) and sigma + p stay finite
 _HUGE = 2.0 ** 1020
@@ -84,49 +88,61 @@ def dirichlet_grid(alpha: np.ndarray, n: int) -> np.ndarray:
 def neumaier_sum(x: np.ndarray) -> complex:
     """Compensated sum of a float64 (one component) or complex array (two).
 
-    Up to ``_FSUM_MAX`` terms each component is one ``math.fsum``, correctly
-    rounded.  Longer components take one error-free extraction (Rump, Ogita
-    and Oishi, "Accurate floating-point summation, part I", SISC 31, 2008):
-    see :func:`_extracted_sum`.  Before its final rounding the result is
-    within about 1e-25 of ``sum(|x|)`` of the exact sum at 1e5 terms, far
-    inside the oracle's charge of ``2 * eps * sum(|x|)``.  The name stays
-    from the Neumaier loop that came before, because callers and tracing
-    wrappers look the function up by it.
+    Each component is ``math.fsum`` of its :func:`partial_sums`: one
+    ``math.fsum`` up to ``_FSUM_MAX`` terms, correctly rounded, and one
+    error-free extraction beyond (Rump, Ogita and Oishi, "Accurate
+    floating-point summation, part I", SISC 31, 2008).  Before its final
+    rounding the result is within about 1e-25 of ``sum(|x|)`` of the exact
+    sum at 1e5 terms, far inside the oracle's charge of
+    ``2 * eps * sum(|x|)``.  The oracle reduces its lattice block by block
+    through the same :func:`partial_sums`; the laplace spike path sums its
+    terms here.  The name stays from the Neumaier loop that came before,
+    because callers and tracing wrappers look the function up by it.
     """
     x = np.asarray(x)
     parts = 2 if np.iscomplexobj(x) else 1
     flat = np.ascontiguousarray(x, dtype=np.complex128 if parts == 2 else np.float64)
     flat = flat.ravel().view(np.float64)  # re, im interleaved when complex
-    if flat.size <= parts * _FSUM_MAX:
-        return complex(*(math.fsum(flat[i::parts].tolist()) for i in range(parts)))
     buf = np.empty(flat.size // parts)
-    return complex(*(_extracted_sum(np.ascontiguousarray(flat[i::parts]), buf)
-                     for i in range(parts)))
+    return complex(*(math.fsum(partial_sums(flat[i::parts], buf)) for i in range(parts)))
 
 
-def _extracted_sum(p: np.ndarray, buf: np.ndarray) -> float:
-    """sum(p) by one ExtractVector step; buf is scratch of p's length.
+def partial_sums(p: np.ndarray, buf: np.ndarray, mag: float | None = None,
+                 total: int | None = None) -> list[float]:
+    """Floats whose exact sum is sum(p), to about N * eps^2 * sum(|p|).
 
-    With b = sum(|p|) < 2^e and sigma = 2^(e+1), q = (sigma + p) - sigma and
-    p - q are exact, every q is a multiple of 2^-53 sigma and every partial
-    sum of q stays below sigma, so ``np.sum(q)`` is exact in any order.  The
-    only roundings are in the last addition and in the pairwise sum of the
-    small parts p - q, each at most eps * b, which errs by about
-    log2(N) * N * eps^2 * b.
+    p is a whole sum or one block of a sum of ``total`` terms.  A whole sum
+    of up to ``_FSUM_MAX`` terms is ``[math.fsum(p)]``, correctly rounded.
+    Anything longer, and every block of a longer sum, takes one
+    ExtractVector step and gives ``[high, low]``: a block sum rounded to
+    one float would err by half its ulp, which a total that cancels between
+    blocks cannot absorb.  With b = sum(|p|) < 2^e and sigma = 2^(e+1),
+    q = (sigma + p) - sigma and p - q are exact, every q is a multiple of
+    2^-53 sigma and every partial sum of q stays below sigma, so
+    ``high = sum(q)`` is exact in any order.  The only rounding is in the
+    pairwise sum of the small parts p - q, each at most eps * b, which errs
+    by about log2(N) * N * eps^2 * b.  A b of ``_HUGE`` or more is scaled
+    by 2^-64 first, so that sigma and sigma + p stay finite; a b that is
+    not finite leaves p to ``math.fsum``.
+
+    buf is float64 scratch of p's length; mag, when the caller already
+    holds sum(|p|), saves the pass that computes it.
     """
-    np.abs(p, out=buf)
-    b = float(np.sum(buf))
-    if not math.isfinite(b):
-        return math.fsum(p.tolist())
+    if (p.size if total is None else total) <= _FSUM_MAX:
+        return [math.fsum(p.tolist())]
+    if mag is None:
+        mag = float(np.add.reduce(np.abs(p, out=buf)))
+    if not math.isfinite(mag):
+        return [math.fsum(p.tolist())]
     scale = 1.0
-    if b >= _HUGE:
-        p, b, scale = p * 2.0 ** -64, b * 2.0 ** -64, 2.0 ** 64
-    sigma = math.ldexp(1.0, math.frexp(b)[1] + 1)
+    if mag >= _HUGE:
+        p, mag, scale = p * 2.0 ** -64, mag * 2.0 ** -64, 2.0 ** 64
+    sigma = math.ldexp(1.0, math.frexp(mag)[1] + 1)
     np.add(p, sigma, out=buf)
     buf -= sigma
-    high = float(np.sum(buf))
+    high = float(np.add.reduce(buf))
     np.subtract(p, buf, out=buf)
-    return (high + float(np.sum(buf))) * scale
+    return [high * scale, float(np.add.reduce(buf)) * scale]
 
 
 def hurwitz_head(s: float, a: float, m: int) -> float:

@@ -154,7 +154,13 @@ def em_tail(f: Callable, m: float, n: int = 3, need: float = math.inf, *,
     damped oscillation f = e^{-ax}, Im a > Re a > 0, the remainder exceeds
     that term by about 1/(1 - (|a|/2pi)^2).  For f(x) = g(x) - g(x+N) and
     the integral of g over the window [m, m+N], value is Euler-Maclaurin for
-    Sigma_{k=m+1}^{m+N} g(k), and no decay of g is needed.
+    Sigma_{k=m+1}^{m+N} g(k).  That window integral needs no decay of g,
+    but the bound holds only while g's next even derivative keeps one sign
+    on the window, since the remainder is the integral of the periodic
+    Bernoulli function times it.  It fails for a g periodic on the lattice
+    (cos(2*pi*k)): f and its derivatives vanish at m, so value is the
+    window integral alone and bound is about 0, with the oscillating part
+    of the window sum missing.
 
     need is the bound the caller could use: when it is finite and the
     doubled correction term alone is already at least need, no bound this

@@ -24,6 +24,13 @@ from .errors import (CapabilityError, DomainError, EvaluationError,
                      PreconditionError)
 
 _EPS = 2.220446049250313e-16
+# terms per block of the oracle's lattice: 64 KB of float64, which malloc
+# serves from its heap, so no block faults in fresh pages
+_BLOCK = 8192
+# 1.._BLOCK, read-only: a block's indices are one shifted copy of it, which
+# is faster than np.arange's fill
+_INDICES = np.arange(1, _BLOCK + 1, dtype=np.float64)
+_INDICES.flags.writeable = False
 
 
 class Variant(str, Enum):
@@ -213,97 +220,109 @@ def _parsed(g: Callable) -> bool:
     return getattr(g, "node", None) is not None
 
 
-def _real_lattice(spec: SeriesSpec):
-    """The weighted terms on a float64 lattice, or None when alpha or a beta
-    the variant uses is complex, or g raises there, gives no array of the
-    lattice's shape or any non-finite term.  A closure other than a parsed
-    one must first pass the probe.
+def _blocks(n: int):
+    """(first k, length) of each block of the lattice 1..n.  Every block
+    but the last holds ``_BLOCK`` terms, so each starts at an odd k."""
+    return ((k0, min(_BLOCK, n + 1 - k0)) for k0 in range(1, n + 1, _BLOCK))
+
+
+def _real_blocks(spec: SeriesSpec):
+    """The weighted terms on a float64 lattice, as (first k, terms) per
+    block; terms is None, and the series must go to the complex lattice,
+    when alpha or a beta the variant uses is complex, when a closure other
+    than a parsed one fails the probe, or where g raises or gives no array
+    of the block's shape.
 
     Only the operations that change a value run: no scaling when alpha is
     1, no shift unless the variant is shifted, no weighting unless it is
     alternating or exp-factor.  The weights are formed before g runs, so a
-    g that writes into its argument cannot change them."""
+    g that writes into its argument cannot change them.  Terms come as
+    float64, or complex128 where g gives complex values."""
     variant = spec.variant
     beta_used = variant.is_shifted or variant.is_exp_factor
     if (spec.alpha.imag != 0.0 or (beta_used and spec.beta.imag != 0.0)
             or not (_parsed(spec.g) or _probe_vectorized(spec.g, np.float64))):
-        return None
-    n = spec.n_terms
-    args = np.arange(1, n + 1, dtype=np.float64)
+        yield 1, None
+        return
+    g, alpha = spec.g, spec.alpha.real
+    shift = spec.beta.real if variant.is_shifted else None
     weighted = variant.is_alternating or variant.is_exp_factor
-    try:
-        with np.errstate(all="ignore"):
+    for k0, m in _blocks(spec.n_terms):
+        args = _INDICES[:m] + (k0 - 1)  # the block's own array, scaled in place
+        try:
             weights = term_weight(spec, args) if weighted else None
-            if spec.alpha != 1:
-                args = spec.alpha.real * args
-            if variant.is_shifted:
-                args = args + spec.beta.real
-            vals = spec.g(args)
-            if not (isinstance(vals, np.ndarray) and vals.shape == (n,)):
-                return None
-            terms = vals if weights is None else vals * weights
-            finite = bool(np.all(np.isfinite(terms)))
-    except Exception:
-        return None
-    return terms if finite else None
+            if alpha != 1:
+                args *= alpha
+            if shift is not None:
+                args += shift
+            vals = g(args)
+            terms = None
+            if isinstance(vals, np.ndarray) and vals.shape == (m,):
+                terms = vals if weights is None else vals * weights
+                terms = terms.astype(np.complex128 if terms.dtype.kind == "c" else np.float64,
+                                     copy=False)
+        except Exception:
+            terms = None
+        yield k0, terms
 
 
-def _complex_terms(spec: SeriesSpec) -> np.ndarray:
-    """The weighted terms on a complex128 lattice, or one by one when g does
-    not take arrays; EvaluationError names the first failing index.
+def _complex_blocks(spec: SeriesSpec):
+    """The weighted terms on a complex128 lattice, as (first k, terms) per
+    block, or one by one where g does not take arrays; EvaluationError names
+    the first k whose g raises.
 
     A parsed closure goes to the lattice unprobed, any other g once it
-    passes the probe.  A g that raises there or gives no array of the
-    lattice's shape is taken to reject arrays: the variant is resolved once
-    per series, and the terms are formed in one pass of g over the
-    arguments, each value weighted by the operations of
+    passes the probe.  A block on which g raises or gives no array of the
+    block's shape is taken to reject arrays: its terms are formed in one
+    pass of g over the arguments, each value weighted by the operations of
     :func:`term_argument` and :func:`term_weight` in their order, so the
-    terms are the same bits; one numpy check then covers their finiteness.
-    On any exception or non-finite term, :func:`_term_loop` replays the
-    series term by term, so that the error names the first failing index."""
-    n = spec.n_terms
-    if _parsed(spec.g) or _probe_vectorized(spec.g):
-        ks = np.arange(1, n + 1, dtype=np.complex128)
-        with np.errstate(all="ignore"):  # a non-finite term is reported below
-            args = spec.alpha * ks + (spec.beta if spec.variant.is_shifted else 0.0)
-            try:
-                vals = spec.g(args)
-            except Exception:
-                vals = None  # the term loop below names the failing k
-            if isinstance(vals, np.ndarray) and vals.shape == ks.shape:
-                weights = np.asarray(term_weight(spec, np.arange(1, n + 1)), dtype=np.complex128)
-                terms = np.asarray(vals, dtype=np.complex128) * weights
-                finite = np.isfinite(terms.real) & np.isfinite(terms.imag)
-                if not np.all(finite):
-                    k_bad = int(np.argmin(finite)) + 1
-                    raise EvaluationError("series term is not finite", at=f"k={k_bad}")
-                return terms
+    terms are the same bits.  The variant is resolved once per series.  On
+    an exception, :func:`_term_loop` replays the block term by term, so
+    that the error names the first failing index."""
     g, alpha, variant = spec.g, spec.alpha, spec.variant
+    lattice = _parsed(g) or _probe_vectorized(g)
     shift = spec.beta if variant.is_shifted else None
     damping = -spec.beta if variant.is_exp_factor else None
-    # iterators, so that no list of N arguments or weights is held
-    ks = range(1, n + 1)
+    for k0, m in _blocks(spec.n_terms):
+        terms = None
+        if lattice:
+            ks = np.arange(k0, k0 + m, dtype=np.complex128)
+            try:
+                vals = g(alpha * ks + (0.0 if shift is None else shift))
+            except Exception:
+                vals = None  # the block goes term by term below
+            if isinstance(vals, np.ndarray) and vals.shape == (m,):
+                weights = term_weight(spec, np.arange(k0, k0 + m))
+                terms = (np.asarray(vals, dtype=np.complex128)
+                         * np.asarray(weights, dtype=np.complex128))
+        if terms is None:
+            terms = _term_block(g, alpha, shift, damping, variant.is_alternating, k0, m)
+        yield k0, terms
+
+
+def _term_block(g, alpha, shift, damping, alternating, k0, m) -> np.ndarray:
+    """The terms k0 .. k0+m-1 of a g that rejects arrays, in one pass."""
+    # iterators, so that no list of arguments or weights is held
+    ks = range(k0, k0 + m)
     xs = map(operator.mul, itertools.repeat(alpha), ks)
     if shift is not None:
         xs = map(operator.add, xs, itertools.repeat(shift))
-    weights = (itertools.repeat(1.0, n) if damping is None
+    weights = (itertools.repeat(1.0, m) if damping is None
                else map(cmath.exp, map(operator.mul, itertools.repeat(damping), ks)))
-    if variant.is_alternating:
+    if alternating:  # k0 is odd
         weights = map(operator.mul, weights, itertools.cycle((1.0, -1.0)))
     try:
-        terms = np.fromiter(map(operator.mul, map(complex, map(g, xs)), weights),
-                            dtype=np.complex128, count=n)
-        if np.all(np.isfinite(terms)):
-            return terms
+        return np.fromiter(map(operator.mul, map(complex, map(g, xs)), weights),
+                           dtype=np.complex128, count=m)
     except Exception:
-        pass  # the replay below raises it again, naming its k
-    return _term_loop(g, alpha, shift, damping, variant.is_alternating, n)
+        return _term_loop(g, alpha, shift, damping, alternating, k0, m)
 
 
-def _term_loop(g, alpha, shift, damping, alternating, n) -> np.ndarray:
-    """The terms one at a time, each formed and checked before the next."""
+def _term_loop(g, alpha, shift, damping, alternating, k0, m) -> np.ndarray:
+    """The terms k0 .. k0+m-1 one at a time, each formed and checked before
+    the next."""
     terms = []
-    for k in range(1, n + 1):
+    for k in range(k0, k0 + m):
         try:
             x = alpha * k
             if shift is not None:
@@ -321,6 +340,64 @@ def _term_loop(g, alpha, shift, damping, alternating, n) -> np.ndarray:
     return np.array(terms, dtype=np.complex128)
 
 
+class _Sums:
+    """The oracle's reduction of a series of n terms, one block at a time
+    into one scratch buffer: each block's
+    :func:`finsum.backend.partial_sums` per component and its sum of
+    magnitudes, each list combined by one ``math.fsum`` at the end."""
+
+    def __init__(self, n: int):
+        self._n = n
+        self._buf = np.empty(min(n, _BLOCK))
+        self.clear()
+
+    def clear(self):
+        self._re, self._im, self._mag = [], [], []
+
+    def add(self, terms: np.ndarray):
+        """Adds a float64 or complex128 block; returns the offset of its
+        first non-finite term, adding nothing, or None.
+
+        |t| goes into the buffer once: its sum is the block's sum of
+        magnitudes, its finiteness the block's, and on a real block the
+        extraction's b.  A block of finite terms whose magnitudes overflow
+        raises EvaluationError."""
+        buf = self._buf[:terms.size]
+        mag = float(np.add.reduce(np.abs(terms, out=buf)))
+        if not math.isfinite(mag):
+            finite = np.isfinite(terms)
+            if finite.all():
+                raise EvaluationError("series sum overflows")
+            return int(np.argmin(finite))
+        self._mag.append(mag)
+        if terms.dtype == np.float64:
+            self._re += backend.partial_sums(terms, buf, mag, self._n)
+        else:
+            self._re += backend.partial_sums(terms.real, buf, total=self._n)
+            self._im += backend.partial_sums(terms.imag, buf, total=self._n)
+        return None
+
+    def feed(self, blocks):
+        """Adds (first k, terms) blocks until one whose terms are None or not
+        all finite, and returns that block's k or that term's; None when
+        every block was added."""
+        for k0, terms in blocks:
+            if terms is None:
+                return k0
+            bad = self.add(terms)
+            if bad is not None:
+                return k0 + bad
+        return None
+
+    def result(self) -> tuple[complex, float]:
+        """(sum of the terms, sum of their magnitudes)."""
+        try:
+            return (complex(math.fsum(self._re), math.fsum(self._im)),
+                    math.fsum(self._mag))
+        except OverflowError:
+            raise EvaluationError("series sum overflows") from None
+
+
 def direct_sum(spec: SeriesSpec) -> SumResult:
     """Compensated direct evaluation of the series (the oracle).
 
@@ -329,19 +406,28 @@ def direct_sum(spec: SeriesSpec) -> SumResult:
     term, the complex128 lattice (or a loop, for g that rejects arrays)
     gives the terms and names a failing k.  A parsed closure (one of
     :func:`finsum.expr.as_function`) goes straight to a lattice, so it is
-    called once per lattice; any other g is first probed at k = 1, 2, its
-    array values checked against its scalar ones.
-    :func:`finsum.backend.neumaier_sum` reduces the terms (one ``math.fsum``
-    up to 2,048 of them, one error-free extraction beyond); the estimate
-    bounds the rounding accumulation by eps * sum(|terms|).
+    called once per block of the lattice; any other g is first probed at
+    k = 1, 2, its array values checked against its scalar ones.
+
+    The lattice is evaluated and reduced in blocks of ``_BLOCK`` terms, so
+    memory stays O(block) at any N.  Each block is reduced by
+    :func:`finsum.backend.partial_sums` (one ``math.fsum`` for a series of
+    up to 160 terms, one error-free extraction otherwise), and the block
+    sums are carried exactly by ``math.fsum``.  Up to one block the value
+    and estimate are those of one reduction of all terms.  The estimate
+    bounds the rounding accumulation by 2 * eps * sum(|terms|); a series
+    whose sum or sum of magnitudes overflows float64 raises
+    EvaluationError.
     """
     t0 = time.perf_counter_ns()
-    terms = _real_lattice(spec)
-    if terms is None:
-        terms = _complex_terms(spec)
-    value = backend.neumaier_sum(terms)
-    # in float64: a g that returns integers must not wrap the sum around
-    abs_sum = float(np.sum(np.abs(terms), dtype=np.float64))
+    sums = _Sums(spec.n_terms)
+    with np.errstate(all="ignore"):  # a non-finite term is reported by k
+        if sums.feed(_real_blocks(spec)) is not None:
+            sums.clear()
+            k_bad = sums.feed(_complex_blocks(spec))
+            if k_bad is not None:
+                raise EvaluationError("series term is not finite", at=f"k={k_bad}")
+    value, abs_sum = sums.result()
     diag = Diagnostics(nodes=spec.n_terms, runtime_ns=time.perf_counter_ns() - t0)
     return SumResult(value=value, method="oracle", error_estimate=2.0 * _EPS * abs_sum,
                      diagnostics=diag)

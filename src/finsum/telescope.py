@@ -12,10 +12,14 @@ checkpoint's window by Euler-Maclaurin on [M, M+N]: the integral of g over
 the window, from one finite quadrature, with the corrections of d at M,
 d^(j)(M) = g^(j)(M) - g^(j)(M+N), which are those of g at both ends of the
 window (Apostol, "An elementary view of Euler's summation formula", Amer.
-Math. Monthly 1999).  The window integral always exists where g is smooth
-on [M, M+N]; no decay of g is assumed, and a limit c of g is summed inside
-the window as N*c.  The bound is twice the first omitted correction plus
-the quadrature's error estimate.  A checkpoint whose first omitted
+Math. Monthly 1999).  The window integral exists wherever g is smooth on
+[M, M+N], whether or not g decays, and a limit c of g is summed inside the
+window as N*c.  The bound is twice the first omitted correction plus the
+quadrature's error estimate.  It bounds the Euler-Maclaurin remainder only
+while g's next even derivative keeps one sign on the window: for a g
+periodic on the lattice (cos(2*pi*k)), d and its derivatives vanish at M,
+and the window sum comes out as the window integral alone, with an
+estimate near 0.  A checkpoint whose first omitted
 correction is already at least tol takes no window integral (em_tail's
 need), except the last, at max_terms, whose tail the result reports.  When
 jets cannot differentiate d, Gregory's formula takes forward differences of

@@ -245,6 +245,13 @@ class TestExitCodes:
                       "--variant", "alternating")
         assert res.returncode == 2
 
+    def test_overflowing_sum_gives_two(self):
+        """A series whose sum overflows is a typed error, not a traceback,
+        and no numpy warning reaches stderr."""
+        res = run_cli("eval", "--expr", "1e308", "--n", "3000")
+        assert res.returncode == 2
+        assert res.stderr == "finsum: series sum overflows\n"
+
     def test_identities_verify_passes(self):
         res = run_cli("identities", "verify")
         assert res.returncode == 0, res.stdout + res.stderr

@@ -5,7 +5,9 @@ longhand, one per variant, so everything downstream can lean on it.
 """
 
 import cmath
+import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -131,6 +133,27 @@ def _spec(text, n, **kw):
     return SeriesSpec(g=as_function(parse_expression(text)), n_terms=n, **kw)
 
 
+def _lattice_dtypes(spec):
+    """direct_sum(spec), and the dtypes of the arrays g was called on in
+    order, probes included.  The spy keeps g's node, so a parsed closure is
+    still not probed."""
+    dtypes = []
+
+    def spy(x):
+        if isinstance(x, np.ndarray):
+            dtypes.append(x.dtype)
+        return spec.g(x)
+
+    spy.node = getattr(spec.g, "node", None)
+    return direct_sum(dataclasses.replace(spec, g=spy)), dtypes
+
+
+def _complex_terms(spec):
+    """Every term of the complex lattice (or the per-element loop), block
+    after block."""
+    return np.concatenate([terms for _, terms in series._complex_blocks(spec)])
+
+
 # one summand of each spike-catalog family, at alpha != 1
 _SPIKE_FAMILIES = ("1.3*sin(1.7*k)", "0.8*cos(2.9*k)", "k*cos(1.1*k)",
                    "exp(-0.2*k)*cos(0.7*k)", "1.5*exp(-0.3*k)", "1.2*k^3",
@@ -144,9 +167,9 @@ class TestRealLattice:
 
     @staticmethod
     def _agrees_with_complex_lattice(spec):
-        assert series._real_lattice(spec).dtype == np.float64
-        got = direct_sum(spec)
-        want = backend.neumaier_sum(series._complex_terms(spec))
+        got, dtypes = _lattice_dtypes(spec)
+        assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+        want = backend.neumaier_sum(_complex_terms(spec))
         assert abs(got.value - want) <= got.error_estimate
 
     @pytest.mark.parametrize("text, n", cli._BENCH_SUITE)
@@ -172,8 +195,8 @@ class TestRealLattice:
         lattice gives the same value, bit for bit, as before the float64
         lattice existed."""
         spec = _spec("sqrt(k-5)", 30)
-        assert series._real_lattice(spec) is None
-        got = direct_sum(spec)
+        got, dtypes = _lattice_dtypes(spec)
+        assert dtypes == [np.float64, np.complex128]
         assert got.value == complex(float.fromhex("0x1.5688fdb2493e0p+6"),
                                     float.fromhex("0x1.895c653b5e21ep+2"))
         assert got.error_estimate == float.fromhex("0x1.6f1ec405ff200p-45")
@@ -194,10 +217,13 @@ class TestRealLattice:
         assert rec["error_estimate"] == float.fromhex(est)
         assert rec["flags"] == [] and rec["diagnostics"]["nodes"] == 40
 
-    @pytest.mark.parametrize("alpha, beta", [(1.3, 0j), (1.3 + 0.2j, 0j)])
-    def test_parsed_closure_is_called_once(self, alpha, beta):
-        """A parsed closure is not probed: the oracle calls it once, on the
-        float64 lattice or, with complex alpha, on the complex one."""
+    @pytest.mark.parametrize("n", [50, series._BLOCK, 3 * series._BLOCK + 5])
+    @pytest.mark.parametrize("alpha, beta, dtype", [(1.3, 0j, np.float64),
+                                                    (1.3 + 0.2j, 0j, np.complex128)])
+    def test_parsed_closure_is_called_once_per_block(self, alpha, beta, dtype, n):
+        """A parsed closure is not probed: the oracle calls it once per block
+        of the lattice, on the float64 lattice or, with complex alpha, on
+        the complex one."""
         g = as_function(parse_expression("1/(k^2+1)"))
         calls = []
 
@@ -206,9 +232,11 @@ class TestRealLattice:
             return g(k)
 
         counted.node = g.node
-        got = direct_sum(SeriesSpec(counted, 50, alpha=alpha, beta=beta))
-        want = direct_sum(SeriesSpec(g, 50, alpha=alpha, beta=beta))
-        assert len(calls) == 1 and calls[0].shape == (50,)
+        got = direct_sum(SeriesSpec(counted, n, alpha=alpha, beta=beta))
+        want = direct_sum(SeriesSpec(g, n, alpha=alpha, beta=beta))
+        assert len(calls) == math.ceil(n / series._BLOCK)
+        assert [k.shape for k in calls] == [(m,) for _, m in series._blocks(n)]
+        assert {k.dtype for k in calls} == {np.dtype(dtype)}
         assert (got.value, got.error_estimate) == (want.value, want.error_estimate)
 
     @pytest.mark.parametrize("variant, beta", [
@@ -225,8 +253,8 @@ class TestRealLattice:
 
         g.node = as_function(parse_expression("1/(k^2+1)")).node  # skips the probe
         spec = SeriesSpec(g, 40, variant=variant, beta=beta)
-        assert series._real_lattice(spec).dtype == np.float64
-        got = direct_sum(spec)
+        got, dtypes = _lattice_dtypes(spec)
+        assert dtypes == [np.float64]
         want = _loop([complex(term_weight(spec, k)) / (k * k + 1.0) for k in range(1, 41)])
         assert abs(got.value - want) <= got.error_estimate
 
@@ -249,15 +277,16 @@ class TestRealLattice:
                 return np.zeros(k.shape)        # wrong on arrays
             return 1.0 / complex(k) ** 2
 
-        got = direct_sum(SeriesSpec(g, 40))
-        assert series._real_lattice(SeriesSpec(g, 40)) is None
+        got, dtypes = _lattice_dtypes(SeriesSpec(g, 40))
+        assert dtypes == [np.float64, np.complex128]  # the two probes, no lattice
         assert got.value == _loop([1.0 / complex(k) ** 2 for k in range(1, 41)])
 
     def test_complex_beta_keeps_the_complex_lattice(self):
         spec = _spec("1/(k^2+1)", 40, alpha=1.5, variant=Variant.EXP_FACTOR, beta=0.2 + 0.3j)
-        assert series._real_lattice(spec) is None
-        assert direct_sum(spec).value == complex(float.fromhex("0x1.3f3c40ca08710p-2"),
-                                                 float.fromhex("-0x1.407703f1c44e7p-3"))
+        got, dtypes = _lattice_dtypes(spec)
+        assert dtypes == [np.complex128]
+        assert got.value == complex(float.fromhex("0x1.3f3c40ca08710p-2"),
+                                    float.fromhex("-0x1.407703f1c44e7p-3"))
 
 
 def _reference_terms(spec):
@@ -314,7 +343,7 @@ class TestPerElementLoop:
                     direct_sum(spec)
                 assert (str(got.value), got.value.at) == (str(exc), exc.at)
                 continue
-            assert series._complex_terms(spec).tobytes() == want.tobytes()
+            assert _complex_terms(spec).tobytes() == want.tobytes()
             got = direct_sum(spec)
             assert got.value == backend.neumaier_sum(want)
             assert got.error_estimate == 2.0 * series._EPS * float(np.sum(np.abs(want)))
@@ -366,7 +395,7 @@ class TestPerElementLoop:
 
             spec = SeriesSpec(g=_scalars_only(g), n_terms=n, alpha=1.3,
                               variant=variant, beta=0.37)
-            got = series._complex_terms(spec)
+            got = _complex_terms(spec)
             assert len(calls) == n
             assert calls == [term_argument(spec, k) for k in range(1, n + 1)]
             assert got.tobytes() == _reference_terms(spec).tobytes()
@@ -378,6 +407,116 @@ class TestPerElementLoop:
                 return math.inf if round(x.real) == n else 1.0 / x
             err = self._errors(g, variant, n)
             assert err.at == f"k={n}" and "series term is not finite" in str(err)
+
+
+def _scalar_closure(x):
+    return 1.621 * cmath.exp(-0.0118 * x) * cmath.cos(1.8646 * x)
+
+
+class TestBlocks:
+    """The oracle evaluates and reduces its lattice in blocks of _BLOCK
+    terms: the block sums are carried exactly, records up to one block are
+    those of one reduction of all terms, a bad term in a later block is
+    named at its own k, and memory stays O(block)."""
+
+    @pytest.mark.parametrize("n", [series._BLOCK - 1, series._BLOCK, series._BLOCK + 1,
+                                   3 * series._BLOCK + 5])
+    @pytest.mark.parametrize("text, alpha, dtype", [
+        ("k*cos(1.1*k)", 1.3, np.float64),
+        ("1/(k^2+1)+k^0.5*exp(-0.0001*k)", 1.3 + 0.2j, np.complex128)])
+    def test_block_edges_agree_with_fsum_of_the_terms(self, text, alpha, dtype, n):
+        """Within the estimate of math.fsum over the terms of one lattice of
+        all N, and in fact equal to it: the extraction errs by about
+        N * eps^2 * sum|t|, far below an ulp of these sums."""
+        g = as_function(parse_expression(text))
+        with np.errstate(all="ignore"):
+            terms = np.asarray(g(alpha * np.arange(1, n + 1, dtype=dtype)), dtype=np.complex128)
+        want = _loop(terms)
+        got, dtypes = _lattice_dtypes(SeriesSpec(g, n, alpha=alpha))
+        assert set(dtypes) == {np.dtype(dtype)}
+        assert abs(got.value - want) <= got.error_estimate
+        assert got.value == want
+        mag = math.fsum(np.abs(terms).tolist())
+        assert got.error_estimate == pytest.approx(2.0 * series._EPS * mag, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [9630, 2 * series._BLOCK + 2000])
+    def test_block_sums_are_carried_exactly(self, n):
+        """The blocks of k*cos(1.669428*k) at alpha = 1.7088 cancel to a
+        total about a fifth of a block's sum; a short last block summed to
+        one rounded float would move the total by 2 ulp.  Every block of a
+        sum longer than one block is extracted, so the total is the
+        correctly rounded one.  N = 9630 is a spike-catalog request."""
+        g = as_function(parse_expression("k*cos(1.669428*k)"))
+        terms = g(1.7088 * np.arange(1, n + 1, dtype=np.float64))
+        assert direct_sum(SeriesSpec(g, n, alpha=1.7088)).value == math.fsum(terms.tolist())
+
+    @pytest.mark.parametrize("text, n, kw, re, im, est", [
+        ("k*cos(1.669428*k)", 7754, dict(alpha=1.7088),
+         "-0x1.9f89d5c2eb554p+12", "0x0.0p+0", "0x1.f3194c93ba774p-27"),
+        ("0.8/(k^2+2.5)", 8192, {},
+         "0x1.44fd7cd9eebb9p-1", "0x0.0p+0", "0x1.44fd7cd9eebb8p-52"),
+        ("exp(-0.01*k)*cos(0.7*k)", 4098,
+         dict(alpha=1.3, variant="exp-factor-alternating", beta=0.21),
+         "0x1.b9bf363ee8e3fp-2", "0x0.0p+0", "0x1.3600d360c193ep-50"),
+        ("1/(k^2+1)+k^0.5*exp(-0.1*k)", 3000, dict(alpha=1 + 0.1j),
+         "0x1.c9a2b6ec979fdp+4", "-0x1.77f2637a04fb6p+1", "0x1.cf2b1324ae306p-47"),
+        ("sqrt(k-5)", 5000, {},
+         "0x1.cbbbf67f935fep+17", "0x1.895c653b5e21ep+2", "0x1.cbbf09385dd69p-34")])
+    def test_records_up_to_one_block_are_unchanged(self, text, n, kw, re, im, est):
+        """At 2,048 < N <= _BLOCK the record is the one a single extraction
+        over all terms gave: the float64 lattice, a weighted variant, the
+        complex lattice and a fallback to it, bit for bit."""
+        rec = cli.run(text, n, "oracle", **kw)["results"][0]
+        assert (rec["value"]["re"], rec["value"]["im"]) == (float.fromhex(re), float.fromhex(im))
+        assert rec["error_estimate"] == float.fromhex(est)
+
+    def test_scalar_closure_record_up_to_one_block_is_unchanged(self):
+        spec = SeriesSpec(_scalars_only(_scalar_closure), 6000, alpha=1.3,
+                          variant=Variant.EXP_FACTOR, beta=0.001 - 0.5j)
+        got = direct_sum(spec)
+        assert got.value == complex(float.fromhex("-0x1.9abde19708e05p-1"),
+                                    float.fromhex("-0x1.e7e1e1e2f5807p-3"))
+        assert got.error_estimate == float.fromhex("0x1.f2dccd64e9c42p-46")
+
+    @staticmethod
+    def _raises_at(spec, k, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match=message) as info:
+                direct_sum(spec)
+        assert info.value.at == f"k={k}"
+
+    def test_non_finite_term_in_a_later_block_is_named(self):
+        self._raises_at(_spec("1/(k-20000)", 30_000), 20_000, "series term is not finite")
+
+    @pytest.mark.parametrize("f, message", [
+        (lambda x: 1.0 / (x - 20000.0), "series term failed to evaluate"),
+        (lambda x: math.inf if round(x.real) == 20000 else 1.0 / x, "series term is not finite")])
+    def test_scalar_closure_failing_in_a_later_block_is_named(self, f, message):
+        self._raises_at(SeriesSpec(_scalars_only(f), 30_000), 20_000, message)
+
+    @pytest.mark.parametrize("text, n", [("1e308", 100), ("1e308", 3000),
+                                         ("-1e304", 3 * series._BLOCK)])
+    def test_overflowing_sum_raises_a_typed_error(self, text, n):
+        """Finite terms whose sum of magnitudes overflows, within one block
+        or only across blocks, are not taken for a non-finite term; no
+        numpy warning escapes first."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="series sum overflows") as info:
+                cli.run(text, n, "oracle")
+        assert info.value.at is None
+
+    def test_memory_stays_within_a_few_blocks(self):
+        """The lattice of 10^6 terms alone is 8 MB; the oracle holds a block."""
+        spec = _spec("0.8/(k^2+2.5)", 1_000_000)
+        tracemalloc.start()
+        try:
+            direct_sum(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestTermHelpers:
