@@ -7,7 +7,8 @@ evaluates ``summation_factor`` at a scalar or a jet without them.  The comb
 behind both lives in :mod:`finsum.jets`.  ``partial_sums`` is the one
 compensated reduction: ``math.fsum`` on short sums, one error-free
 extraction on long ones.  The oracle applies it to each block of its
-lattice, and ``neumaier_sum`` to a whole array.
+lattice, and ``neumaier_sum`` to a whole array: in the package, only the
+dual sum :func:`finsum.laplace.type_b_sum` calls it.
 """
 
 from __future__ import annotations
@@ -95,9 +96,11 @@ def neumaier_sum(x: np.ndarray) -> complex:
     rounding the result is within about 1e-25 of ``sum(|x|)`` of the exact
     sum at 1e5 terms, far inside the oracle's charge of
     ``2 * eps * sum(|x|)``.  The oracle reduces its lattice block by block
-    through the same :func:`partial_sums`; the laplace spike path sums its
-    terms here.  The name stays from the Neumaier loop that came before,
-    because callers and tracing wrappers look the function up by it.
+    through the same :func:`partial_sums`, and the laplace route adds its
+    spike contributions in plain Python; in the package only the dual sum
+    :func:`finsum.laplace.type_b_sum` sums its terms here.  The name stays
+    from the Neumaier loop that came before, because callers and tracing
+    wrappers look the function up by it.
     """
     x = np.asarray(x)
     parts = 2 if np.iscomplexobj(x) else 1

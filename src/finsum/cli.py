@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from . import expr as ex
 from .errors import (CapabilityError, DomainError, EvaluationError,
-                     FinsumError, ParseError, PreconditionError)
+                     FinsumError, PreconditionError)
 from .eulermaclaurin import EMJob, em_sum
 from .fourier import recognize_fourier, sum_via_fourier
 from .identities import catalog_entry, eval_identity, verify_all
@@ -428,9 +428,6 @@ def main(argv=None) -> int:
         if args.command == "identities":
             return _cmd_identities(args, config)
         return _cmd_bench(args, config)
-    except ParseError as exc:
-        sys.stderr.write(f"finsum: {exc}\n")
-        return 2
     except FinsumError as exc:
         sys.stderr.write(f"finsum: {exc}\n")
         return 2

@@ -255,9 +255,7 @@ def evaluate(node: Node, k):
             be = evaluate(b, k)
             ee = evaluate(e, k)
             if isinstance(be, jets.Jet) or isinstance(ee, jets.Jet):
-                if isinstance(be, jets.Jet):
-                    return be ** ee
-                return jets.exp(jets.log(jets.Jet((complex(be),) + (0,) * ee.order)) * ee)
+                return be ** ee
             if isinstance(be, np.ndarray) or isinstance(ee, np.ndarray):
                 if (isinstance(be, np.ndarray) and be.dtype == np.float64 and isinstance(ee, float)
                         and (ee.is_integer() or np.all(be > 0))):

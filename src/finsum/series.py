@@ -147,8 +147,8 @@ def term_argument(spec: SeriesSpec, k):
 
 
 def term_weight(spec: SeriesSpec, k):
-    """The variant weight at index k (scalar or array of indices); float64
-    on a float64 index array when beta is real."""
+    """The variant weight at index k (scalar, or float64 or complex128
+    array of indices); float64 on a float64 index array when beta is real."""
     w = 1.0
     if spec.variant.is_exp_factor:
         if isinstance(k, np.ndarray):
@@ -158,7 +158,7 @@ def term_weight(spec: SeriesSpec, k):
             w = jets.exp(-spec.beta * k)
     if spec.variant.is_alternating:
         if isinstance(k, np.ndarray):
-            sign = np.where(np.asarray(k).astype(np.int64) % 2 == 1, 1.0, -1.0)
+            sign = np.where(k.real.astype(np.int64) % 2 == 1, 1.0, -1.0)
         else:
             sign = 1.0 if int(k) % 2 == 1 else -1.0
         w = w * sign
@@ -194,7 +194,7 @@ def effective_term(spec: SeriesSpec) -> Callable:
     return h
 
 
-def _probe_vectorized(g: Callable, dtype=np.complex128) -> bool:
+def _probe_vectorized(g: Callable, dtype) -> bool:
     """True when g maps an array of the dtype to a matching array of values."""
     probe = np.array([1.0, 2.0], dtype=dtype)
     try:
@@ -226,112 +226,83 @@ def _blocks(n: int):
     return ((k0, min(_BLOCK, n + 1 - k0)) for k0 in range(1, n + 1, _BLOCK))
 
 
-def _real_blocks(spec: SeriesSpec):
-    """The weighted terms on a float64 lattice, as (first k, terms) per
-    block; terms is None, and the series must go to the complex lattice,
-    when alpha or a beta the variant uses is complex, when a closure other
-    than a parsed one fails the probe, or where g raises or gives no array
-    of the block's shape.
+def _lattice_blocks(spec: SeriesSpec, dtype):
+    """The weighted terms on a lattice of the dtype, float64 or complex128,
+    as (first k, terms) per block.
 
-    Only the operations that change a value run: no scaling when alpha is
-    1, no shift unless the variant is shifted, no weighting unless it is
-    alternating or exp-factor.  The weights are formed before g runs, so a
-    g that writes into its argument cannot change them.  Terms come as
-    float64, or complex128 where g gives complex values."""
-    variant = spec.variant
-    beta_used = variant.is_shifted or variant.is_exp_factor
-    if (spec.alpha.imag != 0.0 or (beta_used and spec.beta.imag != 0.0)
-            or not (_parsed(spec.g) or _probe_vectorized(spec.g, np.float64))):
-        yield 1, None
-        return
-    g, alpha = spec.g, spec.alpha.real
-    shift = spec.beta.real if variant.is_shifted else None
+    The float64 lattice takes the real parts of alpha and beta, the
+    complex128 lattice their values.  A parsed closure goes to the lattice
+    unprobed, any other g once it passes the probe.  A block is one shifted
+    copy of the indices: its weights are formed from it before g runs, so a
+    g that writes into its argument cannot change them, and then it is
+    scaled and shifted in place.  Only the operations that change a value
+    run: no scaling when alpha is 1, no shift unless the variant is
+    shifted, no weighting unless it is alternating or exp-factor.  Terms
+    come in the lattice's dtype, or complex128 where g gives complex
+    values.
+
+    Where g fails the probe, raises or gives no array of the block's shape,
+    the float64 lattice yields None as the terms, and the series must go to
+    the complex128 lattice; that lattice forms the block by
+    :func:`_term_block` instead."""
+    g, variant = spec.g, spec.variant
+    alpha, beta = ((spec.alpha, spec.beta) if dtype == np.complex128
+                   else (spec.alpha.real, spec.beta.real))
+    shift = beta if variant.is_shifted else None
     weighted = variant.is_alternating or variant.is_exp_factor
-    for k0, m in _blocks(spec.n_terms):
-        args = _INDICES[:m] + (k0 - 1)  # the block's own array, scaled in place
-        try:
-            weights = term_weight(spec, args) if weighted else None
-            if alpha != 1:
-                args *= alpha
-            if shift is not None:
-                args += shift
-            vals = g(args)
-            terms = None
-            if isinstance(vals, np.ndarray) and vals.shape == (m,):
-                terms = vals if weights is None else vals * weights
-                terms = terms.astype(np.complex128 if terms.dtype.kind == "c" else np.float64,
-                                     copy=False)
-        except Exception:
-            terms = None
-        yield k0, terms
-
-
-def _complex_blocks(spec: SeriesSpec):
-    """The weighted terms on a complex128 lattice, as (first k, terms) per
-    block, or one by one where g does not take arrays; EvaluationError names
-    the first k whose g raises.
-
-    A parsed closure goes to the lattice unprobed, any other g once it
-    passes the probe.  A block on which g raises or gives no array of the
-    block's shape is taken to reject arrays: its terms are formed in one
-    pass of g over the arguments, each value weighted by the operations of
-    :func:`term_argument` and :func:`term_weight` in their order, so the
-    terms are the same bits.  The variant is resolved once per series.  On
-    an exception, :func:`_term_loop` replays the block term by term, so
-    that the error names the first failing index."""
-    g, alpha, variant = spec.g, spec.alpha, spec.variant
-    lattice = _parsed(g) or _probe_vectorized(g)
-    shift = spec.beta if variant.is_shifted else None
-    damping = -spec.beta if variant.is_exp_factor else None
+    lattice = _parsed(g) or _probe_vectorized(g, dtype)
     for k0, m in _blocks(spec.n_terms):
         terms = None
         if lattice:
-            ks = np.arange(k0, k0 + m, dtype=np.complex128)
+            args = _INDICES[:m] + dtype(k0 - 1)  # the block's own array, scaled in place
             try:
-                vals = g(alpha * ks + (0.0 if shift is None else shift))
+                weights = term_weight(spec, args) if weighted else None
+                if alpha != 1:
+                    args *= alpha
+                if shift is not None:
+                    args += shift
+                vals = g(args)
+                if isinstance(vals, np.ndarray) and vals.shape == (m,):
+                    terms = vals if weights is None else vals * weights
+                    terms = terms.astype(np.complex128 if terms.dtype.kind == "c" else dtype,
+                                         copy=False)
             except Exception:
-                vals = None  # the block goes term by term below
-            if isinstance(vals, np.ndarray) and vals.shape == (m,):
-                weights = term_weight(spec, np.arange(k0, k0 + m))
-                terms = (np.asarray(vals, dtype=np.complex128)
-                         * np.asarray(weights, dtype=np.complex128))
-        if terms is None:
-            terms = _term_block(g, alpha, shift, damping, variant.is_alternating, k0, m)
+                terms = None
+        if terms is None and dtype == np.complex128:
+            terms = _term_block(spec, k0, m)
         yield k0, terms
 
 
-def _term_block(g, alpha, shift, damping, alternating, k0, m) -> np.ndarray:
-    """The terms k0 .. k0+m-1 of a g that rejects arrays, in one pass."""
+def _term_block(spec: SeriesSpec, k0: int, m: int) -> np.ndarray:
+    """The terms k0 .. k0+m-1 of a g that rejects arrays, in one pass of g
+    over the arguments.  Each value is weighted by the operations of
+    :func:`term_argument` and :func:`term_weight` in their order, so the
+    terms are the same bits.  On an exception :func:`_term_loop` replays
+    the block term by term, so that the error names the first failing k."""
+    variant = spec.variant
     # iterators, so that no list of arguments or weights is held
     ks = range(k0, k0 + m)
-    xs = map(operator.mul, itertools.repeat(alpha), ks)
-    if shift is not None:
-        xs = map(operator.add, xs, itertools.repeat(shift))
-    weights = (itertools.repeat(1.0, m) if damping is None
-               else map(cmath.exp, map(operator.mul, itertools.repeat(damping), ks)))
-    if alternating:  # k0 is odd
+    xs = map(operator.mul, itertools.repeat(spec.alpha), ks)
+    if variant.is_shifted:
+        xs = map(operator.add, xs, itertools.repeat(spec.beta))
+    weights = (map(cmath.exp, map(operator.mul, itertools.repeat(-spec.beta), ks))
+               if variant.is_exp_factor else itertools.repeat(1.0, m))
+    if variant.is_alternating:  # k0 is odd
         weights = map(operator.mul, weights, itertools.cycle((1.0, -1.0)))
     try:
-        return np.fromiter(map(operator.mul, map(complex, map(g, xs)), weights),
+        return np.fromiter(map(operator.mul, map(complex, map(spec.g, xs)), weights),
                            dtype=np.complex128, count=m)
     except Exception:
-        return _term_loop(g, alpha, shift, damping, alternating, k0, m)
+        return _term_loop(spec, k0, m)
 
 
-def _term_loop(g, alpha, shift, damping, alternating, k0, m) -> np.ndarray:
+def _term_loop(spec: SeriesSpec, k0: int, m: int) -> np.ndarray:
     """The terms k0 .. k0+m-1 one at a time, each formed and checked before
     the next."""
     terms = []
     for k in range(k0, k0 + m):
         try:
-            x = alpha * k
-            if shift is not None:
-                x = x + shift
-            value = complex(g(x))
-            w = 1.0 if damping is None else cmath.exp(damping * k)
-            if alternating:
-                w = w * (1.0 if k % 2 == 1 else -1.0)
-            term = value * w
+            term = complex(spec.g(term_argument(spec, k))) * term_weight(spec, k)
         except Exception as exc:
             raise EvaluationError(f"series term failed to evaluate: {exc}", at=f"k={k}") from exc
         if not (math.isfinite(term.real) and math.isfinite(term.imag)):
@@ -401,13 +372,15 @@ class _Sums:
 def direct_sum(spec: SeriesSpec) -> SumResult:
     """Compensated direct evaluation of the series (the oracle).
 
-    g runs on a float64 lattice when alpha is real and beta real or unused.
-    Otherwise, or when g raises there, gives the wrong shape or a non-finite
-    term, the complex128 lattice (or a loop, for g that rejects arrays)
-    gives the terms and names a failing k.  A parsed closure (one of
-    :func:`finsum.expr.as_function`) goes straight to a lattice, so it is
-    called once per block of the lattice; any other g is first probed at
-    k = 1, 2, its array values checked against its scalar ones.
+    g runs on a float64 lattice when alpha is real and beta real or unused
+    by the variant.  Otherwise, or when g fails the probe, raises, gives the
+    wrong shape or a non-finite term there, the complex128 lattice gives the
+    terms, block by block or, where g rejects arrays, term by term, and
+    names a failing k.  Both lattices come from :func:`_lattice_blocks`.  A
+    parsed closure (one of :func:`finsum.expr.as_function`) goes straight
+    to a lattice, so it is called once per block of the lattice; any other
+    g is first probed at k = 1, 2, its array values checked against its
+    scalar ones.
 
     The lattice is evaluated and reduced in blocks of ``_BLOCK`` terms, so
     memory stays O(block) at any N.  Each block is reduced by
@@ -421,10 +394,12 @@ def direct_sum(spec: SeriesSpec) -> SumResult:
     """
     t0 = time.perf_counter_ns()
     sums = _Sums(spec.n_terms)
+    beta_used = spec.variant.is_shifted or spec.variant.is_exp_factor
+    real = spec.alpha.imag == 0.0 and not (beta_used and spec.beta.imag != 0.0)
     with np.errstate(all="ignore"):  # a non-finite term is reported by k
-        if sums.feed(_real_blocks(spec)) is not None:
+        if not real or sums.feed(_lattice_blocks(spec, np.float64)) is not None:
             sums.clear()
-            k_bad = sums.feed(_complex_blocks(spec))
+            k_bad = sums.feed(_lattice_blocks(spec, np.complex128))
             if k_bad is not None:
                 raise EvaluationError("series term is not finite", at=f"k={k_bad}")
     value, abs_sum = sums.result()

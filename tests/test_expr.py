@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from finsum import expr as ex
+from finsum import jets
 from finsum.errors import ParseError
 
 
@@ -89,6 +90,23 @@ class TestEvaluation:
         assert np.iscomplexobj(got)
         np.testing.assert_array_equal(got, np.asarray(ks - 5.0, dtype=complex) ** 0.5)
         assert got[0] == pytest.approx(2j, rel=1e-15)
+
+    @pytest.mark.parametrize("text", ["2^k", "0.5^(k/3)", "k^k", "(k+1)^(0.5*k)"])
+    @pytest.mark.parametrize("x", [1.7, np.array([0.5, 1.7, 3.2])])
+    def test_power_at_a_jet_is_exp_of_log_times_exponent(self, text, x):
+        """A power whose exponent is a jet, on a constant or a jet base, has
+        the coefficients of exp(log(base) * exponent), at a scalar jet and a
+        batch jet."""
+        node = ex.parse_expression(text)
+        k = jets.Jet.variable(x, 4)
+        base, exponent = ex.evaluate(node.base, k), ex.evaluate(node.exponent, k)
+        if not isinstance(base, jets.Jet):
+            base = jets.Jet((complex(base),) + (0j,) * k.order)
+        want = jets.exp(jets.log(base) * exponent)
+        got = ex.evaluate(node, k)
+        assert len(got.coeffs) == len(want.coeffs)
+        for a, b in zip(got.coeffs, want.coeffs):
+            np.testing.assert_array_equal(a, b)
 
     def test_complex_argument(self):
         node = ex.parse_expression("exp(-k)")

@@ -151,7 +151,7 @@ def _lattice_dtypes(spec):
 def _complex_terms(spec):
     """Every term of the complex lattice (or the per-element loop), block
     after block."""
-    return np.concatenate([terms for _, terms in series._complex_blocks(spec)])
+    return np.concatenate([terms for _, terms in series._lattice_blocks(spec, np.complex128)])
 
 
 # one summand of each spike-catalog family, at alpha != 1
@@ -469,6 +469,46 @@ class TestBlocks:
         rec = cli.run(text, n, "oracle", **kw)["results"][0]
         assert (rec["value"]["re"], rec["value"]["im"]) == (float.fromhex(re), float.fromhex(im))
         assert rec["error_estimate"] == float.fromhex(est)
+
+    @pytest.mark.parametrize("variant, beta, re, im, est", [
+        ("standard", 0j, "0x1.2ffa59d0085afp+18", "-0x1.77ef2519d72c8p+11",
+         "0x1.304988ea540d0p-33"),
+        ("alternating", 0j, "-0x1.11a4c3466e716p+4", "0x1.8ccbe894db2d4p+0",
+         "0x1.30527a3416aecp-33"),
+        ("shifted", 0.0005 - 0.35j, "0x1.2ff9cd894a21ep+18", "-0x1.790a85e88424cp+11",
+         "0x1.3048cb2c39c9bp-33"),
+        ("shifted-alternating", 0.0005 - 0.35j, "-0x1.11a4544a81cd5p+4",
+         "0x1.8f485553d947cp+0", "0x1.3051bc7486252p-33"),
+        ("exp-factor", 0.0005 - 0.35j, "-0x1.27b1c6c37fa38p+2", "0x1.28cca0edbc566p+2",
+         "0x1.ee233dfa8e4f7p-36"),
+        ("exp-factor-alternating", 0.0005 - 0.35j, "0x1.b4503ec79c610p-1",
+         "0x1.85928597e36fap-2", "0x1.ee246dcca7c4bp-36"),
+        ("exp-factor", 0.0005, "0x1.ed9d9382eab13p+15", "0x1.ec380053179cdp+10",
+         "0x1.ee233dfa8e4f9p-36")])
+    def test_complex_lattice_records_past_one_block(self, variant, beta, re, im, est):
+        """Complex alpha, N = _BLOCK + 5 (+ 6 on the alternating variants):
+        the complex lattice's record over two blocks, bit for bit, on every
+        variant; a real beta keeps its complex weights exp(-beta*k)."""
+        n = series._BLOCK + 5 + Variant(variant).is_alternating
+        rec = cli.run("1/(k^2+1)+k^0.5*exp(-0.0001*k)", n, "oracle", alpha=1.3 + 0.2j,
+                      variant=variant, beta=beta)["results"][0]
+        assert (rec["value"]["re"], rec["value"]["im"]) == (float.fromhex(re), float.fromhex(im))
+        assert rec["error_estimate"] == float.fromhex(est)
+        assert rec["flags"] == [] and rec["diagnostics"]["nodes"] == n
+
+    @pytest.mark.parametrize("n, kw, re, im, est", [
+        (2 * series._BLOCK + 3, {},
+         "0x1.554952132a391p+20", "0x1.895c653b5e21ep+2", "0x1.5549b46a4387ep-31"),
+        (2 * series._BLOCK + 4, dict(variant="exp-factor-alternating", beta=0.0005),
+         "-0x1.964c4e1ee59bdp-2", "0x1.5d945a1d5bf01p-1", "0x1.3497c0c1a579ep-35")])
+    def test_fallback_to_the_complex_lattice_past_one_block(self, n, kw, re, im, est):
+        """sqrt(k-5) is nan on the float64 lattice's first block; the oracle
+        restarts on the complex lattice, whose three blocks give the record."""
+        spec = _spec("sqrt(k-5)", n, **kw)
+        got, dtypes = _lattice_dtypes(spec)
+        assert dtypes == [np.float64] + [np.complex128] * 3
+        assert got.value == complex(float.fromhex(re), float.fromhex(im))
+        assert got.error_estimate == float.fromhex(est)
 
     def test_scalar_closure_record_up_to_one_block_is_unchanged(self):
         spec = SeriesSpec(_scalars_only(_scalar_closure), 6000, alpha=1.3,
