@@ -21,15 +21,13 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from . import expr as ex
 from .errors import (CapabilityError, DomainError, EvaluationError,
                      FinsumError, PreconditionError)
 from .eulermaclaurin import EMJob, em_sum
 from .fourier import recognize_fourier, sum_via_fourier
-from .identities import catalog_entry, eval_identity, verify_all
+from .identities import catalog_entry, dense_grids, eval_identity, verify_all
 from .kernels import decompose, recognize_pair
 from .laplace import sum_via_integral
 from .series import (Diagnostics, SeriesSpec, SumResult, Variant, direct_sum,
@@ -311,30 +309,11 @@ def _cmd_eval(args, config: dict) -> int:
     return _exit_code(report, requested)
 
 
-def _dense_grids() -> dict:
-    thetas = [float(t) for t in np.round(np.arange(0.15, 6.14, 0.13), 10)]
-    ns = (1, 2, 3, 5, 8, 13, 21, 50)
-    trig = [({"theta": t}, n) for t in thetas for n in ns]
-    return {
-        "sine": trig,
-        "cosine": trig,
-        "k-cosine": trig,
-        "exp-cosine": [({"theta": t, "beta": b}, n)
-                       for t in thetas[::4]
-                       for b in (0.1, 0.5, 1.0, 2.0, 3.0) for n in ns],
-        "power": [({"s": s}, n) for s in (1.1, 1.5, 2.0, 2.5, 3.0, 4.0)
-                  for n in (1, 2, 10, 100, 1000)],
-        "geometric": [({"a": a, "alpha": al}, n)
-                      for a in (0.1, 0.3, 1.0, 2.0) for al in (0.5, 1.0, 2.0)
-                      for n in (1, 5, 20, 100)],
-    }
-
-
 def _cmd_identities(args, config: dict) -> int:
     grid = _setting(args, config, "grid", str, "default")
     if grid not in ("default", "dense"):
         raise DomainError(f"unknown grid {grid!r}; have default, dense")
-    reports = verify_all(_dense_grids() if grid == "dense" else None)
+    reports = verify_all(dense_grids() if grid == "dense" else None)
     failures = 0
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"

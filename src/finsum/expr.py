@@ -98,6 +98,9 @@ Node = Union[Num, Const, Var, Neg, Add, Sub, Mul, Div, Pow, Call]
 # ---------------------------------------------------------------------------
 # tokenizer / parser
 
+# nesting levels (parentheses, calls, unary minus, exponents) the parser
+# accepts; every tree walk here recurses once per level
+_MAX_DEPTH = 100
 _TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?|([A-Za-z_]\w*)|([()+\-*/^]))")
 
 
@@ -129,6 +132,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -175,11 +179,18 @@ class _Parser:
                 return node
 
     def unary(self) -> Node:
-        kind, val, _ = self.peek()
+        # every nested operand is parsed through here
+        kind, val, off = self.peek()
+        if self.depth == _MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {_MAX_DEPTH} levels", off)
+        self.depth += 1
         if kind == "op" and val == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            node = Neg(self.unary())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Node:
         base = self.atom()
@@ -325,67 +336,6 @@ def is_constant(node: Node) -> bool:
 def constant_value(node: Node) -> complex:
     """Numeric value of a k-free subtree."""
     return complex(evaluate(node, 0.0))
-
-
-def poly_coefficients(node: Node, max_degree: int = 2) -> list[complex] | None:
-    """[c0, c1, ...] with node == sum c_j k^j, or None if not such a polynomial."""
-
-    def combine(a, b, mul):
-        if a is None or b is None:
-            return None
-        if not mul:
-            out = [0j] * max(len(a), len(b))
-            for i, v in enumerate(a):
-                out[i] += v
-            for i, v in enumerate(b):
-                out[i] += v
-            return out
-        if (len(a) - 1) + (len(b) - 1) > max_degree:
-            return None
-        out = [0j] * (len(a) + len(b) - 1)
-        for i, va in enumerate(a):
-            for j, vb in enumerate(b):
-                out[i + j] += va * vb
-        return out
-
-    match node:
-        case _ if is_constant(node):
-            return [constant_value(node)]
-        case Var():
-            return [0j, 1 + 0j]
-        case Neg(arg=a):
-            p = poly_coefficients(a, max_degree)
-            return None if p is None else [-c for c in p]
-        case Add(left=l, right=r):
-            return combine(poly_coefficients(l, max_degree), poly_coefficients(r, max_degree), False)
-        case Sub(left=l, right=r):
-            rp = poly_coefficients(r, max_degree)
-            rp = None if rp is None else [-c for c in rp]
-            return combine(poly_coefficients(l, max_degree), rp, False)
-        case Mul(left=l, right=r):
-            return combine(poly_coefficients(l, max_degree), poly_coefficients(r, max_degree), True)
-        case Div(left=l, right=r):
-            if not is_constant(r):
-                return None
-            d = constant_value(r)
-            p = poly_coefficients(l, max_degree)
-            return None if p is None else [c / d for c in p]
-        case Pow(base=b, exponent=e):
-            if not is_constant(e):
-                return None
-            ev = constant_value(e)
-            if ev.imag != 0 or ev.real != int(ev.real) or ev.real < 0:
-                return None
-            p = poly_coefficients(b, max_degree)
-            if p is None:
-                return None
-            out = [1 + 0j]
-            for _ in range(int(ev.real)):
-                out = combine(out, p, True)
-                if out is None:
-                    return None
-            return out
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,26 @@ def _geometric_grid():
             for a in (0.3, 1.0, 2.0) for al in (0.5, 1.0, 2.0) for n in (1, 5, 20)]
 
 
+def dense_grids() -> dict:
+    """A denser sweep of every identity, by name, for ``verify_all``."""
+    thetas = [float(t) for t in np.round(np.arange(0.15, 6.14, 0.13), 10)]
+    ns = (1, 2, 3, 5, 8, 13, 21, 50)
+    trig = [({"theta": t}, n) for t in thetas for n in ns]
+    return {
+        "sine": trig,
+        "cosine": trig,
+        "k-cosine": trig,
+        "exp-cosine": [({"theta": t, "beta": b}, n)
+                       for t in thetas[::4]
+                       for b in (0.1, 0.5, 1.0, 2.0, 3.0) for n in ns],
+        "power": [({"s": s}, n) for s in (1.1, 1.5, 2.0, 2.5, 3.0, 4.0)
+                  for n in (1, 2, 10, 100, 1000)],
+        "geometric": [({"a": a, "alpha": al}, n)
+                      for a in (0.1, 0.3, 1.0, 2.0) for al in (0.5, 1.0, 2.0)
+                      for n in (1, 5, 20, 100)],
+    }
+
+
 REGISTRY: dict[str, Identity] = {
     ident.name: ident for ident in (
         Identity("sine", ("theta",), _sine_closed, _sine_ref,

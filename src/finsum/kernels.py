@@ -13,6 +13,12 @@ through quadrature.
 ``linear_terms`` normalizes an expression tree into a sum of terms, each a
 coefficient times a product of atomic factors in k (powers, exponentials,
 sines/cosines of theta*k, Lorentzian denominators, Gaussian exponents).
+It is the one expansion of a tree into terms: like terms merge, a power of
+one term is c^p times its factors to the p (``sqrt(x)`` is ``x^0.5``), and
+an integer power of a sum expands by repeated products within a budget of
+``_MAX_TERMS`` terms.  The polynomials in exponents, trigonometric
+arguments and denominators are read off these terms
+(``polynomial_coefficients``).
 ``decompose`` is its public face: it drops the zero terms and is the one
 place a summand without such a decomposition is refused.  Its terms are
 what every term-table route reads -- the catalog in ``recognize_pair``
@@ -39,6 +45,9 @@ KPOW = ("kpow", None)    # value: exponent of k
 EXP = ("exp", None)      # value: c in exp(c*k)
 GAUSS = ("gauss", None)  # value: c in exp(c*k^2)
 _MAX_DELTA_ORDER = 4
+# terms a product of two sums may leave once like terms merge; a summand
+# whose expansion needs more is refused
+_MAX_TERMS = 64
 
 
 @dataclass(frozen=True)
@@ -118,22 +127,53 @@ def _merge(f1: dict, f2: dict) -> dict:
     return out
 
 
+def _collect(terms):
+    """Like terms summed, in order of first appearance."""
+    if len(terms) == 2 and terms[0][1] != terms[1][1]:
+        return terms
+    out = {}
+    for coeff, factors in terms:
+        key = frozenset(factors.items())
+        prev = out.get(key)
+        out[key] = (coeff, factors) if prev is None else (prev[0] + coeff, prev[1])
+    return list(out.values())
+
+
 def _cross(terms1, terms2):
-    return [(c1 * c2, _merge(f1, f2)) for c1, f1 in terms1 for c2, f2 in terms2]
+    out = [(c1 * c2, _merge(f1, f2)) for c1, f1 in terms1 for c2, f2 in terms2]
+    # one term shifts every factor dict of the other side alike, so only a
+    # product of two sums can bring like terms together
+    if len(terms1) > 1 and len(terms2) > 1:
+        out = _collect(out)
+        if len(out) > _MAX_TERMS:
+            raise _Unrecognized(f"expansion exceeds {_MAX_TERMS} terms")
+    return out
 
 
-def _padded_poly(node: ex.Node, degree: int):
-    p = ex.poly_coefficients(node, degree)
-    if p is None:
-        return None
-    return p + [0j] * (degree + 1 - len(p))
+def polynomial_coefficients(terms, degree: int = 2) -> list[complex] | None:
+    """[c0, ..., c_degree] when the terms are a polynomial in k of at most
+    that degree, else None."""
+    coeffs = [0j] * (degree + 1)
+    for coeff, factors in terms:
+        p = factors.get(KPOW, 0.0)
+        if len(factors) > (KPOW in factors) or p not in range(degree + 1):
+            return None
+        coeffs[int(p)] += coeff
+    return coeffs
+
+
+def _polynomial(node: ex.Node, degree: int, why: str) -> list[complex]:
+    try:
+        coeffs = polynomial_coefficients(linear_terms(node), degree)
+    except _Unrecognized:
+        coeffs = None
+    if coeffs is None:
+        raise _Unrecognized(why)
+    return coeffs
 
 
 def _exp_terms(arg: ex.Node):
-    p = _padded_poly(arg, 2)
-    if p is None:
-        raise _Unrecognized("exponent is not a polynomial of degree <= 2 in k")
-    c0, c1, c2 = p
+    c0, c1, c2 = _polynomial(arg, 2, "exponent is not a polynomial of degree <= 2 in k")
     factors = {}
     if c1 != 0:
         factors[EXP] = c1
@@ -144,10 +184,10 @@ def _exp_terms(arg: ex.Node):
 
 def _trig_frequency(arg: ex.Node, fn: str) -> tuple[float, complex]:
     """(theta, sign factor) for sin/cos of a homogeneous linear argument."""
-    p = _padded_poly(arg, 1)
-    if p is None or p[0] != 0:
-        raise _Unrecognized(f"{fn} argument must be a multiple of k")
-    c1 = p[1]
+    why = f"{fn} argument must be a multiple of k"
+    c0, c1 = _polynomial(arg, 1, why)
+    if c0 != 0:
+        raise _Unrecognized(why)
     if abs(c1.imag) > 1e-14 * max(1.0, abs(c1)):
         raise _Unrecognized(f"{fn} frequency must be real")
     theta = c1.real
@@ -156,35 +196,58 @@ def _trig_frequency(arg: ex.Node, fn: str) -> tuple[float, complex]:
     return theta, 1
 
 
-def _invert(node: ex.Node):
-    """Terms of 1/node, for the denominators the catalog understands."""
-    if ex.is_constant(node):
-        return [(1.0 / ex.constant_value(node), {})]
-    p = ex.poly_coefficients(node, 2)
-    if p is not None:
-        p = p + [0j] * (3 - len(p))
-        c0, c1, c2 = p
-        if c2 == 0 and c0 == 0:
-            return [(1.0 / c1, {KPOW: -1.0})]
-        if c1 == 0 and c2 != 0:
-            if c0 == 0:
-                return [(1.0 / c2, {KPOW: -2.0})]
-            ratio = c0 / c2
-            if abs(ratio.imag) <= 1e-14 * abs(ratio) or ratio.imag == 0:
-                if ratio.real > 0:
-                    a = math.sqrt(ratio.real)
-                    return [(1.0 / c2, {("lorentz", a): 1})]
-            raise _Unrecognized(f"denominator k^2 + {ratio} is not a positive Lorentzian")
-        raise _Unrecognized("denominator polynomial is not of a recognized shape")
-    inner = linear_terms(node)
-    if len(inner) != 1:
+def _invert(terms):
+    """The one term of 1/(sum of terms), for the denominators the catalog
+    understands."""
+    terms = [term for term in terms if term[0] != 0]
+    if not terms:
+        raise _Unrecognized("division by zero")
+    if len(terms) == 1:
+        coeff, factors = terms[0]
+        return [(1.0 / coeff, {key: -val for key, val in factors.items()})]
+    coeffs = polynomial_coefficients(terms, 2)
+    if coeffs is None:
         raise _Unrecognized("cannot invert a multi-term denominator")
-    coeff, factors = inner[0]
-    return [(1.0 / coeff, {key: -val for key, val in factors.items()})]
+    c0, c1, c2 = coeffs
+    if c1 == 0 and c2 != 0:
+        ratio = c0 / c2
+        if abs(ratio.imag) <= 1e-14 * abs(ratio) or ratio.imag == 0:
+            if ratio.real > 0:
+                a = math.sqrt(ratio.real)
+                return [(1.0 / c2, {("lorentz", a): 1})]
+        raise _Unrecognized(f"denominator k^2 + {ratio} is not a positive Lorentzian")
+    raise _Unrecognized("denominator polynomial is not of a recognized shape")
+
+
+def _power(term, p: float):
+    """(c*F)^p as c^p * F^p.  For a fractional p that needs F(k) > 0 at
+    every k > 0, which sines, cosines and complex exponentials break."""
+    coeff, factors = term
+    if coeff == 0 and p < 0:
+        raise _Unrecognized("division by zero")
+    n = int(p)
+    if n != p:
+        for (kind, _), val in factors.items():
+            if kind in ("sin", "cos") or kind in ("exp", "gauss") and val.imag != 0:
+                raise _Unrecognized("fractional power of an oscillating factor")
+    if n == p and abs(n) <= _MAX_TERMS:
+        # repeated products, as the power of a sum takes them
+        step = coeff if n >= 0 else 1.0 / coeff
+        coeff = 1 + 0j
+        for _ in range(abs(n)):
+            coeff *= step
+    else:
+        try:
+            # a real base keeps the real power real, whatever the sign
+            coeff = complex(coeff.real ** p) if coeff.imag == 0 else coeff ** p
+        except OverflowError:
+            raise _Unrecognized(f"coefficient {coeff}^{p} overflows") from None
+    return (coeff, {key: val * p for key, val in factors.items()} if p else {})
 
 
 def linear_terms(node: ex.Node) -> list[tuple[complex, dict]]:
-    """Decompose into [(coefficient, {factor-key: value})] or raise _Unrecognized."""
+    """Decompose into [(coefficient, {factor-key: value})], no two terms
+    with equal factors, or raise _Unrecognized."""
     if ex.is_constant(node):
         return [(ex.constant_value(node), {})]
     match node:
@@ -193,14 +256,14 @@ def linear_terms(node: ex.Node) -> list[tuple[complex, dict]]:
         case ex.Neg(arg=a):
             return [(-c, f) for c, f in linear_terms(a)]
         case ex.Add(left=l, right=r):
-            return linear_terms(l) + linear_terms(r)
+            return _collect(linear_terms(l) + linear_terms(r))
         case ex.Sub(left=l, right=r):
-            return linear_terms(l) + [(-c, f) for c, f in linear_terms(r)]
+            return _collect(linear_terms(l) + [(-c, f) for c, f in linear_terms(r)])
         case ex.Mul(left=l, right=r):
             return _cross(linear_terms(l), linear_terms(r))
         case ex.Div(left=l, right=r):
-            return _cross(linear_terms(l), _invert(r))
-        case ex.Call(fn="exp", arg=a):
+            return _cross(linear_terms(l), _invert(linear_terms(r)))
+        case ex.Call(fn="exp", arg=a) | ex.Pow(base=ex.Const(name="e"), exponent=a):
             return _exp_terms(a)
         case ex.Call(fn="sin", arg=a):
             theta, sign = _trig_frequency(a, "sin")
@@ -213,56 +276,36 @@ def linear_terms(node: ex.Node) -> list[tuple[complex, dict]]:
                 return [(complex(sign), {})]
             return [(complex(sign), {("cos", theta): 1})]
         case ex.Call(fn="sqrt", arg=a):
-            if isinstance(a, ex.Var):
-                return [(1 + 0j, {KPOW: 0.5})]
-            raise _Unrecognized("sqrt of a non-trivial argument")
+            return linear_terms(ex.Pow(a, ex.Num(0.5)))
         case ex.Call(fn="log"):
             raise _Unrecognized("log(k) has no integral representation here")
-        case ex.Pow(base=b, exponent=e):
-            if isinstance(b, ex.Const) and b.name == "e":
-                return _exp_terms(e)
-            if ex.is_constant(e):
-                ev = ex.constant_value(e)
-                if ev.imag == 0 and ev.real == int(ev.real):
-                    n = int(ev.real)
-                    if n >= 0:
-                        out = [(1 + 0j, {})]
-                        base_terms = linear_terms(b)
-                        for _ in range(n):
-                            out = _cross(out, base_terms)
-                        return out
-                    inv = _invert(b)
-                    out = [(1 + 0j, {})]
-                    for _ in range(-n):
-                        out = _cross(out, inv)
-                    return out
-                if ev.imag == 0:
-                    # fractional power: only of k itself or of a bare k-power
-                    if isinstance(b, ex.Var):
-                        return [(1 + 0j, {KPOW: ev.real})]
-                    inner = linear_terms(b)
-                    if len(inner) == 1 and set(inner[0][1]) <= {KPOW}:
-                        c, f = inner[0]
-                        if c.imag == 0 and c.real > 0:
-                            scale = complex(c.real**ev.real)
-                            return [(scale, {KPOW: f.get(KPOW, 0.0) * ev.real})]
-                    raise _Unrecognized("fractional power of a composite base")
+        case ex.Pow(base=b, exponent=e) if ex.is_constant(e):
+            ev = ex.constant_value(e)
+            if ev.imag != 0:
                 raise _Unrecognized("complex exponent")
+            if not math.isfinite(ev.real):
+                raise _Unrecognized("non-finite exponent")
+            base = linear_terms(b)
+            if len(base) == 1:
+                return [_power(base[0], ev.real)]
+            if ev.real != int(ev.real):
+                raise _Unrecognized("fractional power of a composite base")
+            n = int(ev.real)
+            if n < 0:
+                return [_power(_invert(base)[0], -n)]
+            if n > _MAX_TERMS:
+                # refused before expanding: (a + b)^n alone has n + 1 terms
+                raise _Unrecognized(f"expansion exceeds {_MAX_TERMS} terms")
+            out = [(1 + 0j, {})]
+            for _ in range(n):
+                out = _cross(out, base)
+            return out
+        case ex.Pow(base=b, exponent=e) if ex.is_constant(b):
             # k in the exponent with a constant base: rewrite through exp
-            if ex.is_constant(b):
-                bv = ex.constant_value(b)
-                if bv.imag == 0 and bv.real > 0:
-                    p = _padded_poly(e, 2)
-                    if p is None:
-                        raise _Unrecognized("exponent is not a polynomial of degree <= 2 in k")
-                    lc = math.log(bv.real)
-                    factors = {}
-                    if p[1] != 0:
-                        factors[EXP] = p[1] * lc
-                    if p[2] != 0:
-                        factors[GAUSS] = p[2] * lc
-                    return [(cexp(p[0] * lc), factors)]
-                raise _Unrecognized("base of a k-dependent power must be a positive constant")
+            bv = ex.constant_value(b)
+            if bv.imag == 0 and bv.real > 0:
+                return _exp_terms(ex.Mul(ex.Num(math.log(bv.real)), e))
+            raise _Unrecognized("base of a k-dependent power must be a positive constant")
     raise _Unrecognized(f"no decomposition for {ex.pretty(node)!r}")
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -159,6 +160,23 @@ class TestOneDecomposition:
         assert rec["flags"] == []
         assert rec["abs_err_vs_oracle"] <= 1e-12
 
+    def test_zero_root_term_leaves_the_scaled_closed_form(self):
+        """At alpha = 1.3 the zero term is 0*sqrt(1.3*k), which decomposes
+        as (1.3*k)^0.5 and is dropped."""
+        _, rec = cli.run("1/k^2 + 0*sqrt(k)", 12, "closed-form", alpha=1.3)["results"]
+        assert rec["flags"] == []
+        assert rec["abs_err_vs_oracle"] <= 1e-12
+
+    def test_power_of_a_sum_refuses_quickly(self):
+        """(k+1)^20 is 21 terms once like terms merge, not 2^20; every
+        term-table route refuses k^20 quickly."""
+        started = time.perf_counter()
+        report = cli.run("(k+1)^20", 10)
+        assert time.perf_counter() - started < 0.5
+        by_name = {r["method"]: r for r in report["results"]}
+        for name in ("laplace", "fourier", "closed-form"):
+            assert by_name[name]["flags"] == ["error"], name
+
 
 class TestReports:
     def test_json_round_trips_and_ends_with_newline(self):
@@ -252,11 +270,27 @@ class TestExitCodes:
         assert res.returncode == 2
         assert res.stderr == "finsum: series sum overflows\n"
 
+    def test_too_deep_nesting_gives_two(self):
+        """Nesting past the parser's depth limit is a parse error, not a
+        RecursionError traceback."""
+        res = run_cli("eval", "--expr", "(" * 200 + "k" + ")" * 200, "--n", "3")
+        assert res.returncode == 2
+        assert res.stderr.startswith("finsum: expression nested deeper than")
+        assert len(res.stderr.splitlines()) == 1
+
     def test_identities_verify_passes(self):
         res = run_cli("identities", "verify")
         assert res.returncode == 0, res.stdout + res.stderr
         for line in res.stdout.strip().splitlines():
             assert ": PASS" in line
+
+    def test_identities_verify_dense_passes(self):
+        res = run_cli("identities", "verify", "--grid", "dense")
+        assert res.returncode == 0, res.stdout + res.stderr
+        lines = res.stdout.strip().splitlines()
+        assert len(lines) == 6
+        assert all(": PASS" in line for line in lines)
+        assert sum(int(re.search(r"points=(\d+)", line)[1]) for line in lines) == 1686
 
 
 class TestConfigFile:

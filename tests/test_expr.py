@@ -53,6 +53,19 @@ class TestParsing:
             ex.parse_expression("1/(k^2+1")
         assert info.value.offset == 8
 
+    @pytest.mark.parametrize("text", ["(" * 200 + "k" + ")" * 200,
+                                      "-" * 200 + "k", "2^" * 200 + "k",
+                                      "sin(" * 200 + "k" + ")" * 200],
+                             ids=["parentheses", "minus", "powers", "calls"])
+    def test_deep_nesting_is_a_parse_error(self, text):
+        """Nesting past the depth limit raises ParseError, not RecursionError."""
+        with pytest.raises(ParseError, match="nested deeper"):
+            ex.parse_expression(text)
+
+    def test_nesting_below_the_limit_parses(self):
+        node = ex.parse_expression("(" * 90 + "k" + ")" * 90)
+        assert ex.evaluate(node, 2.0) == 2.0
+
 
 class TestEvaluation:
     def test_matches_direct_python(self):
@@ -120,12 +133,6 @@ class TestEvaluation:
 
 
 class TestStructureHelpers:
-    def test_poly_coefficients(self):
-        node = ex.parse_expression("3 + 2*k - 0.5*k^2")
-        assert ex.poly_coefficients(node) == pytest.approx([3.0, 2.0, -0.5])
-        assert ex.poly_coefficients(ex.parse_expression("sin(k)")) is None
-        assert ex.poly_coefficients(ex.parse_expression("k^3")) is None
-
     def test_substitute_index(self):
         """Replacing k by 2k halves the effective lattice of any summand."""
         node = ex.parse_expression("sin(0.4*k) + k^2")

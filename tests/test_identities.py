@@ -6,8 +6,8 @@ import warnings
 import pytest
 
 from finsum.errors import ConditioningWarning, DomainError
-from finsum.identities import (eval_identity, identity_names, verify_all,
-                               verify_identity)
+from finsum.identities import (dense_grids, eval_identity, identity_names,
+                               verify_all, verify_identity)
 from finsum.series import direct_sum
 
 
@@ -62,6 +62,15 @@ class TestSweeps:
         for r in reports:
             assert r.passed, (r.name, r.max_rel_dev, r.worst_params, r.worst_n)
             assert r.points > 0
+
+    def test_catalog_passes_dense_grids(self):
+        grids = dense_grids()
+        assert sorted(grids) == identity_names()
+        reports = verify_all(grids)
+        for r in reports:
+            assert r.passed, (r.name, r.max_rel_dev, r.worst_params, r.worst_n)
+            assert r.points == len(grids[r.name])
+        assert sum(r.points for r in reports) == 1686
 
     def test_custom_grid_is_respected(self):
         grid = [({"theta": 1.0}, 4), ({"theta": 2.5}, 9)]

@@ -6,14 +6,17 @@ the exponential-decay transform to the kernel must reproduce the summand.
 
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
 
+from finsum import cli
 from finsum import expr as ex
 from finsum.errors import CapabilityError, RecognitionError
-from finsum.kernels import (EXP, KPOW, DeltaTerm, Kernel, SmoothTerm, decompose,
-                            laplace_of_kernel, linear_terms, recognize_pair)
+from finsum.kernels import (EXP, GAUSS, KPOW, DeltaTerm, Kernel, SmoothTerm, decompose,
+                            laplace_of_kernel, linear_terms, polynomial_coefficients,
+                            recognize_pair)
 
 
 def _check_round_trip(text, xs=(0.5, 1.0, 2.0, 3.7), tol=1e-9):
@@ -52,6 +55,86 @@ class TestLinearTerms:
         [(c, f)] = linear_terms(ex.parse_expression("2^(-k)"))
         assert c == 1
         assert f[EXP] == pytest.approx(-math.log(2.0))
+
+    def test_polynomial_coefficients(self):
+        def poly(node):
+            return polynomial_coefficients(linear_terms(node))
+
+        node = ex.parse_expression("3 + 2*k - 0.5*k^2")
+        assert poly(node) == pytest.approx([3.0, 2.0, -0.5])
+        assert poly(ex.parse_expression("sin(k)")) is None
+        assert poly(ex.parse_expression("k^3")) is None
+
+
+class TestLikeTerms:
+    def test_power_of_a_sum_is_binomial(self):
+        """(k+1)^16 is 17 terms, C(16, j) k^(16-j), not 2^16 products."""
+        terms = decompose("(k+1)^16")
+        assert terms == [(complex(math.comb(16, j)), {KPOW: 16.0 - j} if j < 16 else {})
+                         for j in range(17)]
+
+    def test_equal_factors_merge(self):
+        assert decompose("1/k^2 + 1/k^2") == [(2 + 0j, {KPOW: -2.0})]
+        assert decompose("k - k") == []
+
+    def test_merge_keeps_first_appearance_order(self):
+        terms = decompose("exp(-k) + 1/k^2 + 2*exp(-k)")
+        assert terms == [(3 + 0j, {EXP: -1 + 0j}), (1 + 0j, {KPOW: -2.0})]
+
+    def test_square_root_is_a_half_power(self):
+        assert decompose("sqrt(4*k)") == decompose("(4*k)^0.5") == [(2 + 0j, {KPOW: 0.5})]
+
+    def test_power_of_a_real_coefficient_stays_real(self):
+        [(c, f)] = decompose("(-2*k)^-200")
+        assert c == complex(2.0 ** -200)
+        assert f == {KPOW: -200.0}
+
+    def test_fractional_power_of_an_oscillating_factor_is_refused(self):
+        with pytest.raises(RecognitionError, match="oscillating"):
+            decompose("sqrt(sin(k))")
+
+    def test_deep_power_of_a_sum_is_refused_quickly(self):
+        """(k^2+1)^20000 would have 20,001 terms; the term budget refuses it."""
+        started = time.perf_counter()
+        with pytest.raises(RecognitionError, match="expansion exceeds"):
+            decompose("1/(k^2+1)^20000")
+        assert time.perf_counter() - started < 0.05
+
+
+def _factor(key, value, k):
+    kind, param = key
+    if key == KPOW:
+        return k ** value
+    if key == EXP:
+        return cmath.exp(value * k)
+    if key == GAUSS:
+        return cmath.exp(value * k * k)
+    if kind == "lorentz":
+        return (k * k + param * param) ** -value
+    return (cmath.sin if kind == "sin" else cmath.cos)(param * k) ** value
+
+
+# the finsum bench suite, the spike-catalog families, quad-heavy's widest
+# summand, and powers of sums that expand
+_CORPUS = [text for text, _ in cli._BENCH_SUITE] + [
+    "1.3*sin(0.7*k)", "0.9*cos(2.1*k)", "k*cos(2.2*k)", "exp(-0.4*k)*cos(1.7*k)",
+    "1.2*exp(-0.6*k)", "1.317*k^4", "1.5/k^2.5",
+    "1.6568/k^3.1948+1.6568/(k^2+7.8613)+0.7*exp(-0.3*k^2)",
+    "(k+1)^3*exp(-k)", "(2*k+1)^2/k^4", "2^(-k)", "sqrt(4*k)"]
+
+
+class TestReconstruction:
+    @pytest.mark.parametrize("alpha", [1.0, 1.3])
+    @pytest.mark.parametrize("text", _CORPUS)
+    def test_terms_sum_back_to_the_summand(self, text, alpha):
+        """Sum over the terms of c * prod factor(k) is g(alpha*k)."""
+        node = cli._fold_scale(ex.parse_expression(text), alpha)
+        terms = decompose(node)
+        for k in (0.5, 1.0, 2.7, 7.0):
+            got = sum(c * math.prod(_factor(key, v, k) for key, v in f.items())
+                      for c, f in terms)
+            want = complex(ex.evaluate(node, k))
+            assert got == pytest.approx(want, rel=1e-13, abs=0), (text, alpha, k)
 
 
 class TestDeltaRecognition:
@@ -152,7 +235,8 @@ class TestSmoothRecognition:
 class TestRejection:
     @pytest.mark.parametrize("text", ["log(k)", "sin(k^2)", "1/(k^3+1)",
                                       "exp(k)*sin(k)", "sqrt(k)*cos(k)",
-                                      "exp(0.2*k)"])
+                                      "exp(0.2*k)", "1/(k-k)", "(0*k)^-1",
+                                      "k^(1e400)", "(2*k)^2000"])
     def test_unsupported_shapes_raise(self, text):
         with pytest.raises(RecognitionError):
             recognize_pair(text)
