@@ -11,7 +11,8 @@ finite window [m, m+N], for f(x) = g(x) - g(x+N), and its tolerance as
 ``need``, so that no integral is taken where the correction term alone
 already misses it.  ``gregory_tail`` finishes the same window for an f
 that jets cannot differentiate, with forward differences of four lattice
-values in place of the derivatives (Gregory's formula).
+values in place of the derivatives (Gregory's formula), under the same
+``need``; ``gregory_value`` finishes a window it skipped.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ def em_tail(f: Callable, m: float, n: int = 3, need: float = math.inf, *,
     return value, bound + quad.abs_error_estimate
 
 
-def gregory_tail(m: float, lattice, *, integral: Callable):
+def gregory_tail(m: float, lattice, need: float = math.inf, *, integral: Callable):
     """(value, bound) with value approximating Sigma_{j>=1} f(m + j), no derivatives.
 
     Gregory's formula: Euler-Maclaurin with the derivatives at m replaced by
@@ -206,15 +207,34 @@ def gregory_tail(m: float, lattice, *, integral: Callable):
     shrink, so CapabilityError is raised, before integral is called, unless
     each term of f(m)/2, Delta f/12, Delta^2 f/24, 19 Delta^3 f/720 is at
     most a quarter of the one before it.
+
+    need is the bound the caller could use, as in em_tail: when it is
+    finite and the doubled term 2*19/720 |Delta^3 f(m)| alone is already at
+    least need, integral is not called and (None, that term) comes back.
+    The caller can still finish the window later, from the same lattice and
+    one quadrature, with gregory_value.
     """
-    f0, f1, f2, f3 = (complex(v) for v in lattice)
-    d1 = f1 - f0
-    d2 = f2 - 2.0 * f1 + f0
-    d3 = f3 - 3.0 * f2 + 3.0 * f1 - f0
+    f0, d1, d2, d3 = _differences(lattice)
     terms = [abs(f0) / 2, abs(d1) / 12, abs(d2) / 24, 19 * abs(d3) / 720]
     if any(later > _GREGORY_RATIO * earlier for earlier, later in zip(terms, terms[1:])):
         raise CapabilityError(f"forward differences of f at {m} do not shrink "
                               "fast enough to stand in for derivatives")
+    bound = _SAFETY * terms[3]
+    if need < math.inf and bound >= need:
+        return None, bound
     quad = integral()
-    value = quad.value - 0.5 * f0 - d1 / 12 + d2 / 24
-    return value, _SAFETY * terms[3] + quad.abs_error_estimate
+    return gregory_value(lattice, quad), bound + quad.abs_error_estimate
+
+
+def gregory_value(lattice, quad) -> complex:
+    """Gregory's value of gregory_tail, from its lattice and the
+    QuadratureResult its integral returns."""
+    f0, d1, d2, _ = _differences(lattice)
+    return quad.value - 0.5 * f0 - d1 / 12 + d2 / 24
+
+
+def _differences(lattice):
+    """f(m) and its forward differences Delta, Delta^2, Delta^3 from the
+    lattice f(m), f(m+1), f(m+2), f(m+3)."""
+    f0, f1, f2, f3 = (complex(v) for v in lattice)
+    return f0, f1 - f0, f2 - 2.0 * f1 + f0, f3 - 3.0 * f2 + 3.0 * f1 - f0

@@ -98,8 +98,9 @@ Node = Union[Num, Const, Var, Neg, Add, Sub, Mul, Div, Pow, Call]
 # ---------------------------------------------------------------------------
 # tokenizer / parser
 
-# nesting levels (parentheses, calls, unary minus, exponents) the parser
-# accepts; every tree walk here recurses once per level
+# nesting levels (parentheses, calls, unary minus, exponents, and each
+# operator of a + - * / chain, which nests its left operand one level deeper)
+# the parser accepts; every tree walk here recurses once per level
 _MAX_DEPTH = 100
 _TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?|([A-Za-z_]\w*)|([()+\-*/^]))")
 
@@ -158,30 +159,37 @@ class _Parser:
 
     def additive(self) -> Node:
         node = self.multiplicative()
+        depth = self.depth
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
+                self.depth += 1
                 rhs = self.multiplicative()
                 node = Add(node, rhs) if val == "+" else Sub(node, rhs)
             else:
+                self.depth = depth
                 return node
 
     def multiplicative(self) -> Node:
         node = self.unary()
+        depth = self.depth
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "*/":
                 self.advance()
+                self.depth += 1
                 rhs = self.unary()
                 node = Mul(node, rhs) if val == "*" else Div(node, rhs)
             else:
+                self.depth = depth
                 return node
 
     def unary(self) -> Node:
-        # every nested operand is parsed through here
+        # every nested operand, and every operand of a chain, is parsed
+        # through here
         kind, val, off = self.peek()
-        if self.depth == _MAX_DEPTH:
+        if self.depth >= _MAX_DEPTH:
             raise ParseError(f"expression nested deeper than {_MAX_DEPTH} levels", off)
         self.depth += 1
         if kind == "op" and val == "-":

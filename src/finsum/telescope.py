@@ -25,7 +25,17 @@ need), except the last, at max_terms, whose tail the result reports.  When
 jets cannot differentiate d, Gregory's formula takes forward differences of
 d(M..M+3) in place of the derivatives; its estimate counts only when the
 previous checkpoint produced one too, and is no smaller than the two
-estimates' disagreement.  Where neither serves, or while the window of
+estimates' disagreement.  gregory_tail takes the same need: a checkpoint
+whose doubled Gregory term 2*19/720*|Delta^3 d(M)| is at least tol cannot
+converge on that estimate, so its window is deferred.  The route keeps that checkpoint's
+depth, its four differences and its partial sum, and integrates the window
+only when the next checkpoint compares with it: when the next one's own
+Gregory term is below tol, when the next one is the last, or when the next
+one is deferred too and Aitken's estimate would converge there.  Such a
+checkpoint converges by Aitken only where its window or the previous one
+fails, so both are integrated to decide.  The records are those of
+integrating every window at its own checkpoint; scalar Lorentzians take 3
+windows in place of 6.  Where neither tail serves, or while the window of
 differences is still above a quarter of their peak (an oscillating or
 growing g), Aitken extrapolation of the partials closes the tail.  The
 reported estimate is floored at the rounding of the values that do not
@@ -67,7 +77,7 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError, EvaluationError
 from . import quadrature
-from .eulermaclaurin import em_tail, gregory_tail
+from .eulermaclaurin import em_tail, gregory_tail, gregory_value
 from .quadrature import _array_form
 from .series import Diagnostics, SumResult, check_count
 from .special import hurwitz_zeta, riemann_zeta
@@ -119,12 +129,12 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
                     raise EvaluationError("difference is not finite", at=f"k={bad}")
             raise
 
-    def window_integral():
-        """The integral of g over the checkpoint's tail window
-        [depth, depth + N]; an error of g there is an EvaluationError."""
+    def window_integral(start):
+        """The integral of g over the tail window [start, start + N] of the
+        checkpoint at depth start; an error of g there is an EvaluationError."""
         try:
             # looked up on the module, where a tracer's wrapper would sit
-            return quadrature.integrate_finite(g, float(depth), float(depth + n_terms),
+            return quadrature.integrate_finite(g, float(start), float(start + n_terms),
                                                tol=quad_tol)
         except EvaluationError:
             raise
@@ -180,10 +190,30 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
     strategy = "euler-maclaurin"
     tail = 0j
     tail_bound = math.inf
-    previous = None  # the previous checkpoint's Gregory estimate of the sum
+    # the previous checkpoint's Gregory estimate of the sum, or, while its
+    # window is not integrated, that window as (depth, lattice, partial)
+    previous = None
     high = math.inf  # max |g(k+N)| over the values the checkpoint evaluated
     stalled = 0  # checkpoints in a row at which that did not fall by 1%
     takes_jets = True  # until em_tail finds that g rejects jets
+
+    def settle(estimate):
+        """A Gregory estimate, integrating its window if it was deferred;
+        None where g fails on that window."""
+        if not isinstance(estimate, tuple):
+            return estimate
+        start, lattice, partial_there = estimate
+        try:
+            return partial_there + gregory_value(lattice, window_integral(start))
+        except EvaluationError:
+            return None
+
+    def gregory_integral():
+        """The window integral for this checkpoint's Gregory estimate, which
+        is compared with the previous one: that is settled first."""
+        nonlocal previous
+        previous = settle(previous)
+        return window_integral(depth)
 
     while True:
         # the checkpoint's differences and the window d(m..m+3) past it
@@ -226,26 +256,46 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
             # max_terms a correction term of at least tol skips its integral
             # (tail None), and the last checkpoint, whose tail the result
             # reports, always integrates
+            need = tol if m < max_terms else math.inf
             try:
                 if takes_jets:
                     try:
-                        need = tol if m < max_terms else math.inf
                         tail, tail_bound = em_tail(d, float(depth), _EM_ORDER, need=need,
-                                                   integral=window_integral)
+                                                   integral=lambda: window_integral(depth))
                         strategy = "euler-maclaurin"
                     except CapabilityError as exc:
                         # a g that rejects jets rejects them at every
                         # checkpoint; a ZeroDivisionError depends on the point
                         takes_jets = not isinstance(exc.__cause__, (TypeError, AttributeError))
                 if strategy != "euler-maclaurin":
-                    # no jets: Gregory's formula on the window instead
-                    tail, tail_bound = gregory_tail(float(depth), vals[depth - 1:depth + 3],
-                                                    integral=window_integral)
-                    gregory = partial + tail
-                    settled = tail_bound < tol
+                    # no jets: Gregory's formula on the window instead; one
+                    # whose term misses tol is deferred (tail None), and its
+                    # window is integrated only if the next checkpoint
+                    # compares with it
+                    lattice = vals[depth - 1:depth + 3]
+                    tail, tail_bound = gregory_tail(float(depth), lattice, need=need,
+                                                    integral=gregory_integral)
+                    if tail is None:
+                        # a copy, so that vals is not kept alive through it
+                        gregory = (depth, lattice.copy(), partial)
+                    else:
+                        gregory = partial + tail
+                        settled = tail_bound < tol
             except (CapabilityError, EvaluationError):
                 pass  # neither tail serves, or g fails on the window
-            if gregory is not None and previous is not None:
+            if isinstance(gregory, tuple):
+                # a deferred estimate cannot converge, but Aitken's can: it is
+                # the checkpoint's tail where there is no previous estimate or
+                # where this window or the previous one fails, so only when
+                # it would converge are those windows integrated to decide
+                bound = tail_bound
+                tail, tail_bound = _aitken_tail(partials)
+                if tail_bound < tol and previous is not None:
+                    previous = settle(previous)
+                    gregory = settle(gregory) if previous is not None else None
+                    if gregory is not None:
+                        strategy, tail_bound = "gregory", bound  # at least tol
+            elif gregory is not None and previous is not None:
                 # a Gregory estimate counts only next to the previous
                 # checkpoint's, and no closer than the two agree
                 strategy = "gregory"

@@ -278,6 +278,14 @@ class TestExitCodes:
         assert res.stderr.startswith("finsum: expression nested deeper than")
         assert len(res.stderr.splitlines()) == 1
 
+    def test_long_sum_gives_two(self):
+        """A 2,000-term sum passes the depth limit as a chain: one parse
+        error line, where it was "maximum recursion depth exceeded"."""
+        res = run_cli("eval", "--expr", "+".join(["1/k^2"] * 2000), "--n", "3")
+        assert res.returncode == 2
+        assert res.stderr.startswith("finsum: expression nested deeper than 100 levels at offset")
+        assert len(res.stderr.splitlines()) == 1
+
     def test_identities_verify_passes(self):
         res = run_cli("identities", "verify")
         assert res.returncode == 0, res.stdout + res.stderr

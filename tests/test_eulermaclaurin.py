@@ -8,7 +8,7 @@ import pytest
 
 from finsum import cli, jets
 from finsum.errors import CapabilityError, PreconditionError
-from finsum.eulermaclaurin import EMJob, em_sum, em_tail, gregory_tail
+from finsum.eulermaclaurin import EMJob, em_sum, em_tail, gregory_tail, gregory_value
 from finsum.expr import as_function, parse_expression
 from finsum.quadrature import integrate_finite, integrate_semi_infinite
 from finsum.special import hurwitz_zeta
@@ -304,6 +304,25 @@ class TestGregoryTail:
         lattice = [math.exp(-0.3 * k) * math.cos(3.0 * k) for k in range(16, 20)]
         with pytest.raises(CapabilityError, match="forward differences"):
             gregory_tail(16.0, lattice, integral=integral)
+
+    def test_need_defers_the_integral_only_where_the_term_misses_it(self):
+        """As for em_tail: with need at or below the doubled first omitted
+        term, (None, that term) comes back and integral is not called; the
+        window finishes later from the same lattice and one quadrature,
+        bit for bit as without need."""
+        m = 64.0
+        f = lambda x: 1.0 / (complex(x) ** 2 + 1.0)  # noqa: E731
+        lattice = [f(m + i) for i in range(4)]
+        integral, calls = _counted(f, m)
+        _, term = gregory_tail(m, lattice, need=1e-300, integral=integral)
+        assert calls == []
+        assert gregory_tail(m, lattice, need=term, integral=integral) == (None, term)
+        assert calls == []
+        full = gregory_tail(m, lattice, integral=integral)
+        assert gregory_tail(m, lattice, need=term * (1 + 1e-12), integral=integral) == full
+        assert full[0] == gregory_value(lattice, integral())
+        assert full[1] >= term
+        assert calls == [m, m, m]
 
     def test_given_integral_makes_it_a_window_sum(self):
         """For f(x) = g(x) - g(x+N), the integral of g over [m, m+N] in place

@@ -66,6 +66,21 @@ class TestParsing:
         node = ex.parse_expression("(" * 90 + "k" + ")" * 90)
         assert ex.evaluate(node, 2.0) == 2.0
 
+    @pytest.mark.parametrize("op,term", [("+", "1/k^2"), ("-", "k"), ("*", "k"), ("/", "k")])
+    def test_long_operator_chain_is_a_parse_error(self, op, term):
+        """Each operator of a chain nests the tree one level deeper, so a
+        chain past the depth limit raises ParseError at the operand that
+        crosses it, not RecursionError in a later tree walk."""
+        text = op.join([term] * 2000)
+        with pytest.raises(ParseError, match="nested deeper") as info:
+            ex.parse_expression(text)
+        assert 0 < info.value.offset < len(text)
+        assert text[info.value.offset - 1] in "+-*/^"
+
+    def test_short_sum_parses(self):
+        node = ex.parse_expression("+".join(["1/k^2"] * 20))
+        assert ex.evaluate(node, 2.0) == 5.0
+
 
 class TestEvaluation:
     def test_matches_direct_python(self):

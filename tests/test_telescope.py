@@ -702,9 +702,10 @@ def _pinned(value, estimate, nodes, strategy, converged=True, imag="0x0.0p+0"):
 
 class TestGregoryWindow:
     """Without jets every checkpoint whose differences shrink like
-    derivatives takes Gregory's estimate with one window integral; the
-    records are pinned, and each lies within its estimate of the 40-digit
-    sum."""
+    derivatives takes Gregory's estimate.  Its window is integrated where
+    the estimate's own bound meets tol, at the last checkpoint, and where
+    the next checkpoint compares with it; the records are pinned, and each
+    lies within its estimate of the 40-digit sum."""
 
     _LORENTZIANS = TestGregoryTail._LORENTZIANS
     _LORENTZ_RECORDS = [
@@ -722,13 +723,14 @@ class TestGregoryWindow:
 
     @pytest.mark.parametrize("item,record", list(zip(_LORENTZIANS, _LORENTZ_RECORDS)))
     def test_scalar_lorentzians(self, monkeypatch, item, record):
-        """One window [M, M+N] per checkpoint, 8 to 256."""
+        """Windows [M, M+N] at 64, 128 and 256 only: the Gregory bound
+        meets tol from 128 on, and 128 compares with 64."""
         mp = pytest.importorskip("mpmath")
         c, a2, n = item
         windows = _counted_windows(monkeypatch)
         got = telescoping_sum(lambda x: c / (complex(x) * complex(x) + a2), n, tol=1e-10)
         assert _bytes(got) == _pinned(*record, 256, "gregory")
-        assert windows == [(float(m), float(m + n)) for m in (8, 16, 32, 64, 128, 256)]
+        assert windows == [(float(m), float(m + n)) for m in (64, 128, 256)]
         want = _mp_sum(mp, lambda k: mp.mpf(c) / (k * k + mp.mpf(a2)), n)
         assert abs(got.value - want) <= got.error_estimate
 
@@ -756,23 +758,27 @@ class TestGregoryWindow:
              (1 << 17, _pinned("0x1.32ee3b77f35cep+1", "0x1.5bb8000000000p-38", 512,
                                "gregory"))]
 
+    # the windows integrated at each max_terms: the last checkpoint's and
+    # the one it compares with; with no limit, the Gregory bound meets tol
+    # from 256 on, and 256 compares with 128
+    _LOG_WINDOWS = {8: (8,), 16: (8, 16), 64: (32, 64), 1 << 17: (128, 256, 512)}
+
     @pytest.mark.parametrize("max_terms,record", _LOGS)
     def test_scalar_log_at_the_last_checkpoint(self, monkeypatch, max_terms, record):
         mp = pytest.importorskip("mpmath")
         windows = _counted_windows(monkeypatch)
         got = telescoping_sum(lambda x: cmath.log(1 + 1 / complex(x)), 10, max_terms=max_terms)
         assert _bytes(got) == record
-        assert windows == [(float(m), float(m + 10)) for m in (8, 16, 32, 64, 128, 256, 512)
-                           if m <= got.diagnostics.nodes]
+        assert windows == [(float(m), float(m + 10)) for m in self._LOG_WINDOWS[max_terms]]
         want = _mp_sum(mp, lambda k: mp.log(1 + 1 / k), 10)
         assert abs(got.value - want) <= got.error_estimate
 
 
 def test_window_tail_spends_few_g_calls(monkeypatch):
-    """The scalar-closure Lorentzians of TestGregoryTail take 8,280 calls
-    of g in all: six windows of one finite quadrature each, never a
-    semi-infinite tail integral (15,240 calls when the tail was the
-    integral of d over (M, inf))."""
+    """The scalar-closure Lorentzians of TestGregoryTail take 5,230 calls
+    of g in all: three windows of one finite quadrature each, never a
+    semi-infinite tail integral (8,230 calls with a window at each of six
+    checkpoints, 15,240 when the tail was the integral of d over (M, inf))."""
     _counted_windows(monkeypatch)
     calls = [0]
     for c, a2, n in TestGregoryTail._LORENTZIANS:
@@ -781,7 +787,81 @@ def test_window_tail_spends_few_g_calls(monkeypatch):
             return c / (complex(x) * complex(x) + a2)
 
         assert telescoping_sum(g, n, tol=1e-10).diagnostics.converged
-    assert calls[0] <= 9_000
+    assert calls[0] <= 5_500
+
+
+def _wave(period, eps, amp, phase, pole=None):
+    """A scalar closure: a fast exponential, which sets the peak of the
+    differences, plus a slowly damped cosine, whose doubling partials
+    Aitken's model fits while its lattice differences keep the Gregory
+    term above tol; with a pole, 1e-3/(k - pole)^2 on top."""
+    def g(x):
+        z = complex(x)
+        v = 10 * cmath.exp(-z / 2) + amp * cmath.exp(-eps * z) * cmath.cos(2 * math.pi * z / period
+                                                                          + phase)
+        return v if pole is None else v + 1e-3 / (z - pole) ** 2
+    return g
+
+
+class TestDeferredWindows:
+    """A Gregory window whose own bound misses tol is not integrated at its
+    checkpoint, only when the next one compares with it.  The records are
+    byte-identical to integrating every window at once (gregory_tail
+    without need), exits included: where a deferred checkpoint's Aitken
+    estimate would converge, the eager order takes it unless both this
+    window and the previous one integrate, so those are integrated there."""
+
+    @staticmethod
+    def _deferred_and_eager(monkeypatch, g, n, **kwargs):
+        deferred = _bytes(telescoping_sum(g, n, **kwargs))
+        gregory_tail = telescope.gregory_tail
+        with monkeypatch.context() as patch:
+            patch.setattr(telescope, "gregory_tail",
+                          lambda m, lattice, need=math.inf, *, integral:
+                          gregory_tail(m, lattice, integral=integral))
+            eager = _bytes(telescoping_sum(g, n, **kwargs))
+        return deferred, eager
+
+    @pytest.mark.parametrize("c,a2,n", TestGregoryTail._LORENTZIANS)
+    def test_lorentzians(self, monkeypatch, c, a2, n):
+        deferred, eager = self._deferred_and_eager(
+            monkeypatch, lambda x: c / (complex(x) * complex(x) + a2), n, tol=1e-10)
+        assert deferred == eager
+
+    @pytest.mark.parametrize("pole,n", [(pole, n) for pole, n, *_ in TestGregoryWindow._POLES])
+    def test_windows_across_a_pole(self, monkeypatch, pole, n):
+        """The early windows cross the pole, where window_integral raises."""
+        deferred, eager = self._deferred_and_eager(
+            monkeypatch, lambda x: 1 / (complex(x) - pole) ** 2, n)
+        assert deferred == eager
+
+    @pytest.mark.parametrize("max_terms", [max_terms for max_terms, _ in TestGregoryWindow._LOGS])
+    def test_log_at_every_max_terms(self, monkeypatch, max_terms):
+        deferred, eager = self._deferred_and_eager(
+            monkeypatch, lambda x: cmath.log(1 + 1 / complex(x)), 10, max_terms=max_terms)
+        assert deferred == eager
+
+    # (closure, N, tol, max_terms, windows, strategy): Aitken's estimate would
+    # converge at a deferred checkpoint with a previous one.  Both windows
+    # integrate, and Gregory's estimate, which misses tol, goes on; this
+    # window crosses the pole, and Aitken's converges; the previous window
+    # crosses it, and Aitken's converges without this window
+    _AITKEN = [(_wave(16, 1.2e-4, 0.64, 2.6), 5, 8e-7, 64, (16, 32, 64), "gregory"),
+               (_wave(32, 3e-4, 0.5, 4.0, 70.5), 30, 1e-5, 1 << 17, (32, 64), "extrapolation"),
+               (_wave(32, 3e-4, 0.5, 3.45, 40.5), 100, 1.4e-5, 1 << 17, (32,), "extrapolation")]
+
+    @pytest.mark.parametrize("g,n,tol,max_terms,windows,strategy", _AITKEN,
+                             ids=["both-windows", "this-window-fails", "previous-fails"])
+    def test_aitken_at_a_deferred_checkpoint(self, monkeypatch, g, n, tol, max_terms, windows,
+                                             strategy):
+        seen = _counted_windows(monkeypatch)
+        got = telescoping_sum(g, n, tol=tol, max_terms=max_terms)
+        assert seen == [(float(m), float(m + n)) for m in windows]
+        assert got.diagnostics.nodes == 64
+        assert got.diagnostics.notes["strategy"] == strategy
+        deferred, eager = self._deferred_and_eager(monkeypatch, g, n, tol=tol,
+                                                   max_terms=max_terms)
+        assert deferred == eager
 
 
 # (summand, N, tol): converged within its estimate of the 40-digit sum, or
