@@ -2,13 +2,15 @@
 
 Callers look these functions up as ``backend.<name>`` at call time, so a
 wrapper installed on the module attribute sees every call.  ``phi_grid``
-and ``dirichlet_grid`` are reached only with grids; the laplace spike path
-evaluates ``summation_factor`` at a scalar or a jet without them.  The comb
-behind both lives in :mod:`finsum.jets`.  ``partial_sums`` is the one
-compensated reduction: ``math.fsum`` on short sums, one error-free
-extraction on long ones.  The oracle applies it to each block of its
-lattice, and ``neumaier_sum`` to a whole array: in the package, only the
-dual sum :func:`finsum.laplace.type_b_sum` calls it.
+is reached only with grids; the laplace spike path evaluates
+``summation_factor`` at a scalar or a jet without it, and the comb behind
+both lives in :mod:`finsum.jets`.  ``dirichlet_grid`` serves
+:func:`finsum.fourier.dirichlet_factor` only: the fourier route integrates
+the Dirichlet kernel by a Levin rule and never evaluates the lattice
+factor.  ``partial_sums`` is the one compensated reduction: ``math.fsum``
+on short sums, one error-free extraction on long ones.  The oracle applies
+it to each block of its lattice, and ``neumaier_sum`` to a whole array: in
+the package, only the dual sum :func:`finsum.laplace.type_b_sum` calls it.
 """
 
 from __future__ import annotations

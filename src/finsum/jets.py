@@ -30,6 +30,13 @@ _SERIES_CUTOFF = 1e-6
 _SERIES_N_CUTOFF = 3e-3
 # a comb denominator this close to 0 is a pole, not a value
 _POLE_EPS = 1e-12
+# float64 exp rounds to 0.0 below this (the smallest subnormal is exp(-744.4))
+_EXP_UNDERFLOW = -745.2
+
+
+def _has_zero(v) -> bool:
+    """Whether a value part, a scalar or an array over a batch, holds a 0."""
+    return bool((v == 0).any()) if isinstance(v, np.ndarray) else v == 0
 
 
 class Jet:
@@ -137,7 +144,7 @@ class Jet:
         if o is None:
             return NotImplemented
         a, b = self.coeffs, o.coeffs
-        if np.any(b[0] == 0):
+        if _has_zero(b[0]):
             raise ZeroDivisionError("jet division by a jet with zero value part")
         q = []
         for k in range(len(a)):
@@ -199,6 +206,13 @@ def exp(x):
     if isinstance(x, Jet):
         return _jet_exp_coeffs(x.coeffs, exp(x.value))
     if isinstance(x, np.ndarray):
+        if (x.dtype == np.float64 and x.ndim and x.size
+                and (x.item(0) < _EXP_UNDERFLOW or x.item(-1) < _EXP_UNDERFLOW)):
+            # numpy's exp is many times slower on lanes that round to 0, so
+            # they are left at 0.0; NaN compares False and is still computed.
+            # A lattice's exponent is monotone in k, so its ends show whether
+            # any lane underflows; other arrays may take the plain exp
+            return np.exp(x, out=np.zeros_like(x), where=~(x < _EXP_UNDERFLOW))
         return np.exp(x)
     if isinstance(x, complex):
         return cmath.exp(x)
@@ -236,7 +250,7 @@ def expm1(x):
 def log(x):
     if isinstance(x, Jet):
         a = x.coeffs
-        if np.any(a[0] == 0):
+        if _has_zero(a[0]):
             raise ZeroDivisionError("log of a jet with zero value part")
         out = [log(a[0])]
         for k in range(1, len(a)):
@@ -290,7 +304,7 @@ def cos(x):
 def sqrt(x):
     if isinstance(x, Jet):
         a = x.coeffs
-        if np.any(a[0] == 0):
+        if _has_zero(a[0]):
             raise ZeroDivisionError("sqrt of a jet with zero value part")
         r = [sqrt(a[0])]
         for k in range(1, len(a)):

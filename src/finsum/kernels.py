@@ -16,7 +16,8 @@ sines/cosines of theta*k, Lorentzian denominators, Gaussian exponents).
 It is the one expansion of a tree into terms: like terms merge, a power of
 one term is c^p times its factors to the p (``sqrt(x)`` is ``x^0.5``), and
 an integer power of a sum expands by repeated products within a budget of
-``_MAX_TERMS`` terms.  The polynomials in exponents, trigonometric
+``_MAX_TERMS`` terms, while a negative one, or one in a denominator,
+inverts the sum first.  The polynomials in exponents, trigonometric
 arguments and denominators are read off these terms
 (``polynomial_coefficients``).
 ``decompose`` is its public face: it drops the zero terms and is the one
@@ -245,6 +246,37 @@ def _power(term, p: float):
     return (coeff, {key: val * p for key, val in factors.items()} if p else {})
 
 
+def _constant_power(b: ex.Node, e: ex.Node, inverse: bool = False):
+    """The terms of b^e, or with ``inverse`` of 1/b^e, for a constant real e.
+
+    A sum to a negative integer power inverts the sum first, and 1/s^n does
+    the same, as s^-n: expanding s^n before inverting would leave a
+    polynomial of degree 2n that no denominator shape matches.
+    """
+    ev = ex.constant_value(e)
+    if ev.imag != 0:
+        raise _Unrecognized("complex exponent")
+    if not math.isfinite(ev.real):
+        raise _Unrecognized("non-finite exponent")
+    base = linear_terms(b)
+    if len(base) == 1:
+        out = [_power(base[0], ev.real)]
+        return _invert(out) if inverse else out
+    if ev.real != int(ev.real):
+        raise _Unrecognized("fractional power of a composite base")
+    n = -int(ev.real) if inverse else int(ev.real)
+    if abs(n) > _MAX_TERMS:
+        # refused before expanding: (a + b)^n alone has n + 1 terms, and
+        # both spellings of its inverse are refused alike
+        raise _Unrecognized(f"expansion exceeds {_MAX_TERMS} terms")
+    if n < 0:
+        return [_power(_invert(base)[0], -n)]
+    out = [(1 + 0j, {})]
+    for _ in range(n):
+        out = _cross(out, base)
+    return out
+
+
 def linear_terms(node: ex.Node) -> list[tuple[complex, dict]]:
     """Decompose into [(coefficient, {factor-key: value})], no two terms
     with equal factors, or raise _Unrecognized."""
@@ -261,6 +293,9 @@ def linear_terms(node: ex.Node) -> list[tuple[complex, dict]]:
             return _collect(linear_terms(l) + [(-c, f) for c, f in linear_terms(r)])
         case ex.Mul(left=l, right=r):
             return _cross(linear_terms(l), linear_terms(r))
+        case ex.Div(left=l, right=ex.Pow(base=b, exponent=e)) \
+                if ex.is_constant(e) and not ex.is_constant(b):
+            return _cross(linear_terms(l), _constant_power(b, e, inverse=True))
         case ex.Div(left=l, right=r):
             return _cross(linear_terms(l), _invert(linear_terms(r)))
         case ex.Call(fn="exp", arg=a) | ex.Pow(base=ex.Const(name="e"), exponent=a):
@@ -280,26 +315,7 @@ def linear_terms(node: ex.Node) -> list[tuple[complex, dict]]:
         case ex.Call(fn="log"):
             raise _Unrecognized("log(k) has no integral representation here")
         case ex.Pow(base=b, exponent=e) if ex.is_constant(e):
-            ev = ex.constant_value(e)
-            if ev.imag != 0:
-                raise _Unrecognized("complex exponent")
-            if not math.isfinite(ev.real):
-                raise _Unrecognized("non-finite exponent")
-            base = linear_terms(b)
-            if len(base) == 1:
-                return [_power(base[0], ev.real)]
-            if ev.real != int(ev.real):
-                raise _Unrecognized("fractional power of a composite base")
-            n = int(ev.real)
-            if n < 0:
-                return [_power(_invert(base)[0], -n)]
-            if n > _MAX_TERMS:
-                # refused before expanding: (a + b)^n alone has n + 1 terms
-                raise _Unrecognized(f"expansion exceeds {_MAX_TERMS} terms")
-            out = [(1 + 0j, {})]
-            for _ in range(n):
-                out = _cross(out, base)
-            return out
+            return _constant_power(b, e)
         case ex.Pow(base=b, exponent=e) if ex.is_constant(b):
             # k in the exponent with a constant base: rewrite through exp
             bv = ex.constant_value(b)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import finsum
-from finsum import backend, cli
+from finsum import backend, cli, quadrature
+from finsum.fourier import dirichlet_factor
 from finsum.series import Variant
 
 _EPS = 2.220446049250313e-16
@@ -217,8 +218,10 @@ def test_pinned_tail_reproducer_converges():
 
 class TestGridHooks:
     """``backend.phi_grid`` and ``backend.dirichlet_grid`` are looked up at
-    call time and reached only with grids, so a counting wrapper installed
-    on the module attribute sees exactly the grid evaluations."""
+    call time, so a counting wrapper installed on the module attribute sees
+    every call.  ``phi_grid`` is reached only with grids; ``dirichlet_grid``
+    only from ``fourier.dirichlet_factor``, since the fourier route
+    integrates by a Levin rule that never evaluates the lattice factor."""
 
     @staticmethod
     def _count(monkeypatch, name):
@@ -244,8 +247,18 @@ class TestGridHooks:
         assert "error" not in report["results"][1]
         assert calls == []
 
-    def test_fourier_request_calls_dirichlet_grid(self, monkeypatch):
+    def test_fourier_request_skips_the_lattice_factor_and_the_quadrature(self, monkeypatch):
         calls = self._count(monkeypatch, "dirichlet_grid")
-        cli.run("exp(-0.5*k^2)", 20, method="fourier")
-        assert calls
-        assert all(isinstance(a, np.ndarray) for a in calls)
+
+        def integrate_finite(*args, **kwargs):
+            raise AssertionError("the fourier route called integrate_finite")
+
+        monkeypatch.setattr(quadrature, "integrate_finite", integrate_finite)
+        report = cli.run("exp(-0.5*k^2)", 20, method="fourier")
+        assert report["results"][1]["flags"] == []
+        assert calls == []
+
+    def test_dirichlet_factor_calls_dirichlet_grid(self, monkeypatch):
+        calls = self._count(monkeypatch, "dirichlet_grid")
+        dirichlet_factor(1.3, 9)
+        assert len(calls) == 1

@@ -17,8 +17,8 @@ import pathlib
 from finsum import cli
 
 _ROOT = pathlib.Path(__file__).resolve().parent.parent
-# fourier integrates its periodic factor over [0, pi] with integrate_finite;
-# em_tail and gregory_tail take their integral from the caller
+# fourier integrates over [0, pi] by its own Levin rule, not over the real
+# line; em_tail and gregory_tail take their integral from the caller
 _STALE = {("finsum.fourier", "integrate_real_line"),
           ("finsum.eulermaclaurin", "integrate_semi_infinite")}
 

@@ -1,6 +1,7 @@
 """Transform-route tests: lattice factor, pair table, full sums."""
 
 import cmath
+import dataclasses
 import importlib.util
 import itertools
 import math
@@ -165,8 +166,7 @@ class TestEvenness:
     """The route integrates over [0, pi] only, which is exact because every
     ``periodic`` in the table is even."""
 
-    # 0, pi, the half-lobes pi*(j/N) of the mesh at N = 200 and N = 7, and
-    # points off the lobes
+    # 0, pi, the grids pi*(j/N) for N = 200 and N = 7, and points off them
     GRID = np.concatenate(([0.0, math.pi], math.pi * (np.arange(1, 200) / 200),
                            math.pi * (np.arange(1, 7) / 7), np.linspace(0.01, 3.1, 23)))
 
@@ -208,28 +208,45 @@ class TestTransformSums:
         assert dev <= got.error_estimate
         assert got.diagnostics.nodes < 100_000
 
-    @pytest.mark.parametrize("n, nodes", [(200, 3_000), (201, 3_030)])
-    def test_lorentzian_node_count(self, n, nodes, monkeypatch):
-        """One Kronrod panel per half-lobe of [0, pi], all accepted in the
-        first round (the full period took twice the nodes).  The cuts
-        pi*(j/N) put the cut of j = N/2 exactly on the midpoint pi/2 that
-        integrate_finite adds, so even N leaves no sliver panel; odd N has
-        one extra panel, split at pi/2.  The lattice factor is only ever
-        evaluated inside (0, pi)."""
-        seen = []
-        grid = backend.dirichlet_grid
+    @staticmethod
+    def _recorded(text, seen):
+        """The pair of ``text``, with every abscissa of P appended to seen."""
+        pair = recognize_fourier(text)
 
-        def recorder(alpha, n_terms):
-            seen.append(np.array(alpha, dtype=float))
-            return grid(alpha, n_terms)
+        def periodic(al):
+            seen.append(np.array(al, dtype=float))
+            return pair.periodic(al)
 
-        monkeypatch.setattr(backend, "dirichlet_grid", recorder)
-        got = sum_via_fourier("1/(k^2+4)", n, tol=1e-10)
+        return dataclasses.replace(pair, periodic=periodic)
+
+    def test_evaluation_count_does_not_depend_on_n(self):
+        """One Levin rule serves every N: degrees 24 and 32 agree to tol at
+        N = 10, 10^3 and 10^6 alike, for 56 evaluations of P each."""
+        for n in (10, 10 ** 3, 10 ** 6):
+            seen = []
+            got = sum_via_fourier(self._recorded("1/(k^2+4)", seen), n, tol=1e-10)
+            assert got.diagnostics.converged
+            assert got.diagnostics.nodes == sum(a.size for a in seen) == 56
+
+    def test_evaluations_stay_inside_the_open_half_period(self):
+        """Gauss-Chebyshev points are interior: P is never evaluated at 0,
+        where h = (P(x) - P(0))/(2 sin(x/2)) is 0/0, nor at pi."""
+        for text, n in (("1/(k^2+4)", 7), ("exp(-0.02*k^2)", 10 ** 5)):
+            seen = []
+            got = sum_via_fourier(self._recorded(text, seen), n, tol=1e-12)
+            abscissas = np.concatenate(seen)
+            assert abscissas.size == got.diagnostics.nodes
+            assert abscissas.min() > 0.0 and abscissas.max() < math.pi
+
+    def test_narrow_lorentzian_at_a_large_n_converges(self):
+        """At N = 30,000 the half-lobe mesh spent 999,990 nodes on this sum;
+        the rule converges on its roundoff floor from 56 evaluations."""
+        mpmath = pytest.importorskip("mpmath")
+        got = sum_via_fourier("1/(k^2+0.01)", 30_000, tol=1e-12)
         assert got.diagnostics.converged
-        assert got.diagnostics.nodes == nodes
-        abscissas = np.concatenate(seen)
-        assert abscissas.size == nodes
-        assert abscissas.min() > 0.0 and abscissas.max() < math.pi
+        assert got.diagnostics.nodes == 56
+        dev = abs(got.value - complex(_lorentzian_sum(mpmath, 1.0, 0.01, 1.0, 30_000)))
+        assert dev <= got.error_estimate
 
     def test_stops_on_the_exact_error_total(self):
         """The quadrature's running error total drifts by rounding on the
@@ -278,6 +295,62 @@ class TestTransformSums:
     def test_rejects_bad_length(self):
         with pytest.raises(PreconditionError):
             sum_via_fourier("exp(-k^2)", 0)
+
+
+def _lorentzian_sum(mpmath, c, b, alpha, n):
+    """Sigma_{k=1}^{n} c/((alpha k)^2 + b) at 40 digits, in closed form:
+    with a = sqrt(b)/alpha, 1/(k^2 + a^2) = -Im[1/(k + i a)]/a and
+    Sigma_{k=1}^{n} 1/(k + z) = psi(n + 1 + z) - psi(1 + z)."""
+    with mpmath.workdps(40):
+        c, b, alpha = mpmath.mpf(c), mpmath.mpf(b), mpmath.mpf(alpha)
+        a = mpmath.sqrt(b) / alpha
+        psi = mpmath.digamma(n + 1 + 1j * a) - mpmath.digamma(1 + 1j * a)
+        return -c / alpha ** 2 * mpmath.im(psi) / a
+
+
+def _gaussian_sum(mpmath, c, b, alpha, n):
+    """Sigma_{k=1}^{n} c exp(-b (alpha k)^2) at 40 digits; the terms past
+    exp(-240) are below the working precision and are dropped."""
+    with mpmath.workdps(40):
+        c, rate = mpmath.mpf(c), mpmath.mpf(b) * mpmath.mpf(alpha) ** 2
+        last = min(n, math.ceil(math.sqrt(240.0 / float(rate))))
+        return c * mpmath.fsum(mpmath.exp(-rate * k * k) for k in range(1, last + 1))
+
+
+class TestLevinCoverage:
+    """Every record covers its deviation from a closed-form reference at
+    every N from 1 to 10^6, for both scales alpha, and the evaluation count
+    is the same at every N: neither the degrees nor the estimate depend on
+    N."""
+
+    # (text, [(family, c, b)]): c/(k^2+b) and c*exp(-b*k^2)
+    FAMILIES = {
+        "lorentzian": ("1/(k^2+1)", [("lorentz", 1.0, 1.0)]),
+        "lorentzian-scaled": ("0.8/(k^2+2.5)", [("lorentz", 0.8, 2.5)]),
+        "narrow-lorentzian": ("1/(k^2+0.01)", [("lorentz", 1.0, 0.01)]),
+        "gaussian": ("exp(-k^2)", [("gauss", 1.0, 1.0)]),
+        "gaussian-scaled": ("1.3*exp(-0.2*k^2)", [("gauss", 1.3, 0.2)]),
+        "wide-gaussian": ("exp(-0.02*k^2)", [("gauss", 1.0, 0.02)]),
+        "combination": ("1.5*exp(-0.2*k^2) + 2/(k^2+0.25)",
+                        [("gauss", 1.5, 0.2), ("lorentz", 2.0, 0.25)]),
+    }
+    SIZES = (1, 2, 5, 10 ** 3, 10 ** 5, 10 ** 6)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.53])
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_covered_at_every_n(self, family, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        text, terms = self.FAMILIES[family]
+        counts = []
+        for n in self.SIZES:
+            rec = cli.run(text, n, method="fourier", alpha=alpha, tol=1e-10)["results"][1]
+            assert rec["flags"] == [], (n, rec["flags"])
+            want = mpmath.fsum((_lorentzian_sum if kind == "lorentz" else _gaussian_sum)(
+                mpmath, c, b, alpha, n) for kind, c, b in terms)
+            dev = abs(complex(rec["value"]["re"], rec["value"]["im"]) - complex(want))
+            assert dev <= rec["error_estimate"], (n, dev, rec["error_estimate"])
+            counts.append(rec["diagnostics"]["nodes"])
+        assert len(set(counts)) == 1, counts
 
 
 def _load_referee():

@@ -157,6 +157,28 @@ class TestElementals:
         for x in (math.nextafter(limit, math.inf), 710.0, 1e5):
             assert jets.exp(x) == math.inf
 
+    @pytest.mark.parametrize("sort", [False, True])
+    def test_exp_of_underflowing_lanes_matches_numpy(self, sort):
+        """Lanes below -745.2 are left at 0.0 rather than computed; the result
+        is numpy's bit for bit, NaN, -inf and +inf lanes included."""
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            x = rng.uniform(-2000.0, 800.0, size=int(rng.integers(1, 200)))
+            x[rng.integers(0, x.size, size=3)] = (np.nan, -np.inf, np.inf)
+            if sort:
+                x.sort()
+            with np.errstate(over="ignore"):
+                want = np.exp(x)
+                assert jets.exp(x).tobytes() == want.tobytes()
+        assert jets.exp(np.array(-800.0)) == 0.0
+
+    @pytest.mark.parametrize("name", ["1/x", "log", "sqrt"])
+    def test_zero_value_part_of_a_scalar_jet_raises(self, name):
+        op = {"1/x": lambda x: 1.0 / x, "log": jets.log, "sqrt": jets.sqrt}[name]
+        for zero in (0.0, 0j):
+            with pytest.raises(ZeroDivisionError):
+                op(Jet.variable(zero, 3))
+
     def test_value_part(self):
         assert jets.value_part(3.5) == 3.5
         assert jets.value_part(Jet.variable(2.0, 3) ** 2) == 4.0

@@ -6,6 +6,7 @@ the exponential-decay transform to the kernel must reproduce the summand.
 
 import cmath
 import math
+import re
 import time
 
 import numpy as np
@@ -92,6 +93,23 @@ class TestLikeTerms:
     def test_fractional_power_of_an_oscillating_factor_is_refused(self):
         with pytest.raises(RecognitionError, match="oscillating"):
             decompose("sqrt(sin(k))")
+
+    @pytest.mark.parametrize("over, under", [
+        ("1/(k^2+1)^2", "(k^2+1)^-2"), ("3/(k^2+0.25)^3", "3*(k^2+0.25)^-3"),
+        ("k/(k^2+1)^2", "k*(k^2+1)^-2"), ("1/(k+2)^2", "(k+2)^-2")])
+    def test_both_spellings_of_an_inverse_power_of_a_sum_agree(self, over, under):
+        """1/s^n inverts the sum s first, as s^-n does, rather than
+        expanding s^n into a polynomial of degree 2n."""
+        try:
+            want = decompose(under)
+        except RecognitionError as exc:
+            with pytest.raises(RecognitionError, match=re.escape(str(exc))):
+                decompose(over)
+        else:
+            assert decompose(over) == want
+
+    def test_inverse_square_of_a_lorentzian_denominator(self):
+        assert decompose("1/(k^2+1)^2") == [(1 + 0j, {("lorentz", 1.0): 2})]
 
     def test_deep_power_of_a_sum_is_refused_quickly(self):
         """(k^2+1)^20000 would have 20,001 terms; the term budget refuses it."""
