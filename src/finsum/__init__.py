@@ -20,9 +20,8 @@ from .fourier import (DirichletForm, dirichlet_factor, recognize_fourier,
 from .identities import (VerificationReport, eval_identity, identity_names,
                          verify_all, verify_identity)
 from .kernels import Kernel, laplace_of_kernel, recognize_pair
-from .laplace import (DeltaComb, VariantKernel, delta_type_b, phi,
-                      phi_derivative, sum_via_integral, type_b_sum,
-                      zeta_expansion_sum)
+from .laplace import (DeltaComb, delta_type_b, phi, phi_derivative,
+                      sum_via_integral, type_b_sum, zeta_expansion_sum)
 from .series import (Diagnostics, SeriesSpec, SumResult, Variant,
                      antidifference_sum, direct_sum, effective_term)
 from .special import bernoulli, bernoulli_table, hurwitz_zeta, riemann_zeta
@@ -34,11 +33,11 @@ __all__ = [
     "CapabilityError", "ConditioningWarning", "DeltaComb", "Diagnostics",
     "DirichletForm", "DomainError", "EMJob", "EvaluationError", "FinsumError",
     "Kernel", "ParseError", "PoleError", "PreconditionError",
-    "RecognitionError", "SeriesSpec", "SumResult", "VariantKernel",
-    "VerificationReport", "Variant", "active_backend", "antidifference_sum",
-    "as_function", "bernoulli", "bernoulli_table", "delta_type_b",
-    "dirichlet_factor", "direct_sum", "effective_term", "em_sum", "em_tail",
-    "eval_identity", "hurwitz_zeta", "identity_names", "laplace_of_kernel",
+    "RecognitionError", "SeriesSpec", "SumResult", "VerificationReport",
+    "Variant", "active_backend", "antidifference_sum", "as_function",
+    "bernoulli", "bernoulli_table", "delta_type_b", "dirichlet_factor",
+    "direct_sum", "effective_term", "em_sum", "em_tail", "eval_identity",
+    "hurwitz_zeta", "identity_names", "laplace_of_kernel",
     "parse_expression", "phi", "phi_derivative", "recognize_fourier",
     "recognize_pair", "riemann_zeta", "sum_via_fourier",
     "sum_via_integral", "telescoping_sum", "type_b_sum", "verify_all",

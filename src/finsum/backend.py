@@ -1,10 +1,11 @@
 """The numpy grid primitives every route evaluates through.
 
 Callers look these functions up as ``backend.<name>`` at call time, so a
-wrapper installed on the module attribute sees every call.  ``phi_grid``
-is reached only with grids; the laplace spike path evaluates
-``summation_factor`` at a scalar or a jet without it, and the comb behind
-both lives in :mod:`finsum.jets`.  ``dirichlet_grid`` serves
+wrapper installed on the module attribute sees every call.
+``summation_factor`` takes a SeriesSpec's (sign, damping, shift);
+``phi_grid(t, spec)`` evaluates it on grids, on the spec's real or complex
+lattice, and the laplace spike path at a scalar or a jet without it.  The
+comb behind both lives in :mod:`finsum.jets`.  ``dirichlet_grid`` serves
 :func:`finsum.fourier.dirichlet_factor` only: the fourier route integrates
 the Dirichlet kernel by a Levin rule and never evaluates the lattice
 factor.  ``partial_sums`` is the one compensated reduction: ``math.fsum``
@@ -37,35 +38,26 @@ def active() -> str:
     return "pure"
 
 
-def summation_factor(t, n: int, variant, alpha: complex, beta: complex):
-    """The kernel Phi(t) of a :class:`finsum.series.Variant` at a complex
-    scalar, a jet, a complex grid or, with alpha and beta real, a float64
-    grid: w = alpha*t (+ beta), the comb of -w, and the shift factor
-    exp(-beta*t)."""
+def summation_factor(t, n: int, sign: float, alpha: complex, damping, shift):
+    """Phi(t) = sum_{k=1}^{n} sign^(k+1) exp(-(alpha*k + shift)*t - damping*k),
+    from a :class:`finsum.series.SeriesSpec`'s parts (damping and shift None
+    where the variant has none), at a complex scalar, a jet, a complex grid
+    or, with real parts, a float64 grid.  -shift*t is the comb's lead, inside
+    its one exponential, so that derivatives see it too."""
     w = alpha * t
-    if variant.is_exp_factor:
-        w = w + beta
-    if variant.is_alternating:
-        out = jets.alternating_exp_power_sum(-w, n)
-    else:
-        out = jets.exp_power_sum(-w, n)
-    if variant.is_shifted:
-        # the shift factor is part of the kernel, so derivatives see it too
-        out = out * jets.exp(-beta * t)
-    return out
+    if damping is not None:
+        w = w + damping
+    comb = jets.alternating_exp_power_sum if sign < 0 else jets.exp_power_sum
+    return comb(-w, n, None if shift is None else -shift * t)
 
 
-def phi_grid(t: np.ndarray, n: int, variant, alpha: complex, beta: complex) -> np.ndarray:
-    """Variant kernel Phi(t) on a grid of real abscissas t >= 0.
-
-    With alpha and beta real the comb is real on real t and is evaluated in
-    float64; a complex alpha or beta keeps the complex128 grid.
-    """
-    alpha, beta = complex(alpha), complex(beta)
-    if alpha.imag == 0.0 and beta.imag == 0.0:
-        return summation_factor(np.asarray(t, dtype=np.float64), n, variant,
-                                alpha.real, beta.real)
-    return summation_factor(np.asarray(t, dtype=np.complex128), n, variant, alpha, beta)
+def phi_grid(t: np.ndarray, spec) -> np.ndarray:
+    """The summation factor of a SeriesSpec on a grid of real abscissas
+    t >= 0: in float64 where ``spec.real_lattice`` holds, as the oracle's
+    lattice is, and on the complex128 grid otherwise."""
+    dtype = np.float64 if spec.real_lattice else np.complex128
+    return summation_factor(np.asarray(t, dtype=dtype), spec.n_terms, spec.sign,
+                            *spec.parameters(dtype))
 
 
 def dirichlet_amplitude(d, n: int):

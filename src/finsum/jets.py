@@ -347,13 +347,15 @@ def _check_pole(den, z, what: str) -> None:
         raise PoleError(f"{what} has a pole", pole=value_part(z))
 
 
-def exp_power_sum(z, n: int):
-    """sum_{k=1}^{n} exp(z*k), stable for scalars, jets and arrays.
+def exp_power_sum(z, n: int, lead=None):
+    """sum_{k=1}^{n} exp(z*k + lead), stable for scalars, jets and arrays.
 
-    Closed form expm1(n*z)*exp(z)/expm1(z), rearranged so that only
+    Closed form expm1(n*z)*exp(z + lead)/expm1(z), rearranged so that only
     exponentials of non-positive real part appear when Re(z) <= 0.  Near the
     removable point z = 0 (|z| < 1e-6 with |z|*n small) a degree-4 series in
-    z with Faulhaber coefficients is used; at z = 0 exactly the limit is n.
+    z with Faulhaber coefficients is used, times exp(lead); at z = 0 exactly
+    the limit is n.  ``lead`` (None for 0), a scalar or a jet or array like
+    z, sits inside the one exponential, so it cannot overflow on its own.
     Arrays must have Re(z) <= 0; there the series serves a mask of the
     elements.  A pole z = 2*pi*i*m (m != 0) raises PoleError on scalars,
     jets and arrays alike.  A float64 array gives float64 values, any other
@@ -365,36 +367,41 @@ def exp_power_sum(z, n: int):
         small = (az < _SERIES_CUTOFF) & (az * n <= _SERIES_N_CUTOFF)
         if np.any(small):
             out[small] = _faulhaber(z[small], n)
+            if lead is not None:
+                out[small] *= np.exp(lead[small])
         big = ~small
         if np.any(big):
             zb = z[big]
             den = expm1(zb)
             _check_pole(den, zb, "variant kernel")
-            out[big] = expm1(zb * n) * np.exp(zb) / den
+            out[big] = expm1(zb * n) * np.exp(zb if lead is None else zb + lead[big]) / den
         return out
     z0 = value_part(z)
     az = abs(z0)
     if az < _SERIES_CUTOFF and az * n <= _SERIES_N_CUTOFF:
-        return _faulhaber(z, n)
+        return _faulhaber(z, n) if lead is None else _faulhaber(z, n) * exp(lead)
     if z0.real <= 0.0:
-        num, den = expm1(z * n) * exp(z), expm1(z)
+        num, den = expm1(z * n) * exp(z if lead is None else z + lead), expm1(z)
     else:
         # Growing case: factor the dominant exponential out front.
-        num, den = exp(z * n) * expm1(-z * n), expm1(-z)
+        num, den = exp(z * n if lead is None else z * n + lead) * expm1(-z * n), expm1(-z)
     _check_pole(den, z, "variant kernel")
     return num / den
 
 
-def alternating_exp_power_sum(z, n: int):
-    """sum_{k=1}^{n} (-1)^(k+1) exp(z*k), stable for scalars, jets and arrays.
+def alternating_exp_power_sum(z, n: int, lead=None):
+    """sum_{k=1}^{n} (-1)^(k+1) exp(z*k + lead), stable for scalars, jets
+    and arrays, with ``lead`` as in :func:`exp_power_sum`.
 
-    Equals (1 - (-1)^n exp(n z)) * exp(z) / (1 + exp(z)); no removable point
-    (the value at z = 0 is 0 for even n, 1 for odd n).  A pole
-    z = i*pi*(2m+1) raises PoleError.
+    Equals (1 - (-1)^n exp(n z)) * exp(z + lead) / (1 + exp(z)); no
+    removable point (the value at z = 0 is 0 for even n, exp(lead) for odd
+    n).  A pole z = i*pi*(2m+1) raises PoleError.
     """
     ez = exp(z)
     den = 1.0 + ez
     _check_pole(den, z, "alternating kernel")
+    if lead is not None:
+        ez = exp(z + lead)
     if n % 2 == 0:
         return -expm1(z * n) * ez / den
     return (2.0 + expm1(z * n)) * ez / den

@@ -1,8 +1,8 @@
 """Finite-sum evaluation through the integral representation.
 
-The sum of g over the lattice alpha*k (k = 1..N, with the optional variant
-weights) equals the integral of G(t) against a rational summation factor
-built from the geometric sum of exp(-alpha*k*t).  Spike components of G hit
+The sum of a SeriesSpec equals the integral of G(t) against its summation
+factor, sum_k sign^(k+1) exp(-(alpha*k + shift)*t - damping*k), built from
+the spec's three parts and never from its variant.  Spike components of G hit
 the factor in closed form through its derivatives; smooth components go
 through adaptive quadrature with the factor evaluated in expm1-stabilized
 form on the whole grid.  Both evaluate ``backend.summation_factor`` (the
@@ -27,8 +27,7 @@ from . import backend, jets
 from .errors import CapabilityError, PreconditionError
 from .kernels import Kernel
 from .quadrature import integrate_semi_infinite
-from .series import (Diagnostics, SeriesSpec, SumResult, Variant,
-                     check_count, check_lattice)
+from .series import Diagnostics, SeriesSpec, SumResult, Variant, check_count
 from .special import riemann_zeta
 from .stable import TWO_PI
 
@@ -45,45 +44,25 @@ _PERIODS = 2
 _WAVE_PANELS = 4096
 
 
-@dataclass(frozen=True)
-class VariantKernel:
-    """The summation factor Phi: variant shape plus its parameters.
-
-    ``phi``, ``phi_derivative`` and the route read only these four fields,
-    so a SeriesSpec serves wherever a VariantKernel does.
-    """
-
-    variant: Variant
-    alpha: complex
-    beta: complex
-    n_terms: int
-
-    def __post_init__(self):
-        lattice = check_lattice(self.variant, self.n_terms, self.alpha, self.beta)
-        for name, value in zip(("variant", "n_terms", "alpha", "beta"), lattice):
-            object.__setattr__(self, name, value)
+def phi(spec: SeriesSpec, t) -> complex:
+    """The summation factor of spec at complex t (removable point at t=0
+    included); spec.g is not used and may be None."""
+    return complex(backend.summation_factor(complex(t), spec.n_terms, spec.sign,
+                                            spec.alpha, spec.damping, spec.shift))
 
 
-def phi(vk: VariantKernel | SeriesSpec, t) -> complex:
-    """The summation factor at complex t (removable point at t=0 included)."""
-    return complex(backend.summation_factor(complex(t), vk.n_terms, vk.variant,
-                                            vk.alpha, vk.beta))
-
-
-def phi_derivative(vk: VariantKernel | SeriesSpec, t, order: int) -> complex:
+def phi_derivative(spec: SeriesSpec, t, order: int) -> complex:
     """d^order/dt^order of the summation factor, by jet arithmetic."""
     if not 1 <= order <= _MAX_DERIV:
         raise PreconditionError(f"derivative order {order} outside 1..{_MAX_DERIV}")
     jet = jets.Jet.variable(complex(t), order)
-    return backend.summation_factor(jet, vk.n_terms, vk.variant, vk.alpha,
-                                    vk.beta).derivative(order)
+    return backend.summation_factor(jet, spec.n_terms, spec.sign, spec.alpha,
+                                    spec.damping, spec.shift).derivative(order)
 
 
-def _growth_limit(vk: VariantKernel | SeriesSpec) -> float:
-    limit = vk.alpha.real
-    if vk.variant.is_shifted:
-        limit += vk.beta.real
-    return limit
+def _growth_limit(spec: SeriesSpec) -> float:
+    """Re(alpha + shift): the summation factor decays like exp(-limit*t)."""
+    return spec.alpha.real + (0.0 if spec.shift is None else spec.shift.real)
 
 
 def _ladder(spec: SeriesSpec, smooth, tol: float) -> np.ndarray:
@@ -146,15 +125,16 @@ def sum_via_integral(spec: SeriesSpec, kernel: Kernel, tol: float = 1e-10) -> Su
 
     if kernel.smooth:
         limit = _growth_limit(spec)
+        decay = (f"only decays like exp(-{limit}*t)" if limit > 0.0 else
+                 f"does not decay: Re(alpha + beta) = {limit:.6g}")
         for s in kernel.smooth:
             if s.growth_bound >= limit:
-                raise PreconditionError(
-                    f"density {s.label!r} grows like exp({s.growth_bound}*t) "
-                    f"but the summation factor only decays like exp(-{limit}*t)")
+                raise PreconditionError(f"density {s.label!r} grows like "
+                                        f"exp({s.growth_bound}*t) but the summation factor {decay}")
 
         def integrand(t):
             t = np.asarray(t, dtype=float)
-            factor = backend.phi_grid(t, spec.n_terms, spec.variant, spec.alpha, spec.beta)
+            factor = backend.phi_grid(t, spec)
             total = kernel.smooth[0].fn(t) * factor
             for s in kernel.smooth[1:]:
                 total = total + s.fn(t) * factor
@@ -181,8 +161,9 @@ def type_b_sum(kernel: Kernel, x: float, n_terms: int,
                variant: Variant = Variant.STANDARD, beta: complex = 0j) -> complex:
     """Sigma_{k=1}^{N} w_k * (variant factor) * G(x/k) / k for smooth G.
 
-    Variant factors: alternating weight (-1)^(k+1); shifted factor
-    exp(beta*x/k); exponential-factor weight exp(-beta*k).
+    The factors are those of the variant's SeriesSpec: the weight
+    sign^(k+1), the shift factor exp(shift*x/k) and the damping weight
+    exp(-damping*k).
     """
     if kernel.deltas:
         raise CapabilityError(
@@ -190,20 +171,19 @@ def type_b_sum(kernel: Kernel, x: float, n_terms: int,
             "use delta_type_b")
     if x <= 0:
         raise PreconditionError(f"x must be positive, got {x}")
-    variant, n_terms, _, beta = check_lattice(variant, n_terms, beta=beta)
+    spec = SeriesSpec(None, n_terms, variant=variant, beta=beta)
 
-    ks = np.arange(1, n_terms + 1, dtype=float)
+    ks = np.arange(1, spec.n_terms + 1, dtype=float)
     u = x / ks
     g_vals = np.zeros_like(u, dtype=complex)
     for s in kernel.smooth:
         g_vals = g_vals + np.asarray(s.fn(u), dtype=complex)
-    weights = np.ones(n_terms, dtype=complex)
-    if variant.is_alternating:
-        weights[1::2] = -1.0
-    if variant.is_shifted:
-        weights = weights * np.exp(beta * u)
-    if variant.is_exp_factor:
-        weights = weights * np.exp(-beta * ks)
+    weights = np.ones(spec.n_terms, dtype=complex)
+    weights[1::2] = spec.sign
+    if spec.shift is not None:
+        weights = weights * np.exp(spec.shift * u)
+    if spec.damping is not None:
+        weights = weights * np.exp(-spec.damping * ks)
     terms = weights * g_vals / ks
     return backend.neumaier_sum(terms)
 
@@ -266,7 +246,7 @@ def zeta_expansion_sum(a: float, alpha: float, n_terms: int,
     """
     if a == 0:
         raise PreconditionError("a must be nonzero")
-    _, n_terms, _, _ = check_lattice(Variant.STANDARD, n_terms, alpha)
+    n_terms = SeriesSpec(None, n_terms, alpha).n_terms
     max_terms = check_count(max_terms, "max_terms")
 
     ia = 1j * a

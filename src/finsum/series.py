@@ -2,8 +2,8 @@
 
 The direct sum is the reference every other engine is judged against, so it
 is kept boring: evaluate each term, weight it for the variant, and reduce
-with compensated summation.  Variant weighting lives here and only here;
-the integral engines import these helpers instead of re-deriving signs.
+with compensated summation.  A SeriesSpec resolves its variant once into
+(sign, damping, shift), which every route reads instead of the variant.
 """
 
 from __future__ import annotations
@@ -94,22 +94,45 @@ def check_lattice(variant, n_terms, alpha=1.0, beta=0j) -> tuple[Variant, int, c
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """A finite series sum_{k=1}^{n} weight_k * g(argument_k).
+    """A finite series sum_{k=1}^{n} sign^(k+1) exp(-damping*k) g(alpha*k + shift).
 
-    ``g`` is the bare term function; the variant contributes the weights
-    (alternating signs, exp(-beta*k) damping) and the argument shift.
+    ``g`` is the bare term function, or None where only the lattice is
+    needed.  The variant is resolved once, here, into the three parts every
+    consumer reads: ``sign`` is -1.0 on the alternating variants, else 1.0;
+    ``damping`` is beta on the exp-factor variants and ``shift`` beta on
+    the shifted ones, else None.
     """
 
-    g: Callable
+    g: Callable | None
     n_terms: int
     alpha: complex = 1.0 + 0j
     variant: Variant = Variant.STANDARD
     beta: complex = 0j
+    sign: float = field(init=False, repr=False)
+    damping: complex | None = field(init=False, repr=False)
+    shift: complex | None = field(init=False, repr=False)
 
     def __post_init__(self):
         lattice = check_lattice(self.variant, self.n_terms, self.alpha, self.beta)
-        for name, value in zip(("variant", "n_terms", "alpha", "beta"), lattice):
+        variant, beta = lattice[0], lattice[3]
+        parts = (-1.0 if variant.is_alternating else 1.0,
+                 beta if variant.is_exp_factor else None, beta if variant.is_shifted else None)
+        for name, value in zip(("variant", "n_terms", "alpha", "beta", "sign", "damping",
+                                "shift"), lattice + parts):
             object.__setattr__(self, name, value)
+
+    @property
+    def real_lattice(self) -> bool:
+        """Whether alpha, damping and shift are real: the oracle's lattice
+        and the summation factor's grid are then float64."""
+        return all(v is None or v.imag == 0.0 for v in (self.alpha, self.damping, self.shift))
+
+    def parameters(self, dtype) -> tuple:
+        """(alpha, damping, shift), their real parts for a float64 lattice."""
+        parts = (self.alpha, self.damping, self.shift)
+        if dtype == np.complex128:
+            return parts
+        return tuple(None if v is None else v.real for v in parts)
 
 
 @dataclass
@@ -141,26 +164,27 @@ class SumResult:
 
 def term_argument(spec: SeriesSpec, k):
     """The argument handed to g at index k (scalar, array or jet)."""
-    if spec.variant.is_shifted:
-        return spec.alpha * k + spec.beta
+    if spec.shift is not None:
+        return spec.alpha * k + spec.shift
     return spec.alpha * k
 
 
 def term_weight(spec: SeriesSpec, k):
     """The variant weight at index k (scalar, or float64 or complex128
-    array of indices); float64 on a float64 index array when beta is real."""
+    array of indices); float64 on a float64 index array when the damping
+    is real."""
     w = 1.0
-    if spec.variant.is_exp_factor:
+    if spec.damping is not None:
         if isinstance(k, np.ndarray):
-            real = k.dtype == np.float64 and spec.beta.imag == 0.0
-            w = np.exp(-(spec.beta.real if real else spec.beta) * k)
+            real = k.dtype == np.float64 and spec.damping.imag == 0.0
+            w = np.exp(-(spec.damping.real if real else spec.damping) * k)
         else:
-            w = jets.exp(-spec.beta * k)
-    if spec.variant.is_alternating:
+            w = jets.exp(-spec.damping * k)
+    if spec.sign < 0:
         if isinstance(k, np.ndarray):
-            sign = np.where(k.real.astype(np.int64) % 2 == 1, 1.0, -1.0)
+            sign = np.where(k.real.astype(np.int64) % 2 == 1, 1.0, spec.sign)
         else:
-            sign = 1.0 if int(k) % 2 == 1 else -1.0
+            sign = 1.0 if int(k) % 2 == 1 else spec.sign
         w = w * sign
     return w
 
@@ -168,21 +192,19 @@ def term_weight(spec: SeriesSpec, k):
 def effective_term(spec: SeriesSpec) -> Callable:
     """h with sum(spec) = sum_{k=1}^{n} h(k), extended off the lattice.
 
-    h(x) is exp(-beta*x) * g(alpha*x) on the exp-factor variant, and
-    g(alpha*x + beta) or g(alpha*x) itself on the shifted and standard ones,
-    with no unit weight applied.  On a jet x with alpha == 1 the argument is
-    x itself (+ beta), since scaling by 1 changes no coefficient.  Used by
-    the telescoping and lattice-sum routes; the alternating variants raise a
-    capability error, since the sign (-1)^(k+1) has no smooth extension.
+    h(x) is exp(-damping*x) * g(alpha*x + shift), without the parts the
+    variant lacks and with no unit weight applied.  On a jet x with
+    alpha == 1 the argument is x itself (+ shift), since scaling by 1
+    changes no coefficient.  Used by the telescoping and lattice-sum
+    routes; the alternating variants raise a capability error, since the
+    sign (-1)^(k+1) has no smooth extension.
     """
-    if spec.variant.is_alternating:
+    if spec.sign < 0:
         raise CapabilityError(
             f"variant {spec.variant.value!r} cannot be extended smoothly off the integer lattice")
-    # the variant is resolved here, once, rather than at every call of h
-    g, alpha = spec.g, spec.alpha
+    g, alpha, shift = spec.g, spec.alpha, spec.shift
     unit = alpha == 1
-    shift = spec.beta if spec.variant.is_shifted else None
-    damping = -spec.beta if spec.variant.is_exp_factor else None
+    damping = None if spec.damping is None else -spec.damping
 
     def h(x):
         w = None if damping is None else jets.exp(damping * x)
@@ -230,14 +252,14 @@ def _lattice_blocks(spec: SeriesSpec, dtype):
     """The weighted terms on a lattice of the dtype, float64 or complex128,
     as (first k, terms) per block.
 
-    The float64 lattice takes the real parts of alpha and beta, the
+    The float64 lattice takes the real parts of the spec's parameters, the
     complex128 lattice their values.  A parsed closure goes to the lattice
     unprobed, any other g once it passes the probe.  A block is one shifted
     copy of the indices: its weights are formed from it before g runs, so a
     g that writes into its argument cannot change them, and then it is
     scaled and shifted in place.  Only the operations that change a value
-    run: no scaling when alpha is 1, no shift unless the variant is
-    shifted, no weighting unless it is alternating or exp-factor.  Terms
+    run: no scaling when alpha is 1, no shift or weighting unless the spec
+    has a shift, or a sign or damping.  Terms
     come in the lattice's dtype, or complex128 where g gives complex
     values.
 
@@ -245,11 +267,9 @@ def _lattice_blocks(spec: SeriesSpec, dtype):
     the float64 lattice yields None as the terms, and the series must go to
     the complex128 lattice; that lattice forms the block by
     :func:`_term_block` instead."""
-    g, variant = spec.g, spec.variant
-    alpha, beta = ((spec.alpha, spec.beta) if dtype == np.complex128
-                   else (spec.alpha.real, spec.beta.real))
-    shift = beta if variant.is_shifted else None
-    weighted = variant.is_alternating or variant.is_exp_factor
+    g = spec.g
+    alpha, _, shift = spec.parameters(dtype)
+    weighted = spec.sign < 0 or spec.damping is not None
     lattice = _parsed(g) or _probe_vectorized(g, dtype)
     for k0, m in _blocks(spec.n_terms):
         terms = None
@@ -279,16 +299,15 @@ def _term_block(spec: SeriesSpec, k0: int, m: int) -> np.ndarray:
     :func:`term_argument` and :func:`term_weight` in their order, so the
     terms are the same bits.  On an exception :func:`_term_loop` replays
     the block term by term, so that the error names the first failing k."""
-    variant = spec.variant
     # iterators, so that no list of arguments or weights is held
     ks = range(k0, k0 + m)
     xs = map(operator.mul, itertools.repeat(spec.alpha), ks)
-    if variant.is_shifted:
-        xs = map(operator.add, xs, itertools.repeat(spec.beta))
-    weights = (map(cmath.exp, map(operator.mul, itertools.repeat(-spec.beta), ks))
-               if variant.is_exp_factor else itertools.repeat(1.0, m))
-    if variant.is_alternating:  # k0 is odd
-        weights = map(operator.mul, weights, itertools.cycle((1.0, -1.0)))
+    if spec.shift is not None:
+        xs = map(operator.add, xs, itertools.repeat(spec.shift))
+    weights = (map(cmath.exp, map(operator.mul, itertools.repeat(-spec.damping), ks))
+               if spec.damping is not None else itertools.repeat(1.0, m))
+    if spec.sign < 0:  # k0 is odd
+        weights = map(operator.mul, weights, itertools.cycle((1.0, spec.sign)))
     try:
         return np.fromiter(map(operator.mul, map(complex, map(spec.g, xs)), weights),
                            dtype=np.complex128, count=m)
@@ -372,11 +391,11 @@ class _Sums:
 def direct_sum(spec: SeriesSpec) -> SumResult:
     """Compensated direct evaluation of the series (the oracle).
 
-    g runs on a float64 lattice when alpha is real and beta real or unused
-    by the variant.  Otherwise, or when g fails the probe, raises, gives the
-    wrong shape or a non-finite term there, the complex128 lattice gives the
-    terms, block by block or, where g rejects arrays, term by term, and
-    names a failing k.  Both lattices come from :func:`_lattice_blocks`.  A
+    g runs on a float64 lattice where ``spec.real_lattice`` holds, the rule
+    the summation factor's grid shares.  Otherwise, or when g fails the
+    probe, raises, gives the wrong shape or a non-finite term there, the
+    complex128 lattice gives the terms, block by block or, where g rejects
+    arrays, term by term, and names a failing k.  Both lattices come from :func:`_lattice_blocks`.  A
     parsed closure (one of :func:`finsum.expr.as_function`) goes straight
     to a lattice, so it is called once per block of the lattice; any other
     g is first probed at k = 1, 2, its array values checked against its
@@ -394,10 +413,8 @@ def direct_sum(spec: SeriesSpec) -> SumResult:
     """
     t0 = time.perf_counter_ns()
     sums = _Sums(spec.n_terms)
-    beta_used = spec.variant.is_shifted or spec.variant.is_exp_factor
-    real = spec.alpha.imag == 0.0 and not (beta_used and spec.beta.imag != 0.0)
     with np.errstate(all="ignore"):  # a non-finite term is reported by k
-        if not real or sums.feed(_lattice_blocks(spec, np.float64)) is not None:
+        if not spec.real_lattice or sums.feed(_lattice_blocks(spec, np.float64)) is not None:
             sums.clear()
             k_bad = sums.feed(_lattice_blocks(spec, np.complex128))
             if k_bad is not None:

@@ -11,7 +11,7 @@ import pytest
 import finsum
 from finsum import backend, cli, quadrature
 from finsum.fourier import dirichlet_factor
-from finsum.series import Variant
+from finsum.series import SeriesSpec, Variant
 
 _EPS = 2.220446049250313e-16
 
@@ -134,7 +134,7 @@ class TestExtraction:
 
 def test_phi_grid_includes_origin():
     """t = 0 is the removable point: Phi(0) = N, by the power-sum series."""
-    out = backend.phi_grid(np.array([0.0, 1e-12, 0.5]), 7, Variant.STANDARD, 1.0 + 0j, 0j)
+    out = backend.phi_grid(np.array([0.0, 1e-12, 0.5]), SeriesSpec(None, 7))
     assert out[0] == pytest.approx(7.0, rel=1e-14)
     assert out[1] == pytest.approx(7.0, rel=1e-10)
     assert out[2] == pytest.approx(sum(math.exp(-0.5 * k) for k in range(1, 8)),
@@ -174,8 +174,11 @@ def _check_phi_tail(variant, n, alpha, beta):
     mp = pytest.importorskip("mpmath")
     ts = np.concatenate([np.geomspace(1e-9, 700.0 / alpha.real, 36),
                          np.linspace(1.0, 700.0 / alpha.real, 16)])
-    got = backend.phi_grid(ts, n, variant, alpha, beta)
-    assert got.dtype == (np.float64 if alpha.imag == beta.imag == 0.0 else np.complex128)
+    got = backend.phi_grid(ts, SeriesSpec(None, n, alpha, variant, beta))
+    # the oracle's rule: a beta the variant ignores does not count
+    uses_beta = variant.is_shifted or variant.is_exp_factor
+    real = alpha.imag == 0.0 and not (uses_beta and beta.imag != 0.0)
+    assert got.dtype == (np.float64 if real else np.complex128)
     checked = 0
     with mp.workdps(30):
         for t, value in zip(ts.tolist(), got.tolist()):
@@ -201,6 +204,12 @@ def test_phi_grid_keeps_relative_accuracy_on_the_tail_in_float64(variant, n):
     """The float64 comb, at real alpha and beta: the lattice of the
     pinned reproducer below."""
     _check_phi_tail(variant, n, 0.569 + 0j, 0.5 + 0j)
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=range(len(Variant)))
+def test_phi_grid_keeps_relative_accuracy_at_a_complex_beta_on_a_real_alpha(variant):
+    """float64 on the variants that ignore beta, complex128 on the rest."""
+    _check_phi_tail(variant, 10, 0.569 + 0j, 0.5 + 0.3j)
 
 
 def test_pinned_tail_reproducer_converges():

@@ -292,6 +292,16 @@ class TestTransformSums:
         assert "lorentzian" in got.diagnostics.notes["pair"]
         assert got.diagnostics.nodes > 0
 
+    @pytest.mark.parametrize("text", ["(-1)^0.5/(k^2+1)",
+                                      "(-1)^0.5/(k^2+1) + exp(-0.3*k^2)"])
+    def test_complex_weight_is_not_flagged(self, text):
+        """An imaginary part is the weight's share of the sum, not a
+        residual: the record stays unflagged and covers the oracle."""
+        oracle, rec = cli.run(text, 10, method="fourier")["results"]
+        assert rec["method"] == "fourier" and not rec["flags"]
+        assert rec["diagnostics"]["notes"]["imag_residual"] > 0.9
+        assert rec["abs_err_vs_oracle"] <= rec["error_estimate"]
+
     def test_rejects_bad_length(self):
         with pytest.raises(PreconditionError):
             sum_via_fourier("exp(-k^2)", 0)

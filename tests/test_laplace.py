@@ -17,23 +17,23 @@ from finsum import cli, quadrature
 from finsum.errors import CapabilityError, PoleError, PreconditionError
 from finsum.expr import as_function, parse_expression
 from finsum.kernels import Kernel, SmoothTerm, recognize_pair
-from finsum.laplace import (VariantKernel, delta_type_b, phi, phi_derivative,
-                            sum_via_integral, type_b_sum, zeta_expansion_sum)
+from finsum.laplace import (delta_type_b, phi, phi_derivative, sum_via_integral,
+                            type_b_sum, zeta_expansion_sum)
 from finsum.series import SeriesSpec, Variant, direct_sum
 
 
-def _phi_loop(vk, t):
+def _phi_loop(spec, t):
     """Reference summation factor straight from its definition."""
     total = 0j
-    for k in range(1, vk.n_terms + 1):
+    for k in range(1, spec.n_terms + 1):
         w = 1.0 + 0j
-        if vk.variant.is_alternating and k % 2 == 0:
+        if spec.variant.is_alternating and k % 2 == 0:
             w = -w
-        if vk.variant.is_exp_factor:
-            w *= cmath.exp(-vk.beta * k)
-        arg = vk.alpha * k
-        if vk.variant.is_shifted:
-            arg += vk.beta
+        if spec.variant.is_exp_factor:
+            w *= cmath.exp(-spec.beta * k)
+        arg = spec.alpha * k
+        if spec.variant.is_shifted:
+            arg += spec.beta
         total += w * cmath.exp(-arg * t)
     return total
 
@@ -46,40 +46,42 @@ class TestSummationFactor:
         (Variant.SHIFTED_ALTERNATING, 0.6 + 0j, 6),
         (Variant.EXP_FACTOR, 0.9 + 0j, 5),
         (Variant.EXP_FACTOR_ALTERNATING, 0.9 + 0j, 4),
+        (Variant.SHIFTED, -0.5 + 0j, 5),
+        (Variant.SHIFTED_ALTERNATING, -0.5 + 0j, 6),
     ])
     def test_matches_definition(self, variant, beta, n):
-        vk = VariantKernel(variant, 1.3 + 0j, beta, n)
+        spec = SeriesSpec(None, n, 1.3 + 0j, variant, beta)
         for t in (0.0, 0.2, 1.0, 3.5, 0.5 + 0.25j):
-            assert phi(vk, t) == pytest.approx(_phi_loop(vk, t),
-                                               rel=1e-13, abs=1e-13)
+            assert phi(spec, t) == pytest.approx(_phi_loop(spec, t),
+                                                 rel=1e-13, abs=1e-13)
 
     def test_removable_point_at_zero(self):
-        vk = VariantKernel(Variant.STANDARD, 2.0 + 0j, 0j, 12)
-        assert phi(vk, 0.0) == pytest.approx(12.0, rel=1e-15)
+        spec = SeriesSpec(None, 12, 2.0 + 0j)
+        assert phi(spec, 0.0) == pytest.approx(12.0, rel=1e-15)
 
     def test_derivative_against_central_differences(self):
-        vk = VariantKernel(Variant.STANDARD, 1.0 + 0j, 0j, 6)
+        spec = SeriesSpec(None, 6)
         h = 1e-5
         for t in (0.4, 1.1, 2.7):
-            fd = (phi(vk, t + h) - phi(vk, t - h)) / (2 * h)
-            assert phi_derivative(vk, t, 1) == pytest.approx(fd, rel=1e-8)
-            fd2 = (phi(vk, t + h) - 2 * phi(vk, t) + phi(vk, t - h)) / h**2
-            assert phi_derivative(vk, t, 2) == pytest.approx(fd2, rel=1e-5)
+            fd = (phi(spec, t + h) - phi(spec, t - h)) / (2 * h)
+            assert phi_derivative(spec, t, 1) == pytest.approx(fd, rel=1e-8)
+            fd2 = (phi(spec, t + h) - 2 * phi(spec, t) + phi(spec, t - h)) / h**2
+            assert phi_derivative(spec, t, 2) == pytest.approx(fd2, rel=1e-5)
 
     def test_derivative_order_is_bounded(self):
-        vk = VariantKernel(Variant.STANDARD, 1.0 + 0j, 0j, 6)
+        spec = SeriesSpec(None, 6)
         with pytest.raises(PreconditionError):
-            phi_derivative(vk, 1.0, 0)
+            phi_derivative(spec, 1.0, 0)
         with pytest.raises(PreconditionError):
-            phi_derivative(vk, 1.0, 5)
+            phi_derivative(spec, 1.0, 5)
 
     def test_constructor_rejects_bad_parameters(self):
         with pytest.raises(PreconditionError):
-            VariantKernel(Variant.STANDARD, -1.0 + 0j, 0j, 5)
+            SeriesSpec(None, 5, -1.0 + 0j)
         with pytest.raises(PreconditionError):
-            VariantKernel(Variant.ALTERNATING, 1.0 + 0j, 0j, 5)  # odd N
+            SeriesSpec(None, 5, 1.0 + 0j, Variant.ALTERNATING)  # odd N
         with pytest.raises(PreconditionError):
-            VariantKernel(Variant.EXP_FACTOR, 1.0 + 0j, -0.2 + 0j, 4)
+            SeriesSpec(None, 4, 1.0 + 0j, Variant.EXP_FACTOR, -0.2 + 0j)
 
 
 class TestSmoothSummands:
@@ -385,6 +387,38 @@ class TestPoleDetection:
         spec = SeriesSpec(lambda x: 1.0, 5)
         with pytest.raises(PreconditionError, match="grows"):
             sum_via_integral(spec, grow, tol=1e-8)
+
+    def test_shift_that_stops_the_decay_is_named(self):
+        """alpha + Re(beta) <= 0: the factor does not decay at all, and the
+        message says so rather than "decays like exp(--0.2*t)"."""
+        report = cli.run("1/k^2", 10, method="laplace", variant="shifted", beta=-1.2)
+        lap = report["results"][1]
+        assert lap["method"] == "laplace" and "value" not in lap
+        assert lap["error"].endswith(
+            "but the summation factor does not decay: Re(alpha + beta) = -0.2")
+
+
+class TestNegativeShift:
+    """-alpha < Re(beta) < 0 on the shifted variants: the factor
+    sum exp(-(alpha k + beta) t) still decays, but exp(-beta t) alone
+    overflows far out on the half-line, so the shift must stay inside the
+    comb's exponential."""
+
+    @pytest.mark.parametrize("text,variant,beta", [
+        ("1/k", "shifted", -0.5),
+        ("1/k^2", "shifted", -0.9),
+        ("1/k", "shifted-alternating", -0.5),
+    ])
+    def test_request_is_answered_and_covered(self, text, variant, beta):
+        report = cli.run(text, 10, method="laplace", variant=variant, beta=beta)
+        lap = report["results"][1]
+        assert lap["method"] == "laplace" and not lap["flags"]
+        g = {"1/k": lambda x: 1 / x, "1/k^2": lambda x: x ** -2}[text]
+        want = _mp_series(g, 10, 1.0, variant, beta)
+        assert abs(lap["value"]["re"] - float(want)) <= lap["error_estimate"]
+
+    def test_factor_underflows_to_zero_far_out(self):
+        assert phi(SeriesSpec(None, 5, 1.3, "shifted", -0.5), 2000.0) == 0
 
 
 class TestDualSums:

@@ -4,9 +4,11 @@ The oracle itself is validated here against raw fsum loops written out
 longhand, one per variant, so everything downstream can lean on it.
 """
 
+import ast
 import cmath
 import dataclasses
 import math
+import pathlib
 import tracemalloc
 import warnings
 
@@ -53,6 +55,47 @@ class TestSpecValidation:
         with pytest.raises(PreconditionError):
             SeriesSpec(g=abs, n_terms=4, variant=Variant.EXP_FACTOR, beta=-0.5)
         SeriesSpec(g=abs, n_terms=4, variant=Variant.EXP_FACTOR, beta=0.5)
+
+
+class TestLatticeModel:
+    """Each variant resolves once into (sign, damping, shift)."""
+
+    @pytest.mark.parametrize("variant,parts", [
+        ("standard", (1.0, None, None)),
+        ("alternating", (-1.0, None, None)),
+        ("shifted", (1.0, None, 0.5 + 0.2j)),
+        ("shifted-alternating", (-1.0, None, 0.5 + 0.2j)),
+        ("exp-factor", (1.0, 0.5 + 0.2j, None)),
+        ("exp-factor-alternating", (-1.0, 0.5 + 0.2j, None)),
+    ])
+    def test_parts_of_each_variant(self, variant, parts):
+        spec = SeriesSpec(None, 4, 1.3, variant, 0.5 + 0.2j)
+        assert (spec.sign, spec.damping, spec.shift) == parts
+        assert spec.real_lattice is (parts[1] is None and parts[2] is None)
+
+    def test_parts_are_not_options(self):
+        with pytest.raises(TypeError):
+            SeriesSpec(None, 4, sign=-1.0)
+
+    def test_only_the_spec_asks_a_variant_its_kind(self):
+        """Outside check_lattice and SeriesSpec.__post_init__, no code of
+        the package reads is_alternating, is_shifted or is_exp_factor:
+        every consumer reads the spec's sign, damping and shift."""
+        kinds = {"is_alternating", "is_shifted", "is_exp_factor"}
+        readers = set()
+        for path in sorted(pathlib.Path(series.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+
+            def visit(node, scope):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    scope = f"{scope}.{node.name}" if scope else node.name
+                if isinstance(node, ast.Attribute) and node.attr in kinds:
+                    readers.add(f"{path.name}:{scope}")
+                for child in ast.iter_child_nodes(node):
+                    visit(child, scope)
+
+            visit(tree, "")
+        assert readers == {"series.py:check_lattice", "series.py:SeriesSpec.__post_init__"}
 
 
 class TestDirectSum:

@@ -15,10 +15,9 @@ from finsum.eulermaclaurin import EMJob, em_sum, em_tail
 from finsum.fourier import dirichlet_factor, sum_via_fourier
 from finsum.identities import eval_identity
 from finsum.kernels import recognize_pair
-from finsum.laplace import (VariantKernel, delta_type_b, phi, type_b_sum,
-                            zeta_expansion_sum)
+from finsum.laplace import delta_type_b, phi, type_b_sum, zeta_expansion_sum
 from finsum.quadrature import integrate_semi_infinite
-from finsum.series import SeriesSpec, Variant, antidifference_sum, direct_sum
+from finsum.series import SeriesSpec, antidifference_sum, direct_sum
 from finsum.telescope import telescoping_sum, zeta_power_sum
 
 N = 4
@@ -38,7 +37,7 @@ def _tail_integral():
 ENTRIES = {
     "SeriesSpec": lambda n: direct_sum(SeriesSpec(g=lambda x: 1.0 / (x * x + 1.0),
                                                   n_terms=n)).value,
-    "VariantKernel": lambda n: phi(VariantKernel(Variant.STANDARD, 1.3, 0j, n), 0.7),
+    "phi": lambda n: phi(SeriesSpec(None, n, 1.3), 0.7),
     "type_b_sum": lambda n: type_b_sum(_LORENTZ, 2.0, n),
     "delta_type_b": _delta_type_b,
     "zeta_expansion_sum": lambda n: zeta_expansion_sum(0.3, 0.5, n).value,
@@ -67,7 +66,7 @@ def test_numpy_integer_count_matches_int(name):
 
 VARIANT_ENTRIES = {
     "SeriesSpec": lambda v: SeriesSpec(g=lambda x: 1.0 / x, n_terms=N, variant=v),
-    "VariantKernel": lambda v: VariantKernel(v, 1.3, 0j, N),
+    "phi": lambda v: phi(SeriesSpec(None, N, 1.3, v), 0.7),
     "type_b_sum": lambda v: type_b_sum(_LORENTZ, 2.0, N, variant=v),
     "cli.run": lambda v: cli.run("1/k", N, variant=v),
 }
