@@ -2,7 +2,10 @@
 
 The lattice sum of f over a, a+h, ..., b is the integral plus endpoint
 corrections weighted by even-index Bernoulli numbers; the first omitted
-correction bounds the remainder.  Derivatives are taken by jet arithmetic,
+correction bounds the remainder.  ``em_sum`` sums the first ``HEAD`` lattice
+points directly, where the derivatives are largest and the formula weakest,
+and applies it to the tail from a + HEAD*h on; a lattice of at most ``HEAD``
+points is the direct sum alone.  Derivatives are taken by jet arithmetic,
 one jet over every point a sum needs, unless the caller supplies them
 analytically.  ``em_tail`` is the one-sided version, the sum past m, from
 one scalar jet at m; its caller supplies the integral that stands in for
@@ -13,23 +16,28 @@ already misses it.  ``gregory_tail`` finishes the same window for an f
 that jets cannot differentiate, with forward differences of four lattice
 values in place of the derivatives (Gregory's formula), under the same
 ``need``; ``gregory_value`` finishes a window it skipped.
+``decay_breakpoints`` seeds both routes' integrals at the decay length that
+lattice values they hold show (QUADPACK's QAGP breakpoints), so that the
+first nodes on a long span do not all fall past the mass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from . import jets
-from .errors import CapabilityError, PreconditionError
-from .quadrature import integrate_finite
+from .errors import CapabilityError, EvaluationError, PreconditionError
+from .quadrature import _array_form, integrate_finite
 from .series import Diagnostics, SumResult, check_count
 from .special import bernoulli
 
 _EPS = 2.220446049250313e-16
+# lattice points em_sum sums directly, and the telescope's first checkpoint
+HEAD = 16
 _CURVATURE_SAMPLES = 17
 # gregory_tail: each term must be at most this fraction of the one before it
 _GREGORY_RATIO = 0.25
@@ -112,11 +120,72 @@ def _derivatives(job: EMJob, xs: list[float], order: int) -> Callable:
     return lambda i, j: complex(table[j, i])
 
 
+def decay_breakpoints(values, step: float, start: float, stop: float) -> list[float]:
+    """Breakpoints start + L*2^j inside (start, stop) for the integral of a
+    function whose lattice values, step apart, end near start; none unless
+    the decay length L they show is under an eighth of stop - start.
+
+    L is read from the envelope: the largest magnitude in the first and in
+    the last half of values, so that an oscillation whose period is under
+    half their number does not pass for a decay or hide one.
+    """
+    mags = np.abs(values)
+    half = mags.size // 2
+    if not half:
+        return []
+    early, late = float(mags[:half].max()), float(mags[-half:].max())
+    if not late < early:
+        return []
+    length = (mags.size - half) * step / math.log(early / max(late, _EPS * early))
+    if not length < (stop - start) / 8:
+        return []
+    return [start + length * 2.0 ** j
+            for j in range(int(math.log2((stop - start) / length)) + 1)]
+
+
+def _head(job: EMJob, size: int) -> np.ndarray:
+    """f at the first size lattice points, in one call on their array
+    (point by point where f rejects arrays), b the last when size takes all."""
+    xs = job.a + job.h * np.arange(size, dtype=float)
+    if size == job.m + 1:
+        xs[-1] = job.b
+    with np.errstate(all="ignore"):
+        _, values = _array_form(job.f, xs)
+    values = np.asarray(values, dtype=np.complex128)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise EvaluationError("summand is not finite", at=f"x={float(xs[np.argmin(finite)])!r}")
+    return values
+
+
 def em_sum(job: EMJob, quad_tol: float = 1e-13) -> SumResult:
-    """Sigma of f over the lattice a, a+h, ..., b (both endpoints included)."""
+    """Sigma of f over the lattice a, a+h, ..., b (both endpoints included).
+
+    The first ``HEAD`` points are summed directly, by ``math.fsum`` per
+    component, with the rounding estimate 2*eps*Sigma|f| of the oracle
+    (``series.direct_sum``); a lattice of at most ``HEAD`` points is that sum
+    alone, and at ``HEAD`` + 1 points the tail is the single f(b), summed
+    with them.  Euler-Maclaurin takes the tail a + HEAD*h, ..., b, its
+    integral seeded by ``decay_breakpoints`` of the head.  notes["head"] is
+    the number of points summed directly, notes["breakpoints"] the number
+    of seeded breakpoints.  A non-finite head value is an EvaluationError
+    that names its x.
+    """
+    size = job.m + 1 if job.m <= HEAD else HEAD
+    values = _head(job, size)
+    head = complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
+    rounding = 2.0 * _EPS * float(np.abs(values).sum())
+    notes = {"lattice_points": job.m + 1, "head": size, "breakpoints": 0}
+    if size == job.m + 1:
+        return SumResult(value=head, method="euler-maclaurin", error_estimate=rounding,
+                         diagnostics=Diagnostics(notes=notes))
+    step = job.h
+    job = replace(job, a=job.a + HEAD * step, m=job.m - HEAD)
     h = job.h
-    quad = integrate_finite(job.f, job.a, job.b, tol=quad_tol)
-    value = quad.value / h + 0.5 * (complex(job.f(job.a)) + complex(job.f(job.b)))
+    points = decay_breakpoints(values, step, job.a, job.b)
+    notes["breakpoints"] = len(points)
+    quad = integrate_finite(job.f, job.a, job.b, tol=quad_tol, points=points)
+    value = head + quad.value / h + 0.5 * (complex(job.f(job.a)) + complex(job.f(job.b)))
     # the curvature samples include both endpoints, so one jet of order 2n
     # over them also gives the odd derivatives of the corrections
     last = _CURVATURE_SAMPLES - 1
@@ -133,10 +202,10 @@ def em_sum(job: EMJob, quad_tol: float = 1e-13) -> SumResult:
     curvature = [abs(at(i, 2 * job.n)) for i in range(_CURVATURE_SAMPLES)]
     worst = max(curvature) if all(map(math.isfinite, curvature)) else math.inf
     error = h ** (2 * job.n) * b2n / math.factorial(2 * job.n) * job.m * worst
-    error += quad.abs_error_estimate / h
+    error += quad.abs_error_estimate / h + rounding
 
     diag = Diagnostics(nodes=quad.nodes_used, converged=quad.converged and math.isfinite(worst),
-                       notes={"lattice_points": job.m + 1})
+                       notes=notes)
     return SumResult(value=value, method="euler-maclaurin",
                      error_estimate=error, diagnostics=diag)
 

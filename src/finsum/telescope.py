@@ -7,21 +7,25 @@ survive.  Cut at any depth M, the identity is exact and finite:
     Sigma_{k=1}^{N} g(k) = Sigma_{k<=M} d(k) + Sigma_{k=M+1}^{M+N} g(k),
 
 so the tail past M is a window of N values of g, whatever g does beyond it.
-The route sums the differences to doubling depths M and finishes each
-checkpoint's window by Euler-Maclaurin on [M, M+N]: the integral of g over
-the window, from one finite quadrature, with the corrections of d at M,
+The route sums the differences to doubling depths M, from M = HEAD (16, the
+lattice points em_sum sums directly), and finishes each checkpoint's window
+by Euler-Maclaurin on [M, M+N]: the integral of g over the window, from one
+finite quadrature, with the corrections of d at M,
 d^(j)(M) = g^(j)(M) - g^(j)(M+N), which are those of g at both ends of the
 window (Apostol, "An elementary view of Euler's summation formula", Amer.
 Math. Monthly 1999).  The window integral exists wherever g is smooth on
 [M, M+N], whether or not g decays, and a limit c of g is summed inside the
-window as N*c.  The bound is twice the first omitted correction plus the
-quadrature's error estimate.  It bounds the Euler-Maclaurin remainder only
-while g's next even derivative keeps one sign on the window: for a g
-periodic on the lattice (cos(2*pi*k)), d and its derivatives vanish at M,
-and the window sum comes out as the window integral alone, with an
-estimate near 0.  A checkpoint whose first omitted
-correction is already at least tol takes no window integral (em_tail's
-need), except the last, at max_terms, whose tail the result reports.  When
+window as N*c.  Its initial mesh is seeded at the decay length of the HEAD
+differences d(M-12..M+3) the route holds (``decay_breakpoints``), so that a
+long window of a fast decay does not start past its mass.  The bound is
+twice the first omitted correction plus the quadrature's error estimate.
+It bounds the Euler-Maclaurin remainder only while g's next even
+derivative keeps one sign on the window: for a g periodic on the lattice
+(cos(2*pi*k)), d and its derivatives vanish at M, and the window sum comes
+out as the window integral alone, with an estimate near 0.  A checkpoint
+whose first omitted correction is already at least tol takes no window
+integral (em_tail's need), except the last, at max_terms, whose tail the
+result reports.  When
 jets cannot differentiate d, Gregory's formula takes forward differences of
 d(M..M+3) in place of the derivatives; its estimate counts only when the
 previous checkpoint produced one too, and is no smaller than the two
@@ -77,12 +81,11 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError, EvaluationError
 from . import quadrature
-from .eulermaclaurin import em_tail, gregory_tail, gregory_value
+from .eulermaclaurin import HEAD, decay_breakpoints, em_tail, gregory_tail, gregory_value
 from .quadrature import _array_form
 from .series import Diagnostics, SumResult, check_count
 from .special import hurwitz_zeta, riemann_zeta
 
-_START_DEPTH = 8
 _DECAY_DEPTH = 1024  # no refusal for lack of decay below max(2N, this)
 _STALL = 0.99  # a checkpoint's max |g(k+N)| above this times the last one's has not fallen
 _EM_ORDER = 3
@@ -131,11 +134,15 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
 
     def window_integral(start):
         """The integral of g over the tail window [start, start + N] of the
-        checkpoint at depth start; an error of g there is an EvaluationError."""
+        checkpoint at depth start, seeded at the decay length of the HEAD
+        differences that end its convergence window; an error of g there is
+        an EvaluationError."""
+        points = decay_breakpoints(vals[max(0, start + 3 - HEAD):start + 3], 1.0,
+                                   float(start), float(start + n_terms))
         try:
             # looked up on the module, where a tracer's wrapper would sit
             return quadrature.integrate_finite(g, float(start), float(start + n_terms),
-                                               tol=quad_tol)
+                                               tol=quad_tol, points=points)
         except EvaluationError:
             raise
         except Exception as exc:
@@ -185,7 +192,7 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
     partials = []  # partial sums at each doubling checkpoint
     peak = 0.0  # running max of |d(k)| over the prefix
     depth = 0
-    m = min(_START_DEPTH, max_terms)
+    m = min(HEAD, max_terms)
     converged = False
     strategy = "euler-maclaurin"
     tail = 0j

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from finsum import cli, jets
-from finsum.errors import CapabilityError, PreconditionError
-from finsum.eulermaclaurin import EMJob, em_sum, em_tail, gregory_tail, gregory_value
+from finsum.errors import CapabilityError, EvaluationError, PreconditionError
+from finsum.eulermaclaurin import (EMJob, decay_breakpoints, em_sum, em_tail, gregory_tail,
+                                   gregory_value)
 from finsum.expr import as_function, parse_expression
 from finsum.quadrature import integrate_finite, integrate_semi_infinite
 from finsum.special import hurwitz_zeta
@@ -65,11 +66,12 @@ class TestPolynomialExactness:
 
 class TestRemainderHonesty:
     def test_inverse_square_unit_lattice(self):
-        """h = 1 is coarse for 1/x^2 near x = 1: the estimate must admit
-        that (the sampled curvature is large) while still covering the miss."""
-        job = EMJob(lambda x: 1.0 / (x * x), 1.0, 10.0, 9, n=3)
+        """h = 1 is coarse for 1/x^2 near x = -1, at the end of the tail past
+        the 16-point head: the estimate must admit that (the sampled
+        curvature is large) while still covering the miss."""
+        job = EMJob(lambda x: 1.0 / (x * x), -26.0, -1.0, 25, n=3)
         got = em_sum(job)
-        want = math.fsum(1.0 / (k * k) for k in range(1, 11))
+        want = math.fsum(1.0 / (k * k) for k in range(1, 27))
         assert abs(got.value.real - want) <= got.error_estimate
         assert got.error_estimate > 1e-3  # no false confidence at h = 1
 
@@ -102,8 +104,8 @@ class TestRemainderHonesty:
         assert "non-converged" in got.flags
 
     def test_finer_lattice_tightens_the_estimate(self):
-        coarse = em_sum(EMJob(lambda x: 1.0 / (x * x), 1.0, 5.0, 4, n=2))
-        fine = em_sum(EMJob(lambda x: 1.0 / (x * x), 1.0, 5.0, 32, n=2))
+        coarse = em_sum(EMJob(lambda x: 1.0 / (x * x), -33.0, -1.0, 32, n=2))
+        fine = em_sum(EMJob(lambda x: 1.0 / (x * x), -33.0, -1.0, 256, n=2))
         assert fine.error_estimate < coarse.error_estimate
 
 
@@ -122,17 +124,18 @@ class TestAnalyticDerivatives:
     def test_opaque_function_needs_the_override(self):
         """math.exp rejects jets, so differentiation must be supplied."""
         with pytest.raises(CapabilityError, match="derivative="):
-            em_sum(EMJob(lambda x: math.exp(-x), 0.0, 5.0, 5, n=2))
-        got = em_sum(EMJob(lambda x: math.exp(-x), 0.0, 5.0, 5, n=2,
+            em_sum(EMJob(lambda x: math.exp(-x), 0.0, 25.0, 25, n=2))
+        got = em_sum(EMJob(lambda x: math.exp(-x), 0.0, 25.0, 25, n=2,
                            derivative=lambda x, o: (-1.0) ** o * math.exp(-x)))
-        want = math.fsum(math.exp(-float(k)) for k in range(6))
+        want = math.fsum(math.exp(-float(k)) for k in range(26))
         assert abs(got.value.real - want) <= got.error_estimate
 
 
 class TestOneJet:
     """em_sum takes every derivative from one jet over its 17 curvature
-    samples, em_tail from one scalar jet; the per-point path is the fallback
-    and serves derivative= call for call."""
+    samples of the tail past its 16-point head, em_tail from one scalar jet;
+    the per-point path is the fallback and serves derivative= call for
+    call."""
 
     @staticmethod
     def _counted(f):
@@ -146,7 +149,7 @@ class TestOneJet:
 
     def test_em_sum_calls_a_parsed_summand_on_one_jet(self):
         g, seen = self._counted(as_function(parse_expression("1.3*exp(-0.4*k)*cos(0.7*k)")))
-        em_sum(EMJob(g, 1.0, 20.0, 19, n=3))
+        em_sum(EMJob(g, -15.0, 20.0, 35, n=3))
         assert len(seen) == 1
         assert seen[0].order == 6 and seen[0].value.shape == (17,)
         assert seen[0].value[0] == 1.0 and seen[0].value[-1] == 20.0
@@ -166,9 +169,9 @@ class TestOneJet:
             return (-1.0) ** order * math.factorial(order) / x ** (order + 1)
 
         g, seen = self._counted(lambda x: 1.0 / x)
-        em_sum(EMJob(g, 1.0, 9.0, 8, n=n, derivative=df))
+        em_sum(EMJob(g, 1.0, 25.0, 24, n=n, derivative=df))
         assert len(calls) == 2 * (n - 1) + 17 and not seen
-        corrections = [(x, o) for k in range(1, n) for x, o in ((9.0, 2 * k - 1), (1.0, 2 * k - 1))]
+        corrections = [(x, o) for k in range(1, n) for x, o in ((25.0, 2 * k - 1), (17.0, 2 * k - 1))]
         assert calls[:2 * (n - 1)] == corrections
         assert [o for _, o in calls[2 * (n - 1):]] == [2 * n] * 17
 
@@ -197,20 +200,108 @@ class TestOneJet:
         assert batch.error_estimate == pytest.approx(want.error_estimate, rel=1e-12)
 
     def test_non_finite_batch_is_replayed_per_point(self):
-        """exp just past the top of the double range at b: numpy gives inf
-        there, and the per-point replay raises cmath's OverflowError, as the
-        per-point path always did."""
+        """exp just past the top of the double range at b, past the finite
+        head: numpy gives inf there, and the per-point replay raises cmath's
+        OverflowError, as the per-point path always did."""
         b = math.nextafter(math.log(np.finfo(float).max), math.inf)
         with pytest.raises(OverflowError):
-            em_sum(EMJob(jets.exp, 700.0, b, 9, n=3))
+            em_sum(EMJob(jets.exp, 700.0, b, 20, n=3))
 
     def test_refusal_names_the_first_point_and_order_as_before(self):
-        """The batch fails on the zero under sqrt at k = 1; the per-point
-        replay refuses at the lower end of the first correction, as one jet
-        per point always did, not at the curvature order."""
-        rec = cli.run("sqrt(k-1)", 10, method="euler-maclaurin")["results"][1]
-        assert rec["error"] == ("cannot differentiate f at x=1.0 to order 1: sqrt of a "
+        """The batch fails on the zero under sqrt at k = 17, the first point
+        past the head; the per-point replay refuses at the lower end of the
+        first correction, as one jet per point always did, not at the
+        curvature order."""
+        rec = cli.run("sqrt(k-17)", 40, method="euler-maclaurin")["results"][1]
+        assert rec["error"] == ("cannot differentiate f at x=17.0 to order 1: sqrt of a "
                                 "jet with zero value part; supply derivative= analytically")
+
+
+class TestDirectHead:
+    """em_sum sums the first 16 lattice points directly and runs
+    Euler-Maclaurin on the rest; a lattice of at most 16 points is the
+    direct sum alone."""
+
+    @pytest.mark.parametrize("m", [1, 7, 15])
+    @pytest.mark.parametrize("f", [lambda x: 1.0 / (x * x + 0.3),
+                                   lambda x: math.exp(-0.7 * x) * math.cos(x)],
+                             ids=["array", "scalar-only"])
+    def test_short_lattice_is_the_fsum_of_its_values(self, f, m):
+        values = [f(float(k)) for k in range(1, m + 2)]
+        got = em_sum(EMJob(f, 1.0, float(m + 1), m))
+        assert got.value == complex(math.fsum(values), 0.0)
+        assert got.error_estimate == 2.0 * 2.220446049250313e-16 * float(np.abs(values).sum())
+        assert got.diagnostics.notes == {"lattice_points": m + 1, "head": m + 1, "breakpoints": 0}
+        assert not got.flags
+
+    def test_non_finite_head_value_names_its_x(self):
+        with pytest.raises(EvaluationError, match="not finite") as info:
+            em_sum(EMJob(lambda x: 1.0 / (x - 3.0), 0.0, 30.0, 30))
+        assert info.value.at == "x=3.0"
+
+    def test_record_notes_the_head_and_the_breakpoints(self):
+        short = cli.run("1/k^2", 10, method="euler-maclaurin")["results"]
+        assert short[1]["diagnostics"]["notes"] == {"lattice_points": 10, "head": 10,
+                                                    "breakpoints": 0}
+        assert short[1]["abs_err_vs_oracle"] <= short[0]["error_estimate"]
+        long = cli.run("exp(-0.3*k)", 10 ** 5, method="euler-maclaurin")["results"][1]
+        notes = long["diagnostics"]["notes"]
+        assert notes["head"] == 16 and notes["breakpoints"] > 0
+
+
+def _trigamma_rational(mp, n):
+    """Sigma_{k<=n} k/(k^2+1)^2 = Im(psi'(1-i) - psi'(n+1-i))/2, from
+    k/(k^2+1)^2 = (1/(k-i)^2 - 1/(k+i)^2)/(4i)."""
+    with mp.workdps(40):
+        return complex(mp.im(mp.psi(1, 1 - 1j) - mp.psi(1, n + 1 - 1j)) / 2)
+
+
+def _geometric(mp, c, a, alpha, n, theta=0.0):
+    """Sigma_{k<=n} c exp(-a alpha k) cos(theta alpha k), as Re of a
+    geometric sum."""
+    with mp.workdps(40):
+        z = mp.exp((-mp.mpf(a) + 1j * mp.mpf(theta)) * mp.mpf(alpha))
+        return complex(mp.mpf(c) * mp.re(z * (1 - z ** n) / (1 - z)))
+
+
+# (summand, N, alpha, c, a): euler-maclaurin rows that missed by 8.0e-4, 2.5
+# and 1.0 with the head-less route and unseeded tail integrals; c*exp(-a*k),
+# or k/(k^2+1)^2 where c is None
+_EM_ROWS = [("k/(k^2+1)^2", 100, 1.0, None, None), ("k/(k^2+1)^2", 1000, 1.0, None, None),
+            ("exp(-0.3*k)", 10 ** 5, 1.0, 1.0, 0.3),
+            ("0.6366*exp(-0.4072*k)", 59583, 1.0115, 0.6366, 0.4072)]
+
+
+@pytest.mark.parametrize("text,n,alpha,c,a", _EM_ROWS)
+def test_head_and_seeded_tail_cover_the_rows(text, n, alpha, c, a):
+    mp = pytest.importorskip("mpmath")
+    want = _trigamma_rational(mp, n) if c is None else _geometric(mp, c, a, alpha, n)
+    rec = cli.run(text, n, method="euler-maclaurin", alpha=alpha, tol=1e-10)["results"][1]
+    assert not rec["flags"]
+    value = complex(rec["value"]["re"], rec["value"]["im"])
+    assert abs(value - want) <= rec["error_estimate"]
+
+
+class TestDecayBreakpoints:
+    def test_exponential_decay_length(self):
+        values = [math.exp(-0.5 * k) for k in range(16)]
+        got = decay_breakpoints(values, 1.0, 16.0, 1016.0)
+        assert got[0] == pytest.approx(18.0, rel=1e-12)
+        assert got == pytest.approx([16.0 + 2.0 * 2 ** j for j in range(9)], rel=1e-12)
+
+    def test_oscillation_does_not_hide_the_decay(self):
+        """exp(-0.7k) cos(1.7k): single ratios of neighbours swing either
+        way, the envelope of each half still shows the decay length."""
+        values = [math.exp(-0.7 * k) * math.cos(1.7 * k) for k in range(16)]
+        got = decay_breakpoints(values, 1.0, 16.0, 10016.0)
+        assert 1.0 / 0.7 / 1.5 < got[0] - 16.0 < 1.0 / 0.7 * 1.5
+
+    @pytest.mark.parametrize("values,stop", [([math.cos(2.2 * k) for k in range(16)], 1e5),
+                                             ([1.0 / (k + 16.0) ** 2 for k in range(16)], 60.0),
+                                             ([1.0], 1e5)],
+                             ids=["no-decay", "long-length", "too-few"])
+    def test_none_unless_the_length_is_short(self, values, stop):
+        assert decay_breakpoints(values, 1.0, 16.0, stop) == []
 
 
 class TestTailEstimator:

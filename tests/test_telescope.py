@@ -382,7 +382,7 @@ class TestCarriedValues:
             return 3.0 + 0.0 * x
 
         res = telescoping_sum(flat, 10)
-        assert res.diagnostics.converged and res.diagnostics.nodes == 8
+        assert res.diagnostics.converged and res.diagnostics.nodes == 16
         assert res.diagnostics.notes["strategy"] == "euler-maclaurin"
         assert abs(res.value - 30.0) <= res.error_estimate < 1e-10
 
@@ -401,7 +401,7 @@ class TestCarriedValues:
         assert info.value.at == "k=2990"
 
     @pytest.mark.parametrize("nan_at,raise_at,k,why", [
-        (5.0, 10.0, 5, "not finite"),        # the raise is in the window past depth 8
+        (5.0, 18.0, 5, "not finite"),        # the raise is in the window past depth 16
         (5.0, 7.0, 7, "failed to evaluate"),  # both among the checkpoint's own
     ])
     def test_scalar_nan_and_raise_in_one_range(self, nan_at, raise_at, k, why):
@@ -641,12 +641,12 @@ class TestSkippedTailIntegral:
 
     # (summand, N, max_terms, value, estimate, depth, converged); each value
     # lies within its estimate of the 40-digit sum
-    _PINNED = [("1/k^2", 100, 1 << 17, 1.6349839001842008, 1.4005397857399914e-12, 32, True),
+    _PINNED = [("1/k^2", 100, 1 << 17, 1.6349839001842008, 1.3860913286333678e-12, 32, True),
                ("1.9544*exp(-0.6654*k)", 17, 1 << 17, 2.0675354754628708,
-                9.539595516349073e-15, 32, True),
-               ("1/k^2", 100, 8, 1.6349838890715904, 2.2706636373775363e-08, 8, False),
+                9.539481970762907e-15, 32, True),
+               ("1/k^2", 100, 8, 1.6349838890715904, 2.2706563719788434e-08, 8, False),
                ("1.9544*exp(-0.6654*k)", 17, 16, 2.0675354752645463,
-                4.0105388982887746e-10, 16, False)]
+                4.0104911626009945e-10, 16, False)]
 
     @staticmethod
     def _correction(h, n, m):
@@ -748,11 +748,11 @@ class TestGregoryWindow:
         want = _mp_sum(mp, lambda k: 1 / (k - mp.mpf(pole)) ** 2, n)
         assert abs(got.value - want) <= got.error_estimate
 
-    # (max_terms, record) for log(1+1/k) at N=10: depth 8 has no comparator
-    # and extrapolates; from 16 on a Gregory estimate is the last one's
+    # (max_terms, record) for log(1+1/k) at N=10: the first checkpoint, at
+    # 16 or at a max_terms below it, has no comparator and extrapolates; from
+    # 32 on a Gregory estimate is the last one's
     _LOGS = [(8, _pinned("0x1.a6930584f0e54p+0", "inf", 8, "extrapolation", False)),
-             (16, _pinned("0x1.32ee2ee84772cp+1", "0x1.408709a4e0000p-16", 16, "gregory",
-                          False)),
+             (16, _pinned("0x1.ef6df82ec646bp+0", "inf", 16, "extrapolation", False)),
              (64, _pinned("0x1.32ee3b6fd0c5ep+1", "0x1.589c222000000p-24", 64, "gregory",
                           False)),
              (1 << 17, _pinned("0x1.32ee3b77f35cep+1", "0x1.5bb8000000000p-38", 512,
@@ -761,7 +761,7 @@ class TestGregoryWindow:
     # the windows integrated at each max_terms: the last checkpoint's and
     # the one it compares with; with no limit, the Gregory bound meets tol
     # from 256 on, and 256 compares with 128
-    _LOG_WINDOWS = {8: (8,), 16: (8, 16), 64: (32, 64), 1 << 17: (128, 256, 512)}
+    _LOG_WINDOWS = {8: (8,), 16: (16,), 64: (32, 64), 1 << 17: (128, 256, 512)}
 
     @pytest.mark.parametrize("max_terms,record", _LOGS)
     def test_scalar_log_at_the_last_checkpoint(self, monkeypatch, max_terms, record):
@@ -775,7 +775,7 @@ class TestGregoryWindow:
 
 
 def test_window_tail_spends_few_g_calls(monkeypatch):
-    """The scalar-closure Lorentzians of TestGregoryTail take 5,230 calls
+    """The scalar-closure Lorentzians of TestGregoryTail take 5,260 calls
     of g in all: three windows of one finite quadrature each, never a
     semi-infinite tail integral (8,230 calls with a window at each of six
     checkpoints, 15,240 when the tail was the integral of d over (M, inf))."""
@@ -841,23 +841,26 @@ class TestDeferredWindows:
             monkeypatch, lambda x: cmath.log(1 + 1 / complex(x)), 10, max_terms=max_terms)
         assert deferred == eager
 
-    # (closure, N, tol, max_terms, windows, strategy): Aitken's estimate would
-    # converge at a deferred checkpoint with a previous one.  Both windows
-    # integrate, and Gregory's estimate, which misses tol, goes on; this
-    # window crosses the pole, and Aitken's converges; the previous window
-    # crosses it, and Aitken's converges without this window
-    _AITKEN = [(_wave(16, 1.2e-4, 0.64, 2.6), 5, 8e-7, 64, (16, 32, 64), "gregory"),
-               (_wave(32, 3e-4, 0.5, 4.0, 70.5), 30, 1e-5, 1 << 17, (32, 64), "extrapolation"),
-               (_wave(32, 3e-4, 0.5, 3.45, 40.5), 100, 1.4e-5, 1 << 17, (32,), "extrapolation")]
+    # (closure, N, tol, max_terms, windows, depth, strategy): Aitken's
+    # estimate would converge at a deferred checkpoint with a previous one.
+    # Both windows integrate (at 64, the first with three partials), and
+    # Gregory's estimate, which misses tol, goes on to the last checkpoint;
+    # this window crosses the pole, and Aitken's converges; the previous
+    # window crosses it, and Aitken's converges without this window
+    _AITKEN = [(_wave(32, 1.2e-4, 0.5, 1.0), 30, 1e-5, 128, (32, 64, 128), 128, "gregory"),
+               (_wave(32, 3e-4, 0.5, 4.0, 70.5), 30, 1e-5, 1 << 17, (32, 64), 64,
+                "extrapolation"),
+               (_wave(32, 3e-4, 0.5, 3.45, 40.5), 100, 1.4e-5, 1 << 17, (32,), 64,
+                "extrapolation")]
 
-    @pytest.mark.parametrize("g,n,tol,max_terms,windows,strategy", _AITKEN,
+    @pytest.mark.parametrize("g,n,tol,max_terms,windows,depth,strategy", _AITKEN,
                              ids=["both-windows", "this-window-fails", "previous-fails"])
     def test_aitken_at_a_deferred_checkpoint(self, monkeypatch, g, n, tol, max_terms, windows,
-                                             strategy):
+                                             depth, strategy):
         seen = _counted_windows(monkeypatch)
         got = telescoping_sum(g, n, tol=tol, max_terms=max_terms)
         assert seen == [(float(m), float(m + n)) for m in windows]
-        assert got.diagnostics.nodes == 64
+        assert got.diagnostics.nodes == depth
         assert got.diagnostics.notes["strategy"] == strategy
         deferred, eager = self._deferred_and_eager(monkeypatch, g, n, tol=tol,
                                                    max_terms=max_terms)
@@ -901,6 +904,33 @@ def test_window_records_against_mpmath(text, n, tol, outcome):
     else:
         assert not flags
         assert abs(value - want) <= estimate
+
+
+def _geometric(mp, c, a, alpha, n, theta=0.0):
+    """Sigma_{k<=n} c exp(-a alpha k) cos(theta alpha k), as Re of a
+    geometric sum."""
+    with mp.workdps(40):
+        z = mp.exp((-mp.mpf(a) + 1j * mp.mpf(theta)) * mp.mpf(alpha))
+        return complex(mp.mpf(c) * mp.re(z * (1 - z ** n) / (1 - z)))
+
+
+# (summand, N, alpha, c, a, theta): long windows whose unseeded integral
+# started past the mass, off by 2.3e-4, 2.9e-6, 2.8e-8, 4.5e-11 and 3.4e-11
+# against estimates of 1e-11 and below
+_LONG_WINDOWS = [("exp(-0.3*k)", 10 ** 5, 1.0, 1.0, 0.3, 0.0),
+                 ("0.6366*exp(-0.4072*k)", 59583, 1.0115, 0.6366, 0.4072, 0.0),
+                 ("1.7559*exp(-0.9178*k)", 14442, 0.63, 1.7559, 0.9178, 0.0),
+                 ("exp(-0.47*k)*cos(0.732778*k)", 11285, 1.5631, 1.0, 0.47, 0.732778),
+                 ("exp(-1.3463*k)*cos(3.174098*k)", 11740, 0.5376, 1.0, 1.3463, 3.174098)]
+
+
+@pytest.mark.parametrize("text,n,alpha,c,a,theta", _LONG_WINDOWS)
+def test_long_windows_are_seeded_at_the_decay_length(text, n, alpha, c, a, theta):
+    mp = pytest.importorskip("mpmath")
+    rec = cli.run(text, n, method="telescope", alpha=alpha, tol=1e-10)["results"][1]
+    assert not rec["flags"]
+    value = complex(rec["value"]["re"], rec["value"]["im"])
+    assert abs(value - _geometric(mp, c, a, alpha, n, theta)) <= rec["error_estimate"]
 
 
 class TestGrowingScalarClosures:
