@@ -7,6 +7,17 @@ serialize to JSON with a fixed field order (floats go through repr, so two
 identical runs produce identical bytes once the runtime counters are set
 aside) or to CSV.
 
+The per-summand step of a request (parse the text, decompose g(scale*k)
+into terms, recognize the laplace kernel or the Fourier pair of those
+terms, or refuse) is compiled once per process and kept in one table, as
+``re`` keeps compiled patterns: summand text -> its tree and closure, and
+(text, lattice scale) -> the terms, kernel, pair or refusal message.  The
+table holds compiled forms only, never a value, a tolerance or a result:
+every request still builds its own ``SeriesSpec``, oracle and route
+evaluations.  It keeps at most ``_TABLE_SIZE`` = 256 entries, the least
+recently used leaving first, and has no option.  A one-shot ``finsum
+eval`` process finds it empty and pays the whole compilation.
+
 Defaults may come from a plain ``key=value`` config file named by the
 FINSUM_CONFIG environment variable; command-line flags win over the file.
 """
@@ -17,9 +28,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
+from collections import OrderedDict
+from types import MappingProxyType
 
 from . import __version__
 from . import expr as ex
@@ -47,7 +61,7 @@ _ROUTE_ERRORS = (CapabilityError, DomainError, PreconditionError,
 _EPS = 2.220446049250313e-16
 
 
-# -- per-route runners -------------------------------------------------------
+# -- the summand table --------------------------------------------------------
 
 def _fold_scale(node: ex.Node, alpha: float) -> ex.Node:
     """g(alpha*k) as a tree in k, for routes that only know unit spacing."""
@@ -56,28 +70,124 @@ def _fold_scale(node: ex.Node, alpha: float) -> ex.Node:
     return ex.substitute_index(node, ex.Mul(ex.Num(alpha), ex.Var()))
 
 
-def _terms(node: ex.Node, found: dict, scale: float) -> list:
-    """decompose(g(scale*k)), made once per request and scale: ``found``
-    holds the request's decompositions.  A failed one is not kept, so each
-    route that asks reports it."""
-    terms = found.get(scale)
-    if terms is None:
-        terms = found[scale] = decompose(_fold_scale(node, scale))
-    return terms
+#: entries the table keeps: a summand's tree and closure, or its forms at
+#: one lattice scale
+_TABLE_SIZE = 256
+_TABLE: OrderedDict = OrderedDict()
 
 
-def _run_laplace(node: ex.Node, found: dict, spec: SeriesSpec, tol: float) -> SumResult:
-    # the lattice scale enters through the summation factor, not the kernel
-    return sum_via_integral(spec, recognize_pair(_terms(node, found, 1.0)), tol=tol)
+def _entry(key, make, *args):
+    """The table's entry for key, make(*args) on a miss; past
+    ``_TABLE_SIZE`` entries the least recently used one leaves.
+
+    Each OrderedDict call is atomic under the interpreter lock, and, as in
+    ``re``'s pattern cache, a thread that finds its key or the oldest
+    entry already gone carries on: two threads may both make an entry, and
+    either one serves."""
+    entry = _TABLE.get(key)
+    if entry is not None:
+        try:
+            _TABLE.move_to_end(key)
+        except KeyError:
+            pass
+        return entry
+    entry = _TABLE[key] = make(*args)
+    if len(_TABLE) > _TABLE_SIZE:
+        try:
+            _TABLE.popitem(last=False)
+        except KeyError:
+            pass
+    return entry
 
 
-def _run_fourier(node: ex.Node, found: dict, spec: SeriesSpec, tol: float) -> SumResult:
+class _Refusal:
+    """A route error kept as its type and message, so that every request
+    raises a fresh exception and the table holds no traceback."""
+
+    __slots__ = ("kind", "message")
+
+    def __init__(self, exc: Exception):
+        self.kind, self.message = type(exc), str(exc)
+
+
+def _attempt(recognize, terms):
+    """recognize(terms), or the refusal of the terms or of recognize."""
+    if isinstance(terms, _Refusal):
+        return terms
+    try:
+        return recognize(terms)
+    except _ROUTE_ERRORS as exc:
+        return _Refusal(exc)
+
+
+def _given(form):
+    """The form, or its refusal raised afresh."""
+    if isinstance(form, _Refusal):
+        raise form.kind(form.message)
+    return form
+
+
+class _Forms:
+    """A summand's forms at one lattice scale: its terms, decomposed at
+    once as immutable (coefficient, factors) pairs, and its laplace kernel
+    and Fourier pair, recognized when a route first asks.  Each is the form
+    or its ``_Refusal``."""
+
+    __slots__ = ("terms", "kernel", "pair")
+
+    def __init__(self, node: ex.Node, scale: float):
+        try:
+            self.terms = tuple([(coeff, MappingProxyType(factors)) for coeff, factors
+                                in decompose(_fold_scale(node, scale))])
+        except _ROUTE_ERRORS as exc:
+            self.terms = _Refusal(exc)
+        self.kernel = self.pair = None
+
+
+class _Summand:
+    """One summand text compiled: its tree, its closure, and through the
+    table its forms at each lattice scale a route asks for."""
+
+    __slots__ = ("text", "node", "g")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.node = ex.parse_expression(text)
+        self.g = ex.as_function(self.node)
+
+    def forms(self, scale: float) -> _Forms:
+        return _entry((self.text, scale), _Forms, self.node, scale)
+
+    def terms(self, scale: float) -> tuple:
+        """decompose(g(scale*k))."""
+        return _given(self.forms(scale).terms)
+
+    def kernel(self):
+        # the lattice scale enters through the summation factor, not the kernel
+        forms = self.forms(1.0)
+        if forms.kernel is None:
+            forms.kernel = _attempt(recognize_pair, forms.terms)
+        return _given(forms.kernel)
+
+    def pair(self, scale: float):
+        forms = self.forms(scale)
+        if forms.pair is None:
+            forms.pair = _attempt(recognize_fourier, forms.terms)
+        return _given(forms.pair)
+
+
+# -- per-route runners -------------------------------------------------------
+
+def _run_laplace(summand: _Summand, spec: SeriesSpec, tol: float) -> SumResult:
+    return sum_via_integral(spec, summand.kernel(), tol=tol)
+
+
+def _run_fourier(summand: _Summand, spec: SeriesSpec, tol: float) -> SumResult:
     if spec.variant is not Variant.STANDARD:
         raise CapabilityError("the transform route covers the standard variant only")
     if spec.alpha.imag != 0:
         raise CapabilityError("the transform route needs a real positive scale")
-    pair = recognize_fourier(_terms(node, found, spec.alpha.real))
-    return sum_via_fourier(pair, spec.n_terms, tol=max(tol, 1e-12))
+    return sum_via_fourier(summand.pair(spec.alpha.real), spec.n_terms, tol=max(tol, 1e-12))
 
 
 def _run_telescope(spec: SeriesSpec, tol: float) -> SumResult:
@@ -98,13 +208,13 @@ def _run_em(spec: SeriesSpec, tol: float) -> SumResult:
     return em_sum(job, quad_tol=min(tol, 1e-13))
 
 
-def _run_closed_form(node: ex.Node, found: dict, spec: SeriesSpec) -> SumResult:
+def _run_closed_form(summand: _Summand, spec: SeriesSpec) -> SumResult:
     """Match the summand against the identity catalog, term by term."""
     if spec.variant is not Variant.STANDARD:
         raise CapabilityError("the identity catalog covers the standard variant only")
     if spec.alpha.imag != 0:
         raise CapabilityError("the identity catalog needs a real positive scale")
-    terms = _terms(node, found, spec.alpha.real)
+    terms = summand.terms(spec.alpha.real)
     n = spec.n_terms
     total = 0j
     for coeff, factors in terms:
@@ -162,11 +272,13 @@ def run(text: str, n: int, method: str = "all", alpha: complex = 1 + 0j,
     every other record is measured against it.  Routes that cannot handle
     the request contribute an error entry instead of aborting the run.
     """
-    node = ex.parse_expression(text)
+    summand = _entry(text, _Summand, text)
     if method != "all" and method not in METHODS:
         raise DomainError(
             f"unknown method {method!r}; have all, {', '.join(METHODS)}")
-    spec = SeriesSpec(g=ex.as_function(node), n_terms=n, alpha=complex(alpha),
+    if not (tol > 0 and math.isfinite(tol)):
+        raise PreconditionError(f"tol must be a positive finite number, got {tol!r}")
+    spec = SeriesSpec(g=summand.g, n_terms=n, alpha=complex(alpha),
                       variant=variant, beta=complex(beta))
 
     started = time.perf_counter_ns()
@@ -174,13 +286,12 @@ def run(text: str, n: int, method: str = "all", alpha: complex = 1 + 0j,
     records = [_success_record("oracle", oracle, oracle.value,
                                time.perf_counter_ns() - started)]
 
-    found: dict = {}   # decompositions of this request, by scale
     runners = {
-        "laplace": lambda: _run_laplace(node, found, spec, tol),
-        "fourier": lambda: _run_fourier(node, found, spec, tol),
+        "laplace": lambda: _run_laplace(summand, spec, tol),
+        "fourier": lambda: _run_fourier(summand, spec, tol),
         "telescope": lambda: _run_telescope(spec, tol),
         "euler-maclaurin": lambda: _run_em(spec, tol),
-        "closed-form": lambda: _run_closed_form(node, found, spec),
+        "closed-form": lambda: _run_closed_form(summand, spec),
     }
     wanted = METHODS[1:] if method == "all" else [m for m in METHODS[1:] if m == method]
     for name in wanted:

@@ -327,11 +327,17 @@ def linear_terms(node: ex.Node) -> list[tuple[complex, dict]]:
 
 def decompose(expression) -> list[tuple[complex, dict]]:
     """The summand (text or tree) as [(coefficient, factors)], zero terms
-    dropped; a list of terms it returned before passes through.
+    dropped; terms it returned before pass through, as a list or as the
+    tuple of (coefficient, read-only factors) pairs that ``cli`` keeps.
+
+    ``cli.run`` decomposes each (summand, lattice scale) once per process:
+    its table (at most 256 entries) keeps these terms and the kernel and
+    pair read from them, never a value.  A one-shot ``finsum eval``
+    process starts with an empty table and decomposes on its one request.
 
     Raises RecognitionError when the summand has no such decomposition.
     """
-    if isinstance(expression, list):
+    if isinstance(expression, (list, tuple)):
         return expression
     node = ex.parse_expression(expression) if isinstance(expression, str) else expression
     try:

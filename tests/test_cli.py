@@ -1,16 +1,21 @@
 """Command-line contract tests: schema, determinism, exit codes, config."""
 
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from finsum import cli, kernels
+from finsum import expr as ex
+from finsum.errors import FinsumError, PreconditionError
+from finsum.kernels import KPOW
 from finsum.series import Variant
 
 _RUNNER = ("-c", "import sys; from finsum.cli import main; sys.exit(main(sys.argv[1:]))")
@@ -89,6 +94,20 @@ class TestRunApi:
         report = cli.run("exp(-0.5*k)", 4, method="closed-form",
                          variant=Variant.ALTERNATING)
         assert report["results"][1]["flags"] == ["error"]
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tol_must_be_positive_and_finite(self, monkeypatch, tol):
+        """At tol 0, below 0 or NaN the telescope used to walk all 131,072
+        terms of 1/(k^2+1) and flag; at infinity every route stopped at its
+        first check.  Such a tol is refused before any route, the oracle
+        included, runs."""
+        def no_route(*args, **kwargs):
+            raise AssertionError("a route ran")
+        for name in ("direct_sum", "_run_laplace", "_run_fourier", "_run_telescope",
+                     "_run_em", "_run_closed_form"):
+            monkeypatch.setattr(cli, name, no_route)
+        with pytest.raises(PreconditionError, match="tol must be a positive finite number"):
+            cli.run("1/(k^2+1)", 10, method="all", tol=tol)
 
     def test_meta_field_order(self):
         report = cli.run("1/k", 3, method="oracle")
@@ -178,6 +197,116 @@ class TestOneDecomposition:
             assert by_name[name]["flags"] == ["error"], name
 
 
+def _masked(report: dict) -> str:
+    for rec in report["results"]:
+        if "diagnostics" in rec:
+            rec["diagnostics"]["runtime_ns"] = 0
+    return cli.report_json(report)
+
+
+class TestSummandTable:
+    """``cli.run`` compiles each summand text once per process: its tree and
+    closure, and per lattice scale its terms, kernel, Fourier pair or
+    refusal.  A warm request reports what a cold one does."""
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("alpha", [1.0, 1.3])
+    def test_warm_reports_equal_cold_ones(self, variant, alpha):
+        """The bench suite, each N rounded up to even so that the
+        alternating variants accept it."""
+        for text, n in cli._BENCH_SUITE:
+            kw = dict(method="all", alpha=alpha, variant=variant, beta=0.3 + 0j)
+            cli._TABLE.clear()
+            cold = _masked(cli.run(text, n + n % 2, **kw))
+            assert text in cli._TABLE
+            assert _masked(cli.run(text, n + n % 2, **kw)) == cold, text
+
+    def test_warm_request_neither_parses_nor_decomposes(self, monkeypatch):
+        cold = _masked(cli.run("1.2*sin(1.3*k) + exp(-0.5*k)", 10, alpha=1.3))
+        parses = []
+        parse = ex.parse_expression
+        monkeypatch.setattr(ex, "parse_expression", lambda text: parses.append(text) or parse(text))
+        calls = _count_decompositions(monkeypatch)
+        assert _masked(cli.run("1.2*sin(1.3*k) + exp(-0.5*k)", 10, alpha=1.3)) == cold
+        assert parses == [] and calls == []
+
+    def test_a_warm_refusal_reads_the_same(self):
+        cold = cli.run("1.6*log(k)", 10, method="all")
+        warm = cli.run("1.6*log(k)", 10, method="all")
+        assert _masked(warm) == _masked(cold)
+        errors = [rec for rec in warm["results"] if "error" in rec]
+        assert [rec["method"] for rec in errors] == ["laplace", "fourier", "closed-form"]
+
+    def test_a_parse_error_is_not_kept(self):
+        for _ in range(2):
+            with pytest.raises(FinsumError, match="offset"):
+                cli.run("1/(k", 5)
+        assert cli._TABLE == {}
+
+    def test_one_text_past_the_bound_evicts_the_oldest(self):
+        assert cli._TABLE_SIZE == 256
+        texts = [f"{i}/k^2" for i in range(1, cli._TABLE_SIZE + 2)]
+        for text in texts[:-1]:
+            cli.run(text, 3, method="oracle")
+        assert list(cli._TABLE) == texts[:-1]
+        cli.run(texts[0], 3, method="oracle")     # used again: now the newest
+        cli.run(texts[-1], 3, method="oracle")
+        assert len(cli._TABLE) == cli._TABLE_SIZE
+        assert texts[1] not in cli._TABLE
+        assert texts[0] in cli._TABLE and texts[-1] in cli._TABLE
+
+    def test_a_sweep_of_scales_stays_within_the_bound(self):
+        for i in range(1000):
+            report = cli.run("exp(-0.5*k)", 10, method="closed-form", alpha=1 + i / 1000)
+            assert report["results"][1]["flags"] == []
+        assert len(cli._TABLE) == cli._TABLE_SIZE
+        assert "exp(-0.5*k)" in cli._TABLE
+
+    def test_threads_share_the_table(self, monkeypatch):
+        """More threads than cores on a table of four entries, so that
+        nearly every request evicts one that another thread is reading,
+        with a short switch interval: no request fails, every report
+        equals the one-thread report, and the table keeps its bound."""
+        texts = [f"{i}/k^2 + exp(-0.{i}*k)" for i in range(1, 10)]
+        want = {text: _masked(cli.run(text, 3, method="laplace")) for text in texts}
+        cli._TABLE.clear()
+        monkeypatch.setattr(cli, "_TABLE_SIZE", 4)
+        failures = []
+
+        def worker(start):
+            try:
+                for i in range(600):
+                    text = texts[(start + i) % len(texts)]
+                    if _masked(cli.run(text, 3, method="laplace")) != want[text]:
+                        failures.append(text)
+            except Exception as exc:   # reported below, not lost with the thread
+                failures.append(repr(exc))
+
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        threads = [threading.Thread(target=worker, args=(j,)) for j in range(cores + 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(cli._TABLE) <= 4
+
+    def test_cached_terms_are_read_only(self):
+        cli.run("3/k^2 + exp(-0.5*k)", 10, method="closed-form")
+        terms = cli._TABLE["3/k^2 + exp(-0.5*k)"].terms(1.0)
+        assert kernels.decompose(terms) is terms
+        with pytest.raises(TypeError):
+            terms[0] = (1.0, {})
+        with pytest.raises(TypeError):
+            terms[0][1][KPOW] = -3.0
+
+
 class TestReports:
     def test_json_round_trips_and_ends_with_newline(self):
         report = cli.run("1/k", 4, method="oracle")
@@ -257,6 +386,12 @@ class TestExitCodes:
     def test_missing_n_gives_two(self):
         res = run_cli("eval", "--expr", "1/k")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("tol", ["0", "nan"])
+    def test_bad_tol_gives_two(self, tol):
+        res = run_cli("eval", "--expr", "1/(k^2+1)", "--n", "10", "--tol", tol)
+        assert res.returncode == 2
+        assert res.stderr.startswith("finsum: tol must be a positive finite number")
 
     def test_odd_alternating_length_gives_two(self):
         res = run_cli("eval", "--expr", "1/k", "--n", "5",
