@@ -9,14 +9,15 @@ aside) or to CSV.
 
 The per-summand step of a request (parse the text, decompose g(scale*k)
 into terms, recognize the laplace kernel or the Fourier pair of those
-terms, or refuse) is compiled once per process and kept in one table, as
-``re`` keeps compiled patterns: summand text -> its tree and closure, and
-(text, lattice scale) -> the terms, kernel, pair or refusal message.  The
-table holds compiled forms only, never a value, a tolerance or a result:
-every request still builds its own ``SeriesSpec``, oracle and route
-evaluations.  It keeps at most ``_TABLE_SIZE`` = 256 entries, the least
-recently used leaving first, and has no option.  A one-shot ``finsum
-eval`` process finds it empty and pays the whole compilation.
+terms, or refuse) is compiled once per process, as ``re`` keeps compiled
+patterns, in four ``functools.lru_cache`` tables: text -> tree and
+closure, (text, scale) -> terms, text -> kernel and (text, scale) -> pair,
+a refusal being kept as its message.  They hold compiled forms only, never
+a value, a tolerance or a result: every request still builds its own
+``SeriesSpec``, oracle and route evaluations.  Each keeps at most
+``_TABLE_SIZE`` = 256 entries, the least recently used leaving first, and
+``_clear_tables()`` empties them; there is no option.  A one-shot
+``finsum eval`` process finds them empty and pays the whole compilation.
 
 Defaults may come from a plain ``key=value`` config file named by the
 FINSUM_CONFIG environment variable; command-line flags win over the file.
@@ -26,13 +27,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import os
 import sys
 import time
-from collections import OrderedDict
 from types import MappingProxyType
 
 from . import __version__
@@ -70,34 +71,8 @@ def _fold_scale(node: ex.Node, alpha: float) -> ex.Node:
     return ex.substitute_index(node, ex.Mul(ex.Num(alpha), ex.Var()))
 
 
-#: entries the table keeps: a summand's tree and closure, or its forms at
-#: one lattice scale
+#: entries each of the four tables keeps
 _TABLE_SIZE = 256
-_TABLE: OrderedDict = OrderedDict()
-
-
-def _entry(key, make, *args):
-    """The table's entry for key, make(*args) on a miss; past
-    ``_TABLE_SIZE`` entries the least recently used one leaves.
-
-    Each OrderedDict call is atomic under the interpreter lock, and, as in
-    ``re``'s pattern cache, a thread that finds its key or the oldest
-    entry already gone carries on: two threads may both make an entry, and
-    either one serves."""
-    entry = _TABLE.get(key)
-    if entry is not None:
-        try:
-            _TABLE.move_to_end(key)
-        except KeyError:
-            pass
-        return entry
-    entry = _TABLE[key] = make(*args)
-    if len(_TABLE) > _TABLE_SIZE:
-        try:
-            _TABLE.popitem(last=False)
-        except KeyError:
-            pass
-    return entry
 
 
 class _Refusal:
@@ -127,67 +102,54 @@ def _given(form):
     return form
 
 
-class _Forms:
-    """A summand's forms at one lattice scale: its terms, decomposed at
-    once as immutable (coefficient, factors) pairs, and its laplace kernel
-    and Fourier pair, recognized when a route first asks.  Each is the form
-    or its ``_Refusal``."""
-
-    __slots__ = ("terms", "kernel", "pair")
-
-    def __init__(self, node: ex.Node, scale: float):
-        try:
-            self.terms = tuple([(coeff, MappingProxyType(factors)) for coeff, factors
-                                in decompose(_fold_scale(node, scale))])
-        except _ROUTE_ERRORS as exc:
-            self.terms = _Refusal(exc)
-        self.kernel = self.pair = None
+@functools.lru_cache(maxsize=_TABLE_SIZE)
+def _compiled(text: str) -> tuple:
+    """(tree, closure) of the summand text; a ParseError is not kept."""
+    node = ex.parse_expression(text)
+    return node, ex.as_function(node)
 
 
-class _Summand:
-    """One summand text compiled: its tree, its closure, and through the
-    table its forms at each lattice scale a route asks for."""
+@functools.lru_cache(maxsize=_TABLE_SIZE)
+def _terms(text: str, scale: float):
+    """decompose(g(scale*k)) as read-only (coefficient, factors) pairs, or
+    its refusal."""
+    try:
+        return tuple([(coeff, MappingProxyType(factors)) for coeff, factors
+                      in decompose(_fold_scale(_compiled(text)[0], scale))])
+    except _ROUTE_ERRORS as exc:
+        return _Refusal(exc)
 
-    __slots__ = ("text", "node", "g")
 
-    def __init__(self, text: str):
-        self.text = text
-        self.node = ex.parse_expression(text)
-        self.g = ex.as_function(self.node)
+@functools.lru_cache(maxsize=_TABLE_SIZE)
+def _kernel(text: str):
+    # the lattice scale enters through the summation factor, not the kernel
+    return _attempt(recognize_pair, _terms(text, 1.0))
 
-    def forms(self, scale: float) -> _Forms:
-        return _entry((self.text, scale), _Forms, self.node, scale)
 
-    def terms(self, scale: float) -> tuple:
-        """decompose(g(scale*k))."""
-        return _given(self.forms(scale).terms)
+@functools.lru_cache(maxsize=_TABLE_SIZE)
+def _pair(text: str, scale: float):
+    return _attempt(recognize_fourier, _terms(text, scale))
 
-    def kernel(self):
-        # the lattice scale enters through the summation factor, not the kernel
-        forms = self.forms(1.0)
-        if forms.kernel is None:
-            forms.kernel = _attempt(recognize_pair, forms.terms)
-        return _given(forms.kernel)
 
-    def pair(self, scale: float):
-        forms = self.forms(scale)
-        if forms.pair is None:
-            forms.pair = _attempt(recognize_fourier, forms.terms)
-        return _given(forms.pair)
+def _clear_tables() -> None:
+    """Empty the four summand tables."""
+    for table in (_compiled, _terms, _kernel, _pair):
+        table.cache_clear()
 
 
 # -- per-route runners -------------------------------------------------------
 
-def _run_laplace(summand: _Summand, spec: SeriesSpec, tol: float) -> SumResult:
-    return sum_via_integral(spec, summand.kernel(), tol=tol)
+def _run_laplace(text: str, spec: SeriesSpec, tol: float) -> SumResult:
+    return sum_via_integral(spec, _given(_kernel(text)), tol=tol)
 
 
-def _run_fourier(summand: _Summand, spec: SeriesSpec, tol: float) -> SumResult:
+def _run_fourier(text: str, spec: SeriesSpec, tol: float) -> SumResult:
     if spec.variant is not Variant.STANDARD:
         raise CapabilityError("the transform route covers the standard variant only")
     if spec.alpha.imag != 0:
         raise CapabilityError("the transform route needs a real positive scale")
-    return sum_via_fourier(summand.pair(spec.alpha.real), spec.n_terms, tol=max(tol, 1e-12))
+    return sum_via_fourier(_given(_pair(text, spec.alpha.real)), spec.n_terms,
+                           tol=max(tol, 1e-12))
 
 
 def _run_telescope(spec: SeriesSpec, tol: float) -> SumResult:
@@ -208,13 +170,13 @@ def _run_em(spec: SeriesSpec, tol: float) -> SumResult:
     return em_sum(job, quad_tol=min(tol, 1e-13))
 
 
-def _run_closed_form(summand: _Summand, spec: SeriesSpec) -> SumResult:
+def _run_closed_form(text: str, spec: SeriesSpec) -> SumResult:
     """Match the summand against the identity catalog, term by term."""
     if spec.variant is not Variant.STANDARD:
         raise CapabilityError("the identity catalog covers the standard variant only")
     if spec.alpha.imag != 0:
         raise CapabilityError("the identity catalog needs a real positive scale")
-    terms = summand.terms(spec.alpha.real)
+    terms = _given(_terms(text, spec.alpha.real))
     n = spec.n_terms
     total = 0j
     for coeff, factors in terms:
@@ -272,13 +234,12 @@ def run(text: str, n: int, method: str = "all", alpha: complex = 1 + 0j,
     every other record is measured against it.  Routes that cannot handle
     the request contribute an error entry instead of aborting the run.
     """
-    summand = _entry(text, _Summand, text)
     if method != "all" and method not in METHODS:
         raise DomainError(
             f"unknown method {method!r}; have all, {', '.join(METHODS)}")
     if not (tol > 0 and math.isfinite(tol)):
         raise PreconditionError(f"tol must be a positive finite number, got {tol!r}")
-    spec = SeriesSpec(g=summand.g, n_terms=n, alpha=complex(alpha),
+    spec = SeriesSpec(g=_compiled(text)[1], n_terms=n, alpha=complex(alpha),
                       variant=variant, beta=complex(beta))
 
     started = time.perf_counter_ns()
@@ -287,11 +248,11 @@ def run(text: str, n: int, method: str = "all", alpha: complex = 1 + 0j,
                                time.perf_counter_ns() - started)]
 
     runners = {
-        "laplace": lambda: _run_laplace(summand, spec, tol),
-        "fourier": lambda: _run_fourier(summand, spec, tol),
+        "laplace": lambda: _run_laplace(text, spec, tol),
+        "fourier": lambda: _run_fourier(text, spec, tol),
         "telescope": lambda: _run_telescope(spec, tol),
         "euler-maclaurin": lambda: _run_em(spec, tol),
-        "closed-form": lambda: _run_closed_form(summand, spec),
+        "closed-form": lambda: _run_closed_form(text, spec),
     }
     wanted = METHODS[1:] if method == "all" else [m for m in METHODS[1:] if m == method]
     for name in wanted:

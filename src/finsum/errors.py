@@ -25,8 +25,8 @@ class DomainError(FinsumError):
 
 
 class PoleError(DomainError):
-    """An evaluation point landed on (or within 1e-12 |z| of) a pole z of
-    a kernel; ``pole`` is that z when known."""
+    """An evaluation point landed on (or within 1e-12 |z|, and 1e-3, of) a
+    pole z of a kernel; ``pole`` is that z when known."""
 
     def __init__(self, message: str, *, pole=None):
         if pole is not None:

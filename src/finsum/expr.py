@@ -212,7 +212,10 @@ class _Parser:
         kind, val, off = self.peek()
         if kind == "num":
             self.advance()
-            return Num(float(val))
+            value = float(val)
+            if math.isinf(value):
+                raise ParseError(f"number {val!r} overflows float64", off)
+            return Num(value)
         if kind == "name":
             self.advance()
             if val == "k":

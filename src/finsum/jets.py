@@ -28,8 +28,10 @@ from .stable import power_sums
 # the comb's Faulhaber series serves |z| below this with |z|*n below the next
 _SERIES_CUTOFF = 1e-6
 _SERIES_N_CUTOFF = 3e-3
-# a comb denominator this close to 0 is a pole, not a value
+# a comb denominator within _POLE_EPS*|z| of 0, and within _POLE_ABS, is a
+# pole, not a value; far from the poles (Re z << 0) it is about -1 or 1
 _POLE_EPS = 1e-12
+_POLE_ABS = 1e-3
 # float64 exp rounds to 0.0 below this (the smallest subnormal is exp(-744.4))
 _EXP_UNDERFLOW = -745.2
 
@@ -336,15 +338,23 @@ def _check_pole(den, z, what: str) -> None:
 
     The test is relative to |z|: den = expm1(z) ~ z at the removable point
     z = 0, which a long comb reaches off its series branch, while every
-    true pole lies at |z| >= pi.  Scalars and jets are tested on their value
-    part with plain ``abs``, arrays elementwise."""
+    true pole lies at |z| >= pi.  It is absolute too, below ``_POLE_ABS``,
+    where den ~ z - pole: at Re z << 0 den is about -1 (or 1 on the
+    alternating comb), which 1e-12 |z| exceeds once |z| > 1e12.  Scalars
+    and jets are tested on their value part with plain ``abs``, arrays
+    elementwise."""
     if isinstance(den, np.ndarray):
-        bad = np.abs(den) < _POLE_EPS * np.abs(z)
-        if np.any(bad):
-            raise PoleError(f"{what} pole on the integration path",
-                            pole=complex(z[np.argmax(bad)]))
-    elif abs(value_part(den)) < _POLE_EPS * abs(value_part(z)):
-        raise PoleError(f"{what} has a pole", pole=value_part(z))
+        mag = np.abs(den)
+        bad = mag < _POLE_EPS * np.abs(z)
+        if np.any(bad):  # the absolute test runs only where the relative one fired
+            bad &= mag < _POLE_ABS
+            if np.any(bad):
+                raise PoleError(f"{what} pole on the integration path",
+                                pole=complex(z[np.argmax(bad)]))
+    else:
+        mag = abs(value_part(den))
+        if mag < _POLE_EPS * abs(value_part(z)) and mag < _POLE_ABS:
+            raise PoleError(f"{what} has a pole", pole=value_part(z))
 
 
 def exp_power_sum(z, n: int, lead=None):

@@ -331,9 +331,10 @@ def decompose(expression) -> list[tuple[complex, dict]]:
     tuple of (coefficient, read-only factors) pairs that ``cli`` keeps.
 
     ``cli.run`` decomposes each (summand, lattice scale) once per process:
-    its table (at most 256 entries) keeps these terms and the kernel and
-    pair read from them, never a value.  A one-shot ``finsum eval``
-    process starts with an empty table and decomposes on its one request.
+    its ``functools.lru_cache`` tables (at most 256 entries each) keep
+    these terms and the kernel and pair read from them, never a value.  A
+    one-shot ``finsum eval`` process starts with empty tables and
+    decomposes on its one request.
 
     Raises RecognitionError when the summand has no such decomposition.
     """

@@ -242,55 +242,36 @@ def _parsed(g: Callable) -> bool:
     return getattr(g, "node", None) is not None
 
 
-def _blocks(n: int):
-    """(first k, length) of each block of the lattice 1..n.  Every block
-    but the last holds ``_BLOCK`` terms, so each starts at an odd k."""
-    return ((k0, min(_BLOCK, n + 1 - k0)) for k0 in range(1, n + 1, _BLOCK))
+def _block_terms(spec: SeriesSpec, dtype, k0: int, m: int, lattice: bool):
+    """The weighted terms k0 .. k0+m-1 on a lattice of the dtype, float64
+    (the real parts of the spec's parameters) or complex128.
 
-
-def _lattice_blocks(spec: SeriesSpec, dtype):
-    """The weighted terms on a lattice of the dtype, float64 or complex128,
-    as (first k, terms) per block.
-
-    The float64 lattice takes the real parts of the spec's parameters, the
-    complex128 lattice their values.  A parsed closure goes to the lattice
-    unprobed, any other g once it passes the probe.  A block is one shifted
-    copy of the indices: its weights are formed from it before g runs, so a
-    g that writes into its argument cannot change them, and then it is
-    scaled and shifted in place.  Only the operations that change a value
-    run: no scaling when alpha is 1, no shift or weighting unless the spec
-    has a shift, or a sign or damping.  Terms
-    come in the lattice's dtype, or complex128 where g gives complex
-    values.
-
-    Where g fails the probe, raises or gives no array of the block's shape,
-    the float64 lattice yields None as the terms, and the series must go to
-    the complex128 lattice; that lattice forms the block by
-    :func:`_term_block` instead."""
-    g = spec.g
-    alpha, _, shift = spec.parameters(dtype)
-    weighted = spec.sign < 0 or spec.damping is not None
-    lattice = _parsed(g) or _probe_vectorized(g, dtype)
-    for k0, m in _blocks(spec.n_terms):
-        terms = None
-        if lattice:
-            args = _INDICES[:m] + dtype(k0 - 1)  # the block's own array, scaled in place
-            try:
-                weights = term_weight(spec, args) if weighted else None
-                if alpha != 1:
-                    args *= alpha
-                if shift is not None:
-                    args += shift
-                vals = g(args)
-                if isinstance(vals, np.ndarray) and vals.shape == (m,):
-                    terms = vals if weights is None else vals * weights
-                    terms = terms.astype(np.complex128 if terms.dtype.kind == "c" else dtype,
-                                         copy=False)
-            except Exception:
-                terms = None
-        if terms is None and dtype == np.complex128:
-            terms = _term_block(spec, k0, m)
-        yield k0, terms
+    With ``lattice`` (g is parsed or passed the probe) the block is one
+    shifted copy of the indices: its weights are formed from it before g
+    runs, so a g that writes into its argument cannot change them, and then
+    it is scaled and shifted in place.  Only the operations that change a
+    value run.  Terms come in the lattice's dtype, or complex128 where g
+    gives complex values.  Without ``lattice``, or where g raises or gives
+    no array of the block's shape, the float64 lattice gives None and the
+    complex128 lattice forms the block by :func:`_term_block`."""
+    if lattice:
+        alpha, _, shift = spec.parameters(dtype)
+        args = _INDICES[:m] + dtype(k0 - 1)  # the block's own array, scaled in place
+        try:
+            weights = (term_weight(spec, args)
+                       if spec.sign < 0 or spec.damping is not None else None)
+            if alpha != 1:
+                args *= alpha
+            if shift is not None:
+                args += shift
+            vals = spec.g(args)
+            if isinstance(vals, np.ndarray) and vals.shape == (m,):
+                terms = vals if weights is None else vals * weights
+                return terms.astype(np.complex128 if terms.dtype.kind == "c" else dtype,
+                                    copy=False)
+        except Exception:
+            pass
+    return _term_block(spec, k0, m) if dtype == np.complex128 else None
 
 
 def _term_block(spec: SeriesSpec, k0: int, m: int) -> np.ndarray:
@@ -330,62 +311,45 @@ def _term_loop(spec: SeriesSpec, k0: int, m: int) -> np.ndarray:
     return np.array(terms, dtype=np.complex128)
 
 
-class _Sums:
-    """The oracle's reduction of a series of n terms, one block at a time
-    into one scratch buffer: each block's
-    :func:`finsum.backend.partial_sums` per component and its sum of
-    magnitudes, each list combined by one ``math.fsum`` at the end."""
+def _lattice_sum(spec: SeriesSpec, dtype) -> tuple[complex, float] | None:
+    """(sum of the terms, sum of their magnitudes) on the lattice of the
+    dtype, block by block; None where a float64 block is None or holds a
+    non-finite term, which on complex128 raises EvaluationError naming k.
 
-    def __init__(self, n: int):
-        self._n = n
-        self._buf = np.empty(min(n, _BLOCK))
-        self.clear()
-
-    def clear(self):
-        self._re, self._im, self._mag = [], [], []
-
-    def add(self, terms: np.ndarray):
-        """Adds a float64 or complex128 block; returns the offset of its
-        first non-finite term, adding nothing, or None.
-
-        |t| goes into the buffer once: its sum is the block's sum of
-        magnitudes, its finiteness the block's, and on a real block the
-        extraction's b.  A block of finite terms whose magnitudes overflow
-        raises EvaluationError."""
-        buf = self._buf[:terms.size]
-        mag = float(np.add.reduce(np.abs(terms, out=buf)))
-        if not math.isfinite(mag):
+    |t| goes into one scratch buffer once: its sum is the block's sum of
+    magnitudes, its finiteness the block's, and on a real block the
+    extraction's b.  :func:`finsum.backend.partial_sums` reduces each block
+    per component, and one ``math.fsum`` per list at the end the blocks;
+    finite terms whose magnitudes or sum overflow raise EvaluationError."""
+    n = spec.n_terms
+    lattice = _parsed(spec.g) or _probe_vectorized(spec.g, dtype)
+    buf = np.empty(min(n, _BLOCK))
+    re, im, mag = [], [], []
+    for k0 in range(1, n + 1, _BLOCK):
+        m = min(_BLOCK, n + 1 - k0)  # every block but the last starts at an odd k
+        terms = _block_terms(spec, dtype, k0, m, lattice)
+        if terms is None:
+            return None
+        b = buf[:m]
+        block_mag = float(np.add.reduce(np.abs(terms, out=b)))
+        if not math.isfinite(block_mag):
             finite = np.isfinite(terms)
             if finite.all():
                 raise EvaluationError("series sum overflows")
-            return int(np.argmin(finite))
-        self._mag.append(mag)
+            if dtype == np.float64:
+                return None
+            raise EvaluationError("series term is not finite",
+                                  at=f"k={k0 + int(np.argmin(finite))}")
+        mag.append(block_mag)
         if terms.dtype == np.float64:
-            self._re += backend.partial_sums(terms, buf, mag, self._n)
+            re += backend.partial_sums(terms, b, block_mag, n)
         else:
-            self._re += backend.partial_sums(terms.real, buf, total=self._n)
-            self._im += backend.partial_sums(terms.imag, buf, total=self._n)
-        return None
-
-    def feed(self, blocks):
-        """Adds (first k, terms) blocks until one whose terms are None or not
-        all finite, and returns that block's k or that term's; None when
-        every block was added."""
-        for k0, terms in blocks:
-            if terms is None:
-                return k0
-            bad = self.add(terms)
-            if bad is not None:
-                return k0 + bad
-        return None
-
-    def result(self) -> tuple[complex, float]:
-        """(sum of the terms, sum of their magnitudes)."""
-        try:
-            return (complex(math.fsum(self._re), math.fsum(self._im)),
-                    math.fsum(self._mag))
-        except OverflowError:
-            raise EvaluationError("series sum overflows") from None
+            re += backend.partial_sums(terms.real, b, total=n)
+            im += backend.partial_sums(terms.imag, b, total=n)
+    try:
+        return complex(math.fsum(re), math.fsum(im)), math.fsum(mag)
+    except OverflowError:
+        raise EvaluationError("series sum overflows") from None
 
 
 def direct_sum(spec: SeriesSpec) -> SumResult:
@@ -395,14 +359,15 @@ def direct_sum(spec: SeriesSpec) -> SumResult:
     the summation factor's grid shares.  Otherwise, or when g fails the
     probe, raises, gives the wrong shape or a non-finite term there, the
     complex128 lattice gives the terms, block by block or, where g rejects
-    arrays, term by term, and names a failing k.  Both lattices come from :func:`_lattice_blocks`.  A
-    parsed closure (one of :func:`finsum.expr.as_function`) goes straight
-    to a lattice, so it is called once per block of the lattice; any other
-    g is first probed at k = 1, 2, its array values checked against its
-    scalar ones.
+    arrays, term by term, and names a failing k: the oracle is
+    ``_lattice_sum(float64) or _lattice_sum(complex128)``.  A parsed
+    closure (one of :func:`finsum.expr.as_function`) goes straight to a
+    lattice, so it is called once per block of the lattice; any other g is
+    first probed at k = 1, 2, its array values checked against its scalar
+    ones.
 
-    The lattice is evaluated and reduced in blocks of ``_BLOCK`` terms, so
-    memory stays O(block) at any N.  Each block is reduced by
+    The lattice is evaluated and reduced in blocks of ``_BLOCK`` terms by
+    one loop, so memory stays O(block) at any N.  Each block is reduced by
     :func:`finsum.backend.partial_sums` (one ``math.fsum`` for a series of
     up to 160 terms, one error-free extraction otherwise), and the block
     sums are carried exactly by ``math.fsum``.  Up to one block the value
@@ -412,14 +377,9 @@ def direct_sum(spec: SeriesSpec) -> SumResult:
     EvaluationError.
     """
     t0 = time.perf_counter_ns()
-    sums = _Sums(spec.n_terms)
     with np.errstate(all="ignore"):  # a non-finite term is reported by k
-        if not spec.real_lattice or sums.feed(_lattice_blocks(spec, np.float64)) is not None:
-            sums.clear()
-            k_bad = sums.feed(_lattice_blocks(spec, np.complex128))
-            if k_bad is not None:
-                raise EvaluationError("series term is not finite", at=f"k={k_bad}")
-    value, abs_sum = sums.result()
+        value, abs_sum = ((spec.real_lattice and _lattice_sum(spec, np.float64))
+                          or _lattice_sum(spec, np.complex128))
     diag = Diagnostics(nodes=spec.n_terms, runtime_ns=time.perf_counter_ns() - t0)
     return SumResult(value=value, method="oracle", error_estimate=2.0 * _EPS * abs_sum,
                      diagnostics=diag)

@@ -1,6 +1,6 @@
 """Lets the suite run from a checkout without an install: ``src/`` goes
 first on ``sys.path``, and on the ``PYTHONPATH`` that the CLI subprocess
-tests inherit.  Every test starts from an empty summand table."""
+tests inherit.  Every test starts from empty summand tables."""
 
 import os
 import sys
@@ -18,6 +18,6 @@ from finsum import cli  # noqa: E402
 @pytest.fixture(autouse=True)
 def _cold_summand_table():
     """``cli.run`` keeps each summand's compiled forms for the process; a
-    test that counts parse or decomposition calls must see a cold table,
+    test that counts parse or decomposition calls must see cold tables,
     whatever texts earlier tests ran."""
-    cli._TABLE.clear()
+    cli._clear_tables()

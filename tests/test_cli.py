@@ -1,5 +1,6 @@
 """Command-line contract tests: schema, determinism, exit codes, config."""
 
+import functools
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 
 from finsum import cli, kernels
 from finsum import expr as ex
-from finsum.errors import FinsumError, PreconditionError
+from finsum.errors import DomainError, FinsumError, ParseError, PreconditionError
 from finsum.kernels import KPOW
 from finsum.series import Variant
 
@@ -108,6 +109,35 @@ class TestRunApi:
             monkeypatch.setattr(cli, name, no_route)
         with pytest.raises(PreconditionError, match="tol must be a positive finite number"):
             cli.run("1/(k^2+1)", 10, method="all", tol=tol)
+
+    @pytest.mark.parametrize("kw, error, match", [
+        (dict(method="bogus"), DomainError, "unknown method 'bogus'"),
+        (dict(tol=0.0), PreconditionError, "tol must be a positive finite number")])
+    def test_arguments_are_checked_before_the_summand(self, kw, error, match):
+        """A bad method or tol is reported as such, even on a summand that
+        does not parse, and fills no summand table."""
+        for text in ("1/(k^2+1)", "1/(k"):
+            with pytest.raises(error, match=match):
+                cli.run(text, 10, **kw)
+        assert _sizes() == dict.fromkeys(_TABLES, 0)
+
+    def test_an_overflowing_literal_is_a_parse_error(self):
+        """exp(-1e400*k) used to give an unflagged NaN laplace value with a
+        NaN estimate."""
+        with pytest.raises(ParseError, match="overflows float64") as info:
+            cli.run("exp(-1e400*k)", 5, "laplace")
+        assert info.value.offset == 5
+
+    @pytest.mark.parametrize("variant", ["standard", "alternating", "exp-factor"])
+    @pytest.mark.parametrize("text", ["exp(-1e308*k)", "k^2*exp(-1e300*k)",
+                                      "exp(-1e300*k)*cos(2*k)", "exp(-0.5*k)*cos(1e13*k)",
+                                      "k*exp(-0.25*k)*cos(2e12*k)"])
+    def test_comb_far_from_its_poles_is_no_pole(self, text, variant):
+        """|z| > 1e12 used to read as a pole of the comb ("variant kernel
+        has a pole"); the laplace record now agrees with the oracle."""
+        oracle, rec = cli.run(text, 40, "laplace", variant=variant, beta=0.3)["results"]
+        assert rec["flags"] == [], rec.get("error")
+        assert rec["abs_err_vs_oracle"] <= rec["error_estimate"] + oracle["error_estimate"]
 
     def test_meta_field_order(self):
         report = cli.run("1/k", 3, method="oracle")
@@ -204,10 +234,25 @@ def _masked(report: dict) -> str:
     return cli.report_json(report)
 
 
+_TABLES = ("_compiled", "_terms", "_kernel", "_pair")
+
+
+def _sizes() -> dict:
+    return {name: getattr(cli, name).cache_info().currsize for name in _TABLES}
+
+
+def _count_parses(monkeypatch) -> list:
+    parses = []
+    parse = ex.parse_expression
+    monkeypatch.setattr(ex, "parse_expression", lambda text: parses.append(text) or parse(text))
+    return parses
+
+
 class TestSummandTable:
     """``cli.run`` compiles each summand text once per process: its tree and
     closure, and per lattice scale its terms, kernel, Fourier pair or
-    refusal.  A warm request reports what a cold one does."""
+    refusal, each in its own ``functools.lru_cache`` table.  A warm request
+    reports what a cold one does."""
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("alpha", [1.0, 1.3])
@@ -216,16 +261,14 @@ class TestSummandTable:
         alternating variants accept it."""
         for text, n in cli._BENCH_SUITE:
             kw = dict(method="all", alpha=alpha, variant=variant, beta=0.3 + 0j)
-            cli._TABLE.clear()
+            cli._clear_tables()
             cold = _masked(cli.run(text, n + n % 2, **kw))
-            assert text in cli._TABLE
+            assert _sizes()["_compiled"] == 1
             assert _masked(cli.run(text, n + n % 2, **kw)) == cold, text
 
     def test_warm_request_neither_parses_nor_decomposes(self, monkeypatch):
         cold = _masked(cli.run("1.2*sin(1.3*k) + exp(-0.5*k)", 10, alpha=1.3))
-        parses = []
-        parse = ex.parse_expression
-        monkeypatch.setattr(ex, "parse_expression", lambda text: parses.append(text) or parse(text))
+        parses = _count_parses(monkeypatch)
         calls = _count_decompositions(monkeypatch)
         assert _masked(cli.run("1.2*sin(1.3*k) + exp(-0.5*k)", 10, alpha=1.3)) == cold
         assert parses == [] and calls == []
@@ -237,40 +280,48 @@ class TestSummandTable:
         errors = [rec for rec in warm["results"] if "error" in rec]
         assert [rec["method"] for rec in errors] == ["laplace", "fourier", "closed-form"]
 
-    def test_a_parse_error_is_not_kept(self):
+    def test_a_parse_error_is_not_kept(self, monkeypatch):
+        parses = _count_parses(monkeypatch)
         for _ in range(2):
             with pytest.raises(FinsumError, match="offset"):
                 cli.run("1/(k", 5)
-        assert cli._TABLE == {}
+        assert parses == ["1/(k", "1/(k"]
+        assert _sizes() == dict.fromkeys(_TABLES, 0)
 
-    def test_one_text_past_the_bound_evicts_the_oldest(self):
+    def test_one_text_past_the_bound_evicts_the_oldest(self, monkeypatch):
         assert cli._TABLE_SIZE == 256
         texts = [f"{i}/k^2" for i in range(1, cli._TABLE_SIZE + 2)]
+        parses = _count_parses(monkeypatch)
         for text in texts[:-1]:
             cli.run(text, 3, method="oracle")
-        assert list(cli._TABLE) == texts[:-1]
+        assert parses == texts[:-1]
+        assert _sizes()["_compiled"] == cli._TABLE_SIZE
         cli.run(texts[0], 3, method="oracle")     # used again: now the newest
         cli.run(texts[-1], 3, method="oracle")
-        assert len(cli._TABLE) == cli._TABLE_SIZE
-        assert texts[1] not in cli._TABLE
-        assert texts[0] in cli._TABLE and texts[-1] in cli._TABLE
+        assert parses == texts
+        assert _sizes()["_compiled"] == cli._TABLE_SIZE
+        cli.run(texts[0], 3, method="oracle")
+        cli.run(texts[-1], 3, method="oracle")
+        assert parses == texts                    # both kept
+        cli.run(texts[1], 3, method="oracle")
+        assert parses == texts + [texts[1]]       # the oldest had left
 
     def test_a_sweep_of_scales_stays_within_the_bound(self):
         for i in range(1000):
             report = cli.run("exp(-0.5*k)", 10, method="closed-form", alpha=1 + i / 1000)
             assert report["results"][1]["flags"] == []
-        assert len(cli._TABLE) == cli._TABLE_SIZE
-        assert "exp(-0.5*k)" in cli._TABLE
+        assert _sizes() == {"_compiled": 1, "_terms": cli._TABLE_SIZE, "_kernel": 0, "_pair": 0}
 
     def test_threads_share_the_table(self, monkeypatch):
-        """More threads than cores on a table of four entries, so that
+        """More threads than cores on tables of four entries, so that
         nearly every request evicts one that another thread is reading,
         with a short switch interval: no request fails, every report
-        equals the one-thread report, and the table keeps its bound."""
+        equals the one-thread report, and each table keeps its bound."""
         texts = [f"{i}/k^2 + exp(-0.{i}*k)" for i in range(1, 10)]
         want = {text: _masked(cli.run(text, 3, method="laplace")) for text in texts}
-        cli._TABLE.clear()
-        monkeypatch.setattr(cli, "_TABLE_SIZE", 4)
+        for name in _TABLES:
+            monkeypatch.setattr(cli, name, functools.lru_cache(maxsize=4)(
+                getattr(cli, name).__wrapped__))
         failures = []
 
         def worker(start):
@@ -295,11 +346,13 @@ class TestSummandTable:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
-        assert len(cli._TABLE) <= 4
+        assert max(_sizes().values()) <= 4
 
     def test_cached_terms_are_read_only(self):
         cli.run("3/k^2 + exp(-0.5*k)", 10, method="closed-form")
-        terms = cli._TABLE["3/k^2 + exp(-0.5*k)"].terms(1.0)
+        misses = cli._terms.cache_info().misses
+        terms = cli._terms("3/k^2 + exp(-0.5*k)", 1.0)
+        assert cli._terms.cache_info().misses == misses   # the kept tuple
         assert kernels.decompose(terms) is terms
         with pytest.raises(TypeError):
             terms[0] = (1.0, {})

@@ -48,6 +48,18 @@ class TestParsing:
         with pytest.raises(ParseError):
             ex.parse_expression(bad)
 
+    @pytest.mark.parametrize("text, offset", [("1e400*k", 0), ("k + 2e308", 4),
+                                              ("exp(-1e400*k)", 5)])
+    def test_overflowing_literal_is_a_parse_error(self, text, offset):
+        """1e400 used to parse as inf, which ``pretty`` cannot print."""
+        with pytest.raises(ParseError, match="overflows float64") as info:
+            ex.parse_expression(text)
+        assert info.value.offset == offset
+
+    def test_largest_literal_round_trips(self):
+        node = ex.parse_expression("1.7976931348623157e308*k")
+        assert ex.parse_expression(ex.pretty(node)) == node
+
     def test_error_carries_offset(self):
         with pytest.raises(ParseError) as info:
             ex.parse_expression("1/(k^2+1")

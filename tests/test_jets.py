@@ -348,6 +348,31 @@ class TestCombPolesOffTheGrid:
             alternating_exp_power_sum(arg, 6)
         assert info.value.pole == -1j * math.pi
 
+    @pytest.mark.parametrize("m", [1e6, 1e9, 1e12])
+    def test_pole_at_large_m_raises(self, m):
+        """The pole test stays relative to |z| up to the absolute bound:
+        the float nearest 2*pi*i*m lies within 1e-3 of the pole."""
+        with pytest.raises(PoleError, match="variant kernel has a pole"):
+            exp_power_sum(2j * math.pi * m, 5)
+        with pytest.raises(PoleError, match="alternating kernel has a pole"):
+            alternating_exp_power_sum(1j * math.pi * (2 * m + 1), 6)
+        with pytest.raises(PoleError, match="pole on the integration path"):
+            exp_power_sum(np.array([-0.5 + 0j, 2j * math.pi * m]), 5)
+
+    @pytest.mark.parametrize("z", [-1e13 + 0j, -1e308 + 0j, -1e300 + 2j, -0.5 + 1e13j])
+    def test_far_from_every_pole_is_no_pole(self, z):
+        """At |z| > 1e12 the denominator is about -1 or 1 (or of order 1),
+        which 1e-12 |z| exceeds; it is no pole."""
+        for n in (5, 6):
+            want = sum(cmath.exp(z * k) for k in range(1, n + 1))
+            assert exp_power_sum(z, n) == pytest.approx(want, rel=1e-12, abs=1e-300)
+            with np.errstate(over="ignore"):  # n*z is -inf at z = -1e308
+                got = exp_power_sum(np.array([z]), n)[0]
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+            alt = sum((-1) ** (k + 1) * cmath.exp(z * k) for k in range(1, n + 1))
+            assert alternating_exp_power_sum(z, n) == pytest.approx(alt, rel=1e-12,
+                                                                    abs=1e-300)
+
     def test_removable_point_off_the_series_is_no_pole(self):
         """z = -1e-13 at n = 1e11 takes the closed form, where expm1(z) ~ z
         lies below an absolute 1e-12 but not below 1e-12 |z|."""

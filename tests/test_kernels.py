@@ -254,10 +254,15 @@ class TestRejection:
     @pytest.mark.parametrize("text", ["log(k)", "sin(k^2)", "1/(k^3+1)",
                                       "exp(k)*sin(k)", "sqrt(k)*cos(k)",
                                       "exp(0.2*k)", "1/(k-k)", "(0*k)^-1",
-                                      "k^(1e400)", "(2*k)^2000"])
+                                      "(2*k)^2000"])
     def test_unsupported_shapes_raise(self, text):
         with pytest.raises(RecognitionError):
             recognize_pair(text)
+
+    def test_infinite_exponent_raises(self):
+        """The text k^(1e400) no longer parses, so the tree is built."""
+        with pytest.raises(RecognitionError):
+            recognize_pair(ex.Pow(ex.Var(), ex.Num(math.inf)))
 
     def test_gaussian_points_to_transform_route(self):
         with pytest.raises(RecognitionError, match="[Ff]ourier"):

@@ -191,10 +191,17 @@ def _lattice_dtypes(spec):
     return direct_sum(dataclasses.replace(spec, g=spy)), dtypes
 
 
+def _blocks(n):
+    """(first k, length) of each block of the oracle's lattice 1..n."""
+    return [(k0, min(series._BLOCK, n + 1 - k0)) for k0 in range(1, n + 1, series._BLOCK)]
+
+
 def _complex_terms(spec):
     """Every term of the complex lattice (or the per-element loop), block
     after block."""
-    return np.concatenate([terms for _, terms in series._lattice_blocks(spec, np.complex128)])
+    lattice = series._parsed(spec.g) or series._probe_vectorized(spec.g, np.complex128)
+    return np.concatenate([series._block_terms(spec, np.complex128, k0, m, lattice)
+                           for k0, m in _blocks(spec.n_terms)])
 
 
 # one summand of each spike-catalog family, at alpha != 1
@@ -278,7 +285,7 @@ class TestRealLattice:
         got = direct_sum(SeriesSpec(counted, n, alpha=alpha, beta=beta))
         want = direct_sum(SeriesSpec(g, n, alpha=alpha, beta=beta))
         assert len(calls) == math.ceil(n / series._BLOCK)
-        assert [k.shape for k in calls] == [(m,) for _, m in series._blocks(n)]
+        assert [k.shape for k in calls] == [(m,) for _, m in _blocks(n)]
         assert {k.dtype for k in calls} == {np.dtype(dtype)}
         assert (got.value, got.error_estimate) == (want.value, want.error_estimate)
 
