@@ -30,7 +30,6 @@ import csv
 import functools
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -45,8 +44,8 @@ from .fourier import recognize_fourier, sum_via_fourier
 from .identities import catalog_entry, dense_grids, eval_identity, verify_all
 from .kernels import decompose, recognize_pair
 from .laplace import sum_via_integral
-from .series import (Diagnostics, SeriesSpec, SumResult, Variant, direct_sum,
-                     effective_term)
+from .series import (Diagnostics, SeriesSpec, SumResult, Variant, check_tol,
+                     direct_sum, effective_term)
 from .telescope import telescoping_sum
 
 #: every evaluation route the ``eval`` subcommand knows, reporting order.
@@ -237,8 +236,7 @@ def run(text: str, n: int, method: str = "all", alpha: complex = 1 + 0j,
     if method != "all" and method not in METHODS:
         raise DomainError(
             f"unknown method {method!r}; have all, {', '.join(METHODS)}")
-    if not (tol > 0 and math.isfinite(tol)):
-        raise PreconditionError(f"tol must be a positive finite number, got {tol!r}")
+    check_tol(tol)
     spec = SeriesSpec(g=_compiled(text)[1], n_terms=n, alpha=complex(alpha),
                       variant=variant, beta=complex(beta))
 

@@ -32,7 +32,7 @@ import numpy as np
 from . import jets
 from .errors import CapabilityError, EvaluationError, PreconditionError
 from .quadrature import _array_form, integrate_finite
-from .series import Diagnostics, SumResult, check_count
+from .series import Diagnostics, SumResult, check_count, check_tol
 from .special import bernoulli
 
 _EPS = 2.220446049250313e-16
@@ -171,6 +171,7 @@ def em_sum(job: EMJob, quad_tol: float = 1e-13) -> SumResult:
     of seeded breakpoints.  A non-finite head value is an EvaluationError
     that names its x.
     """
+    check_tol(quad_tol, "quad_tol")
     size = job.m + 1 if job.m <= HEAD else HEAD
     values = _head(job, size)
     head = complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))

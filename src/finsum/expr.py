@@ -1,27 +1,34 @@
 """Expression grammar over the summation index k.
 
-    additive       := multiplicative (('+' | '-') multiplicative)*
-    multiplicative := unary (('*' | '/') unary)*
-    unary          := '-' unary | power
-    power          := atom ('^' unary)?          # right-associative
-    atom           := NUMBER | 'pi' | 'e' | 'k'
-                    | ('sin'|'cos'|'exp'|'log'|'sqrt') '(' additive ')'
-                    | '(' additive ')'
+    chain_0 := chain_1 (('+' | '-') chain_1)*    # _CHAINS, loosest first
+    chain_1 := unary (('*' | '/') unary)*
+    unary   := '-' unary | power
+    power   := atom ('^' unary)?                 # right-associative
+    atom    := NUMBER | 'pi' | 'e' | 'k'
+             | ('sin'|'cos'|'exp'|'log'|'sqrt') '(' chain_0 ')'
+             | '(' chain_0 ')'
 
-Precedence (low to high): additive, multiplicative, unary minus, power,
-atoms -- so ``-k^2`` is ``-(k^2)`` and ``2^3^2`` is 512.  Parse errors carry
-the byte offset and the expected-token set.  Evaluation is polymorphic: the
-same tree evaluates at scalars, float64 and complex128 arrays and jets, which
-is how one closure serves the oracle, the quadrature grids and the derivative
-machinery.
+Precedence (low to high): + and -, * and /, unary minus, power, atoms --
+so ``-k^2`` is ``-(k^2)`` and ``2^3^2`` is 512.  The grammar is stated in
+two tables: ``_CHAINS``, the left-associative binary operators by level,
+which one chain loop of the parser reads, and ``_BINARY``, each binary
+node's symbol and the least precedence its operands print bare at, which
+``pretty`` reads.  ``substitute_index`` and ``is_constant`` are one walk
+over each node type's subtree fields (the fields annotated ``Node``);
+``evaluate``, the hot walk, keeps one case per node type.  Parse errors
+carry the byte offset and the expected-token set.  Evaluation is
+polymorphic: the same tree evaluates at scalars, float64 and complex128
+arrays and jets, which is how one closure serves the oracle, the
+quadrature grids and the derivative machinery.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Union, get_args
 
 import numpy as np
 
@@ -53,43 +60,43 @@ class Var:
 
 @dataclass(frozen=True)
 class Neg:
-    arg: "Node"
+    arg: Node
 
 
 @dataclass(frozen=True)
 class Add:
-    left: "Node"
-    right: "Node"
+    left: Node
+    right: Node
 
 
 @dataclass(frozen=True)
 class Sub:
-    left: "Node"
-    right: "Node"
+    left: Node
+    right: Node
 
 
 @dataclass(frozen=True)
 class Mul:
-    left: "Node"
-    right: "Node"
+    left: Node
+    right: Node
 
 
 @dataclass(frozen=True)
 class Div:
-    left: "Node"
-    right: "Node"
+    left: Node
+    right: Node
 
 
 @dataclass(frozen=True)
 class Pow:
-    base: "Node"
-    exponent: "Node"
+    base: Node
+    exponent: Node
 
 
 @dataclass(frozen=True)
 class Call:
     fn: str
-    arg: "Node"
+    arg: Node
 
 
 Node = Union[Num, Const, Var, Neg, Add, Sub, Mul, Div, Pow, Call]
@@ -102,6 +109,10 @@ Node = Union[Num, Const, Var, Neg, Add, Sub, Mul, Div, Pow, Call]
 # operator of a + - * / chain, which nests its left operand one level deeper)
 # the parser accepts; every tree walk here recurses once per level
 _MAX_DEPTH = 100
+# the left-associative binary operators, one table per precedence level,
+# loosest first
+_CHAINS = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})
+_TRAILING = frozenset({repr(op) for ops in _CHAINS for op in ops} | {"'^'", "end of input"})
 _TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?|([A-Za-z_]\w*)|([()+\-*/^]))")
 
 
@@ -150,40 +161,28 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Node:
-        node = self.additive()
+        node = self.chain()
         kind, val, off = self.peek()
         if kind != "end":
-            raise ParseError(f"unexpected trailing input {val!r}", off,
-                             frozenset({"'+'", "'-'", "'*'", "'/'", "'^'", "end of input"}))
+            raise ParseError(f"unexpected trailing input {val!r}", off, _TRAILING)
         return node
 
-    def additive(self) -> Node:
-        node = self.multiplicative()
+    def chain(self, level: int = 0) -> Node:
+        """Operands of the next level (``unary`` past the last) joined left
+        to right by the operators of ``_CHAINS[level]``."""
+        ops = _CHAINS[level]
+        tighter = level + 1 < len(_CHAINS)
+        node = self.chain(level + 1) if tighter else self.unary()
         depth = self.depth
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                self.depth += 1
-                rhs = self.multiplicative()
-                node = Add(node, rhs) if val == "+" else Sub(node, rhs)
-            else:
+            if kind != "op" or val not in ops:
                 self.depth = depth
                 return node
-
-    def multiplicative(self) -> Node:
-        node = self.unary()
-        depth = self.depth
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                self.depth += 1
-                rhs = self.unary()
-                node = Mul(node, rhs) if val == "*" else Div(node, rhs)
-            else:
-                self.depth = depth
-                return node
+            self.advance()
+            self.depth += 1
+            rhs = self.chain(level + 1) if tighter else self.unary()
+            node = ops[val](node, rhs)
 
     def unary(self) -> Node:
         # every nested operand, and every operand of a chain, is parsed
@@ -224,14 +223,14 @@ class _Parser:
                 return Const(val)
             if val in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.additive()
+                arg = self.chain()
                 self.expect_op(")")
                 return Call(val, arg)
             raise ParseError(f"unknown name {val!r}", off,
                              frozenset({"'k'", "'pi'", "'e'"} | {f"'{f}'" for f in FUNCTIONS}))
         if kind == "op" and val == "(":
             self.advance()
-            node = self.additive()
+            node = self.chain()
             self.expect_op(")")
             return node
         raise ParseError("expected a value", off,
@@ -301,47 +300,38 @@ def as_function(node: Node):
     return g
 
 
+def _field_list(kind: type) -> tuple[tuple[str, bool], ...] | None:
+    """(name, holds a subtree) for each field of a node type, in order, or
+    None for a leaf type; a field annotated ``Node`` holds a subtree."""
+    fields = tuple((f.name, f.type == "Node") for f in dataclasses.fields(kind))
+    return fields if any(sub for _, sub in fields) else None
+
+
+# the field list of each node type, taken once
+_FIELDS = {kind: _field_list(kind) for kind in get_args(Node)}
+
+
 def substitute_index(node: Node, replacement: Node) -> Node:
     """The tree with every occurrence of k replaced by the given subtree."""
-    match node:
-        case Num() | Const():
-            return node
-        case Var():
-            return replacement
-        case Neg(arg=a):
-            return Neg(substitute_index(a, replacement))
-        case Add(left=l, right=r):
-            return Add(substitute_index(l, replacement), substitute_index(r, replacement))
-        case Sub(left=l, right=r):
-            return Sub(substitute_index(l, replacement), substitute_index(r, replacement))
-        case Mul(left=l, right=r):
-            return Mul(substitute_index(l, replacement), substitute_index(r, replacement))
-        case Div(left=l, right=r):
-            return Div(substitute_index(l, replacement), substitute_index(r, replacement))
-        case Pow(base=b, exponent=e):
-            return Pow(substitute_index(b, replacement), substitute_index(e, replacement))
-        case Call(fn=fn, arg=a):
-            return Call(fn, substitute_index(a, replacement))
-    raise TypeError(f"unknown node {node!r}")
+    kind = type(node)
+    if kind is Var:
+        return replacement
+    fields = _FIELDS[kind]
+    if fields is None:
+        return node
+    return kind(*[substitute_index(getattr(node, name), replacement) if sub
+                  else getattr(node, name) for name, sub in fields])
 
 
 def is_constant(node: Node) -> bool:
     """True when the tree does not reference k."""
-    match node:
-        case Num() | Const():
-            return True
-        case Var():
+    kind = type(node)
+    if kind is Var:
+        return False
+    for name, sub in _FIELDS[kind] or ():
+        if sub and not is_constant(getattr(node, name)):
             return False
-        case Neg(arg=a):
-            return is_constant(a)
-        case Add(left=l, right=r) | Sub(left=l, right=r) | Mul(left=l, right=r) \
-                | Div(left=l, right=r):
-            return is_constant(l) and is_constant(r)
-        case Pow(base=b, exponent=e):
-            return is_constant(b) and is_constant(e)
-        case Call(arg=a):
-            return is_constant(a)
-    return False
+    return True
 
 
 def constant_value(node: Node) -> complex:
@@ -352,11 +342,17 @@ def constant_value(node: Node) -> complex:
 # ---------------------------------------------------------------------------
 # pretty printer
 
+# precedence of each node type, 5 for atoms
 _PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4}
+# each binary node's symbol and the least precedence its left and its right
+# operand print bare at; an operand below it takes parentheses
+_BINARY = {Add: (" + ", 1, 2), Sub: (" - ", 1, 2), Mul: ("*", 2, 3),
+           Div: ("/", 2, 3), Pow: ("^", 5, 3)}
 
 
-def _prec(node: Node) -> int:
-    return _PREC.get(type(node), 5)
+def _operand(node: Node, least: int) -> str:
+    text = pretty(node)
+    return text if _PREC.get(type(node), 5) >= least else f"({text})"
 
 
 def _fmt_num(v: float) -> str:
@@ -367,6 +363,15 @@ def _fmt_num(v: float) -> str:
 
 def pretty(node: Node) -> str:
     """Canonical text form; parse(pretty(parse(s))) == parse(s)."""
+    kind = type(node)
+    if kind in _BINARY:
+        symbol, least_left, least_right = _BINARY[kind]
+        (left, _), (right, _) = _FIELDS[kind]
+        a, b = getattr(node, left), getattr(node, right)
+        rs = _operand(b, least_right)
+        if kind is Sub and isinstance(b, Neg):
+            rs = f"({rs})"  # a - (-b), not a - -b
+        return f"{_operand(a, least_left)}{symbol}{rs}"
     match node:
         case Num(value=v):
             return _fmt_num(v)
@@ -375,52 +380,7 @@ def pretty(node: Node) -> str:
         case Var():
             return "k"
         case Neg(arg=a):
-            inner = pretty(a)
-            if _prec(a) < 3:
-                inner = f"({inner})"
-            return f"-{inner}"
-        case Add(left=l, right=r):
-            rs = pretty(r)
-            if _prec(r) <= 1:
-                rs = f"({rs})"
-            ls = pretty(l)
-            if _prec(l) < 1:
-                ls = f"({ls})"
-            return f"{ls} + {rs}"
-        case Sub(left=l, right=r):
-            rs = pretty(r)
-            if _prec(r) <= 1 or isinstance(r, Neg):
-                rs = f"({rs})"
-            ls = pretty(l)
-            if _prec(l) < 1:
-                ls = f"({ls})"
-            return f"{ls} - {rs}"
-        case Mul(left=l, right=r):
-            ls = pretty(l)
-            if _prec(l) < 2:
-                ls = f"({ls})"
-            rs = pretty(r)
-            if _prec(r) <= 2 and not isinstance(r, Mul):
-                rs = rs if _prec(r) > 2 else f"({rs})"
-            elif isinstance(r, Mul):
-                rs = f"({rs})"
-            return f"{ls}*{rs}"
-        case Div(left=l, right=r):
-            ls = pretty(l)
-            if _prec(l) < 2:
-                ls = f"({ls})"
-            rs = pretty(r)
-            if _prec(r) <= 2:
-                rs = f"({rs})"
-            return f"{ls}/{rs}"
-        case Pow(base=b, exponent=e):
-            bs = pretty(b)
-            if _prec(b) <= 4:
-                bs = f"({bs})"
-            es = pretty(e)
-            if _prec(e) < 3:
-                es = f"({es})"
-            return f"{bs}^{es}"
+            return f"-{_operand(a, 3)}"
         case Call(fn=fn, arg=a):
             return f"{fn}({pretty(a)})"
     raise TypeError(f"unknown node {node!r}")

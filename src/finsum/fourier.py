@@ -50,7 +50,7 @@ import numpy as np
 from . import backend
 from .errors import CapabilityError
 from .kernels import GAUSS, decompose
-from .series import Diagnostics, SumResult, check_count
+from .series import Diagnostics, SumResult, check_count, check_tol
 from .stable import TWO_PI, reduce_angle
 
 _LOG_EPS = -math.log(np.finfo(float).eps)
@@ -256,6 +256,7 @@ def sum_via_fourier(pair, n_terms: int, tol: float = 1e-9) -> SumResult:
     ``imag_residual`` and flags nothing: it is exactly 0 for the table's
     pairs with real weights, and part of the sum where a weight is complex.
     """
+    check_tol(tol)
     if not isinstance(pair, FourierPair):
         pair = recognize_fourier(pair)
     n_terms = check_count(n_terms)

@@ -1,14 +1,19 @@
 """Catalog of closed-form finite-sum identities with verification sweeps.
 
-Each entry pairs a closed form with a builder for the equivalent term-by-term
-sum; ``verify_identity`` sweeps a parameter grid and compares against the
-compensated direct sum, which is the ground truth everywhere in this
-package.  The trigonometric forms divide by sin(theta/2), so their exactness
-degrades in floating point as theta approaches 0 or 2*pi; evaluation inside
-the outer 0.1 margin emits a conditioning warning and the default grids stay
-out of it.  ``catalog_entry`` matches one term of ``kernels.decompose``
-to its entry, which is how the closed-form route sums a decomposed summand
-term by term.
+Each entry pairs a closed form with its summand g(k) as text, a ``{name}``
+field standing for each parameter (the scale alpha of the geometric entry
+is the lattice's).  ``verify_identity`` sweeps a parameter grid: it fills
+the fields in, parses the text into the closure ``cli.run`` serves for a
+summand (``expr.as_function`` of the tree) and compares the closed form
+against the compensated direct sum of it, which is the ground truth
+everywhere in this package.  So every closed form is checked against the
+summand that the closed-form route decomposes.  The trigonometric forms
+divide by sin(theta/2), so their exactness degrades in floating point as
+theta approaches 0 or 2*pi; evaluation inside the outer 0.1 margin emits
+a conditioning warning and the default grids stay out of it.
+``catalog_entry`` matches one term of ``kernels.decompose`` to its entry,
+which is how the closed-form route sums a decomposed summand term by
+term.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import expr as ex
 from . import jets
 from .errors import CapabilityError, ConditioningWarning, DomainError
 from .kernels import EXP, KPOW
@@ -54,7 +60,7 @@ class Identity:
     name: str
     param_names: tuple[str, ...]
     closed_form: Callable  # (params: dict, n: int) -> complex
-    reference: Callable    # (params: dict, n: int) -> SeriesSpec
+    summand: str           # g(k), a {name} field for each parameter but alpha
     note: str
     default_grid: Callable  # () -> list[(params, n)]
 
@@ -118,40 +124,6 @@ def _geometric_closed(params, n):
     return complex(jets.exp_power_sum(-a * alpha, check_count(n, "n")))
 
 
-# -- reference sums ---------------------------------------------------------
-
-def _sine_ref(params, n):
-    theta = float(params["theta"])
-    return SeriesSpec(g=lambda x: jets.sin(theta * x), n_terms=n)
-
-
-def _cosine_ref(params, n):
-    theta = float(params["theta"])
-    return SeriesSpec(g=lambda x: jets.cos(theta * x), n_terms=n)
-
-
-def _k_cosine_ref(params, n):
-    theta = float(params["theta"])
-    return SeriesSpec(g=lambda x: x * jets.cos(theta * x), n_terms=n)
-
-
-def _exp_cosine_ref(params, n):
-    theta = float(params["theta"])
-    beta = float(params["beta"])
-    return SeriesSpec(g=lambda x: jets.exp(-beta * x) * jets.cos(theta * x), n_terms=n)
-
-
-def _power_ref(params, n):
-    s = float(params["s"])
-    return SeriesSpec(g=lambda x: x ** (-s), n_terms=n)
-
-
-def _geometric_ref(params, n):
-    a = float(params["a"])
-    return SeriesSpec(g=lambda x: jets.exp(-a * x), n_terms=n,
-                      alpha=float(params["alpha"]))
-
-
 # -- default verification grids ---------------------------------------------
 
 _THETAS = tuple(np.round(np.arange(0.1, 6.15, 0.5), 10))   # 0.1 .. 6.1
@@ -200,23 +172,24 @@ def dense_grids() -> dict:
 
 REGISTRY: dict[str, Identity] = {
     ident.name: ident for ident in (
-        Identity("sine", ("theta",), _sine_closed, _sine_ref,
+        Identity("sine", ("theta",), _sine_closed, "sin({theta}*k)",
                  "sum of sin(theta*k): cot(theta/2)/2 - cos(theta(N+1/2))/(2 sin(theta/2))",
                  _trig_grid),
-        Identity("cosine", ("theta",), _cosine_closed, _cosine_ref,
+        Identity("cosine", ("theta",), _cosine_closed, "cos({theta}*k)",
                  "sum of cos(theta*k): -1/2 + sin(theta(N+1/2))/(2 sin(theta/2))",
                  _trig_grid),
-        Identity("exp-cosine", ("theta", "beta"), _exp_cosine_closed, _exp_cosine_ref,
+        Identity("exp-cosine", ("theta", "beta"), _exp_cosine_closed,
+                 "exp(-{beta}*k)*cos({theta}*k)",
                  "sum of exp(-beta*k)cos(theta*k): mean of the conjugate geometric forms",
                  _exp_cosine_grid),
-        Identity("k-cosine", ("theta",), _k_cosine_closed, _k_cosine_ref,
+        Identity("k-cosine", ("theta",), _k_cosine_closed, "k*cos({theta}*k)",
                  "sum of k*cos(theta*k): [N sin(theta/2) sin(theta(N+1/2)) "
                  "- sin^2(N theta/2)] / (2 sin^2(theta/2))",
                  _trig_grid),
-        Identity("power", ("s",), _power_closed, _power_ref,
+        Identity("power", ("s",), _power_closed, "k^-{s}",
                  "sum of k^(-s) finished through the Hurwitz tail",
                  _power_grid),
-        Identity("geometric", ("a", "alpha"), _geometric_closed, _geometric_ref,
+        Identity("geometric", ("a", "alpha"), _geometric_closed, "exp(-{a}*k)",
                  "sum of exp(-a*alpha*k): the stabilized geometric closed form",
                  _geometric_grid),
     )
@@ -289,7 +262,8 @@ _ABS_PASS = 1e-12
 
 
 def verify_identity(name: str, grid=None) -> VerificationReport:
-    """Sweep closed form against the direct-sum oracle over a parameter grid.
+    """Sweep closed form against the direct-sum oracle of the parsed summand
+    over a parameter grid.
 
     A point passes when the relative deviation stays below 1e-11, or the
     absolute deviation below 1e-12 where the sum itself is near zero.
@@ -307,7 +281,9 @@ def verify_identity(name: str, grid=None) -> VerificationReport:
     count = 0
     for params, n in grid:
         closed = ident.closed_form(params, n)
-        oracle = direct_sum(ident.reference(params, n)).value
+        values = {key: float(params[key]) for key in ident.param_names}
+        g = ex.as_function(ex.parse_expression(ident.summand.format(**values)))
+        oracle = direct_sum(SeriesSpec(g, n, alpha=values.get("alpha", 1.0))).value
         abs_dev = abs(closed - oracle)
         point_ok = abs_dev <= max(_ABS_PASS, _REL_PASS * abs(oracle))
         passed = passed and point_ok

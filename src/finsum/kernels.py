@@ -38,6 +38,7 @@ import numpy as np
 from . import expr as ex
 from .errors import PreconditionError, RecognitionError
 from .quadrature import integrate_semi_infinite
+from .series import check_tol
 from .special import gamma_fn
 from .stable import cexp
 
@@ -94,6 +95,7 @@ class Kernel:
 
 def laplace_of_kernel(kernel: Kernel, x: complex, tol: float = 1e-10) -> complex:
     """Reconstruct g(x) from its density -- the consistency check for recognition."""
+    check_tol(tol)
     x = complex(x)
     total = 0j
     for d in kernel.deltas:
@@ -420,7 +422,11 @@ def _term_kernel(coeff: complex, factors: dict) -> Kernel:
 
     if kpow < 0:
         s = -kpow
-        fn = (lambda t, c=coeff, s=s: c * t ** (s - 1.0) / gamma_fn(s))
+        try:
+            gamma = gamma_fn(s)
+        except OverflowError:
+            raise _no_transform(f"Gamma({s}) of the power density overflows float64") from None
+        fn = (lambda t, c=coeff, s=s, gamma=gamma: c * t ** (s - 1.0) / gamma)
         return Kernel(smooth=(SmoothTerm(fn, 0.0, f"power(s={s})", s - 1.0),))
     order = _as_order(kpow)
     return Kernel(deltas=(DeltaTerm(coeff, 0j, order),))

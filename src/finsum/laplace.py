@@ -27,7 +27,8 @@ from . import backend, jets
 from .errors import CapabilityError, PreconditionError
 from .kernels import Kernel
 from .quadrature import integrate_semi_infinite
-from .series import Diagnostics, SeriesSpec, SumResult, Variant, check_count
+from .series import (Diagnostics, SeriesSpec, SumResult, Variant, check_count,
+                     check_tol)
 from .special import riemann_zeta
 from .stable import TWO_PI
 
@@ -109,6 +110,7 @@ def sum_via_integral(spec: SeriesSpec, kernel: Kernel, tol: float = 1e-10) -> Su
     through the summation factor, not the kernel.  Spike terms are closed
     form; smooth terms are integrated against the factor on [0, inf).
     """
+    check_tol(tol)
     value = 0j
     delta_scale = 0.0
     for d in kernel.deltas:

@@ -31,6 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EvaluationError, FinsumError
+from .series import check_tol
 
 # 15-point Kronrod abscissas/weights with the embedded 7-point Gauss rule.
 _XGK = np.array([
@@ -262,6 +263,7 @@ def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-10,
                      points=()) -> QuadratureResult:
     """Adaptive integral of f over [a, b] to absolute tolerance tol;
     ``points`` are interior breakpoints of the initial mesh."""
+    check_tol(tol)
     if not (b > a):
         raise EvaluationError(f"integration interval is empty: [{a}, {b}]")
     cuts = [a, 0.5 * (a + b), b]
@@ -277,6 +279,7 @@ def integrate_semi_infinite(f: Callable, tol: float = 1e-10, points=()) -> Quadr
     the transformed integrand.  t = 0 is never requested.  ``points`` are
     interior breakpoints of the initial mesh, given in t.
     """
+    check_tol(tol)
     g = _first_batch(f)
     cuts = [0.0, 0.5, 0.9, 0.99, 1.0]
     if np.size(points):

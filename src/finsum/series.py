@@ -67,13 +67,21 @@ def check_count(n, name: str = "n_terms") -> int:
     return int(n)
 
 
+def check_tol(tol, name: str = "tol") -> None:
+    """PreconditionError unless tol is a positive finite number: the rule
+    for every tolerance the package takes."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise PreconditionError(f"{name} must be a positive finite number, got {tol!r}")
+
+
 def check_lattice(variant, n_terms, alpha=1.0, beta=0j) -> tuple[Variant, int, complex, complex]:
     """(variant, n_terms, alpha, beta) normalized, or PreconditionError.
 
-    The conditions a variant puts on its lattice: N >= 1, Re(alpha) > 0,
-    even N for the alternating variants and Re(beta) > 0 for the
-    exp-factor ones.  They are stated here and nowhere else.  A variant
-    that is not one of the six raises DomainError.
+    The conditions a variant puts on its lattice: N >= 1, a finite alpha
+    with Re(alpha) > 0, even N for the alternating variants, a finite beta
+    for the variants that use it (shifted and exp-factor) and Re(beta) > 0
+    for the exp-factor ones.  They are stated here and nowhere else.  A
+    variant that is not one of the six raises DomainError.
     """
     try:
         variant = Variant(variant)
@@ -81,6 +89,10 @@ def check_lattice(variant, n_terms, alpha=1.0, beta=0j) -> tuple[Variant, int, c
         raise DomainError(f"unknown variant {variant!r}") from None
     n_terms = check_count(n_terms)
     alpha, beta = complex(alpha), complex(beta)
+    if not cmath.isfinite(alpha):
+        raise PreconditionError(f"alpha must be finite, got {alpha}")
+    if (variant.is_shifted or variant.is_exp_factor) and not cmath.isfinite(beta):
+        raise PreconditionError(f"variant {variant.value!r} requires a finite beta, got {beta}")
     if alpha.real <= 0.0:
         raise PreconditionError(f"Re(alpha) must be positive, got {alpha}")
     if variant.is_alternating and n_terms % 2 != 0:

@@ -11,7 +11,10 @@ which fixes B_1 = -1/2.  Hurwitz zeta uses the tail-corrected form
                  + sum_{k>=1} B_{2k}/(2k)! * (s)_{2k-1} * (M+a)^(-s-2k+1)
 
 with M grown adaptively until the first omitted correction term is below
-tolerance (correction count capped at 15 per evaluation).
+tolerance (correction count capped at 15 per evaluation).  M starts near
+0.25*s, where the correction terms shrink; for s > 64 it starts no later
+than the head's own terms fall below tol^2 of the first, so a steep power
+such as s = 1e10 sums one term and not 2.5e9.
 """
 
 from __future__ import annotations
@@ -55,6 +58,11 @@ def gamma_fn(s: float) -> float:
     return math.gamma(s)
 
 
+# the exponent from which the head is sized by the decay of its terms; every
+# s below it keeps the head of 0.25*s + 6 terms
+_STEEP = 64.0
+
+
 def hurwitz_zeta(s: float, a: float, tol: float = 1e-14) -> float:
     """zeta(s, a) = sum_{j>=0} (j+a)^(-s) for real s > 1, a > 0."""
     if not (s > 1.0):
@@ -64,6 +72,11 @@ def hurwitz_zeta(s: float, a: float, tol: float = 1e-14) -> float:
 
     # The correction terms shrink while 2*pi*(M+a) comfortably exceeds s.
     m = max(0, math.ceil(max(10.0, 0.25 * s + 6.0) - a))
+    if s > _STEEP:
+        # Past q = a * tol^(-2/s) the terms are below tol^2 of the first,
+        # and the tail with its first correction term goes with them, so
+        # the head ends there when that is sooner; q > 1 keeps q^(1-s) finite.
+        m = min(m, max(1, math.ceil(a * tol ** (-2.0 / s) - a)))
     while True:
         q = m + a
         head = backend.hurwitz_head(s, a, m)

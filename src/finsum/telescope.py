@@ -83,7 +83,7 @@ from .errors import CapabilityError, DomainError, EvaluationError
 from . import quadrature
 from .eulermaclaurin import HEAD, decay_breakpoints, em_tail, gregory_tail, gregory_value
 from .quadrature import _array_form
-from .series import Diagnostics, SumResult, check_count
+from .series import Diagnostics, SumResult, check_count, check_tol
 from .special import hurwitz_zeta, riemann_zeta
 
 _DECAY_DEPTH = 1024  # no refusal for lack of decay below max(2N, this)
@@ -97,6 +97,7 @@ def telescoping_sum(g, n_terms: int, tol: float = 1e-10,
     """Sigma_{k=1}^{N} g(k) via the collapsing differences g(k) - g(N+k)."""
     n_terms = check_count(n_terms)
     max_terms = check_count(max_terms, "max_terms")
+    check_tol(tol)
     quad_tol = min(tol, 1e-12)
 
     gv = None  # g in array form, decided by the first block

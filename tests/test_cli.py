@@ -121,6 +121,19 @@ class TestRunApi:
                 cli.run(text, 10, **kw)
         assert _sizes() == dict.fromkeys(_TABLES, 0)
 
+    def test_power_whose_gamma_overflows_is_a_laplace_error_record(self):
+        """1/k^172 used to raise OverflowError out of cli.run, from Gamma(172)
+        inside the power density."""
+        by_name = {r["method"]: r for r in cli.run("1/k^172", 5)["results"]}
+        assert by_name["laplace"]["flags"] == ["error"]
+        assert "overflows float64" in by_name["laplace"]["error"]
+        for name in ("oracle", "closed-form"):
+            assert by_name[name]["value"] == {"re": 1.0, "im": 0.0}
+            assert by_name[name]["flags"] == []
+        res = run_cli("eval", "--expr", "1/k^172", "--n", "5")
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+
     def test_an_overflowing_literal_is_a_parse_error(self):
         """exp(-1e400*k) used to give an unflagged NaN laplace value with a
         NaN estimate."""

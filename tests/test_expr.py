@@ -177,3 +177,69 @@ class TestStructureHelpers:
             for k in rng.uniform(0.5, 5.0, size=8):
                 assert ex.evaluate(again, float(k)) == pytest.approx(
                     ex.evaluate(node, float(k)), rel=1e-14)
+
+
+# tricky trees for the printer and the structural walks, each as a builder
+# of its k leaf, so that substituting for k is building with another leaf;
+# with the printed text and whether the tree is free of k
+_N, _C = ex.Num, ex.Const
+_TRICKY = [
+    (lambda k: ex.Mul(k, ex.Mul(k, _N(2.0))), "k*(k*2)", False),
+    (lambda k: ex.Mul(ex.Mul(k, _N(2.0)), k), "k*2*k", False),
+    (lambda k: ex.Div(k, ex.Div(_N(1.0), k)), "k/(1/k)", False),
+    (lambda k: ex.Div(ex.Div(_N(1.0), k), k), "1/k/k", False),
+    (lambda k: ex.Mul(k, ex.Div(_N(1.0), k)), "k*(1/k)", False),
+    (lambda k: ex.Div(k, ex.Mul(_N(2.0), k)), "k/(2*k)", False),
+    (lambda k: ex.Sub(k, ex.Neg(_N(2.0))), "k - (-2)", False),
+    (lambda k: ex.Add(k, ex.Neg(_N(2.0))), "k + -2", False),
+    (lambda k: ex.Sub(k, ex.Sub(_N(1.0), k)), "k - (1 - k)", False),
+    (lambda k: ex.Sub(ex.Sub(k, _N(1.0)), k), "k - 1 - k", False),
+    (lambda k: ex.Add(k, ex.Add(_N(1.0), k)), "k + (1 + k)", False),
+    (lambda k: ex.Sub(k, ex.Mul(_N(2.0), k)), "k - 2*k", False),
+    (lambda k: ex.Neg(ex.Add(k, _N(1.0))), "-(k + 1)", False),
+    (lambda k: ex.Neg(ex.Mul(k, _N(2.0))), "-(k*2)", False),
+    (lambda k: ex.Neg(ex.Neg(k)), "--k", False),
+    (lambda k: ex.Mul(ex.Neg(k), k), "-k*k", False),
+    (lambda k: ex.Mul(k, ex.Neg(k)), "k*-k", False),
+    (lambda k: ex.Mul(ex.Add(k, _N(1.0)), ex.Sub(k, _N(1.0))), "(k + 1)*(k - 1)", False),
+    (lambda k: ex.Pow(ex.Pow(k, _N(2.0)), _N(3.0)), "(k^2)^3", False),
+    (lambda k: ex.Pow(k, ex.Pow(_N(2.0), _N(3.0))), "k^2^3", False),
+    (lambda k: ex.Pow(ex.Neg(k), _N(2.0)), "(-k)^2", False),
+    (lambda k: ex.Pow(k, ex.Neg(_N(2.0))), "k^-2", False),
+    (lambda k: ex.Neg(ex.Pow(k, _N(2.0))), "-k^2", False),
+    (lambda k: ex.Pow(k, ex.Add(_N(1.0), k)), "k^(1 + k)", False),
+    (lambda k: ex.Pow(k, ex.Mul(_N(2.0), k)), "k^(2*k)", False),
+    (lambda k: ex.Pow(ex.Call("exp", k), _N(2.0)), "exp(k)^2", False),
+    (lambda k: ex.Call("sin", ex.Add(k, _N(1.0))), "sin(k + 1)", False),
+    (lambda k: ex.Call("sqrt", ex.Call("log", k)), "sqrt(log(k))", False),
+    (lambda k: ex.Mul(_C("pi"), ex.Pow(_C("e"), k)), "pi*e^k", False),
+    (lambda k: ex.Pow(_N(2.0), ex.Neg(ex.Pow(_N(3.0), _N(2.0)))), "2^-3^2", True),
+    (lambda k: ex.Div(_N(1e20), ex.Add(_N(0.1), _C("pi"))), "1e+20/(0.1 + pi)", True),
+    (lambda k: ex.Call("cos", ex.Neg(_C("e"))), "cos(-e)", True),
+    (lambda k: _N(2.0), "2", True),
+    (lambda k: _N(0.1), "0.1", True),
+    (lambda k: _N(1e20), "1e+20", True),
+    (lambda k: _C("pi"), "pi", True),
+    (lambda k: k, "k", False),
+]
+_IDS = [text for _, text, _ in _TRICKY]
+
+
+class TestStructureOnTrickyTrees:
+    @pytest.mark.parametrize("build, text, constant", _TRICKY, ids=_IDS)
+    def test_pretty_is_pinned_and_round_trips(self, build, text, constant):
+        tree = build(ex.Var())
+        assert ex.pretty(tree) == text
+        assert ex.parse_expression(text) == tree
+
+    @pytest.mark.parametrize("build, text, constant", _TRICKY, ids=_IDS)
+    def test_substitute_index_builds_the_same_tree_on_the_new_leaf(self, build, text,
+                                                                   constant):
+        for leaf in (ex.Mul(ex.Num(2.0), ex.Var()), ex.Call("exp", ex.Neg(ex.Var())),
+                     ex.Num(3.0), ex.Var()):
+            assert ex.substitute_index(build(ex.Var()), leaf) == build(leaf)
+
+    @pytest.mark.parametrize("build, text, constant", _TRICKY, ids=_IDS)
+    def test_is_constant(self, build, text, constant):
+        assert ex.is_constant(build(ex.Var())) is constant
+        assert ex.is_constant(build(ex.Num(3.0))) is True

@@ -5,9 +5,11 @@ import warnings
 
 import pytest
 
+from finsum import identities
 from finsum.errors import ConditioningWarning, DomainError
-from finsum.identities import (dense_grids, eval_identity, identity_names,
+from finsum.identities import (catalog_entry, dense_grids, eval_identity, identity_names,
                                verify_all, verify_identity)
+from finsum.kernels import decompose
 from finsum.series import direct_sum
 
 
@@ -139,3 +141,35 @@ class TestConditioningMargin:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             eval_identity("cosine", {"theta": 3.0}, 10)
+
+
+# each identity's summand, a {name} field for each parameter but alpha
+_SUMMANDS = {
+    "sine": "sin({theta}*k)",
+    "cosine": "cos({theta}*k)",
+    "k-cosine": "k*cos({theta}*k)",
+    "exp-cosine": "exp(-{beta}*k)*cos({theta}*k)",
+    "power": "k^-{s}",
+    "geometric": "exp(-{a}*k)",
+}
+
+
+class TestSummandRoundTrip:
+    """The summand of each identity, decomposed as the closed-form route
+    decomposes it, is matched by the catalog to that same identity."""
+
+    @pytest.mark.parametrize("name", sorted(_SUMMANDS))
+    def test_default_grid_at_unit_scale(self, name):
+        points = 0
+        for params, _ in identities.REGISTRY[name].default_grid():
+            if params.get("alpha", 1.0) != 1.0:
+                continue  # the scale is the lattice's, 1 here
+            (coeff, factors), = decompose(_SUMMANDS[name].format(**params))
+            assert coeff == 1
+            assert catalog_entry(factors) == (name, params)
+            points += 1
+        assert points > 0
+
+    def test_each_entry_states_its_summand(self):
+        assert {name: ident.summand for name, ident in identities.REGISTRY.items()} \
+            == _SUMMANDS

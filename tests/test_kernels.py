@@ -233,6 +233,23 @@ class TestSmoothRecognition:
                                    ts**2 / 2.0, rtol=1e-13)
         assert s.frequency == 0.0
 
+    def test_power_density_is_bit_identical_to_the_formula(self):
+        """Gamma(s) is taken once, at recognition; the density still computes
+        c * t^(s-1) / Gamma(s), to the bit."""
+        ts = np.linspace(0.1, 40.0, 57)
+        for text, s in (("1/k^3", 3.0), ("2.5*k^-1.5", 1.5), ("1/k^171.5", 171.5)):
+            [term] = recognize_pair(text).smooth
+            c = 2.5 + 0j if text.startswith("2.5") else 1.0 + 0j
+            want = c * ts ** (s - 1.0) / math.gamma(s)
+            assert np.asarray(term.fn(ts)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text", ["1/k^172", "k^-1e10"])
+    def test_power_density_whose_gamma_overflows_is_refused(self, text):
+        """Gamma(s) overflows float64 past s = 171.6; math.gamma used to raise
+        OverflowError inside the integrand, out of every route."""
+        with pytest.raises(RecognitionError, match="overflows float64"):
+            recognize_pair(text)
+
     def test_harmonic_density_is_flat(self):
         rec = recognize_pair("1/k")
         [s] = rec.smooth

@@ -6,6 +6,7 @@ asymptotic machinery used inside the implementation.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,31 @@ class TestHurwitzZeta:
             lo = partial + (a + m) ** (1 - s) / (s - 1)
             hi = partial + (a + m - 1) ** (1 - s) / (s - 1)
             assert lo <= hurwitz_zeta(s, a) <= hi
+
+    @pytest.mark.parametrize("s", [64.5, 65.0, 100.0, 300.0, 1e4])
+    @pytest.mark.parametrize("a", [0.95, 1.0, 1.5, 3.3, 30.0, 100.0])
+    def test_steep_power_against_direct_sum(self, s, a):
+        """Past s = 64 the head ends where its own terms have decayed; the
+        terms fall so fast that 2,000 of them are the whole sum."""
+        want = math.fsum((j + a) ** -s for j in range(2000))
+        assert hurwitz_zeta(s, a) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("entry, s", [("riemann_zeta", 1e10), ("cli", 1e10),
+                                          ("cli", 4e7)])
+    def test_steep_power_is_one_within_10_ms(self, entry, s):
+        """The head used to be about 0.25*s terms however fast they fell: at
+        s = 4e7, 1e7 of them and 2 s; at s = 1e10 it would ask for 2.5e9
+        floats, about 20 GB."""
+        from finsum import cli
+        started = time.perf_counter()
+        if entry == "cli":
+            record = cli.run(f"1/k^{s:g}", 5, method="closed-form")["results"][1]
+            value = record["value"]["re"]
+            assert record["flags"] == []
+        else:
+            value = riemann_zeta(s)
+        assert time.perf_counter() - started < 0.010
+        assert value == 1.0
 
     def test_domain(self):
         with pytest.raises(DomainError):
